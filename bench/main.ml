@@ -492,11 +492,13 @@ let emit_stream_bench () =
    here are throughput only. *)
 let emit_fix_bench () =
   let bugs = Corpus.Registry.all in
+  let t0 = Obs.Span.wall_clock_ns () in
   let results =
     Fix.Validate.fix_all ~sweep_jobs:(Snorlax_util.Pool.default_jobs ())
       ~seeds:5 bugs
   in
-  let s = Fix.Validate.summarize results in
+  let wall_secs = (Obs.Span.wall_clock_ns () -. t0) /. 1e9 in
+  let s = Fix.Validate.summarize ~wall_secs results in
   if s.Fix.Validate.fix_rate < 0.6 then begin
     Printf.eprintf "fix bench: fix rate %.2f below the 0.6 floor\n"
       s.Fix.Validate.fix_rate;
@@ -506,16 +508,16 @@ let emit_fix_bench () =
   match
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc
-          (Obs.Json.to_string (Fix.Validate.to_json results));
+          (Obs.Json.to_string (Fix.Validate.to_json ~wall_secs results));
         Out_channel.output_char oc '\n')
   with
   | () ->
     Printf.printf
       "Fix bench written to %s (%d/%d fixed, %.0f%% rate, %.1f validation \
-       seeds/sec)\n%!"
+       seeds/sec wall-clock, %.1f per lane)\n%!"
       path s.Fix.Validate.fixed s.Fix.Validate.bugs
       (100.0 *. s.Fix.Validate.fix_rate)
-      s.Fix.Validate.seeds_per_sec
+      s.Fix.Validate.seeds_per_sec s.Fix.Validate.lane_seeds_per_sec
   | exception Sys_error msg ->
     Printf.eprintf "cannot write %s: %s\n" path msg;
     exit 1

@@ -908,7 +908,9 @@ let fix_run bug_id all seeds jobs min_fix_rate out decode_jobs decode_cache obs
       | Some n -> n
       | None -> Snorlax_util.Pool.default_jobs ()
     in
+    let t0 = Obs.Span.wall_clock_ns () in
     let results = Fix.Validate.fix_all ~sweep_jobs ~seeds bugs in
+    let wall_secs = (Obs.Span.wall_clock_ns () -. t0) /. 1e9 in
     let t =
       Snorlax_util.Tablefmt.create
         ~headers:
@@ -938,18 +940,20 @@ let fix_run bug_id all seeds jobs min_fix_rate out decode_jobs decode_cache obs
             ])
       results;
     Snorlax_util.Tablefmt.print t;
-    let s = Fix.Validate.summarize results in
+    let s = Fix.Validate.summarize ~wall_secs results in
     Printf.printf
       "\n%d/%d fixed (%.0f%%), %d not fixed, %d regressed, %d error(s); %d \
-       validation runs, %.1f runs/s.\n"
+       validation runs in %.2f s: %.1f runs/s wall-clock, %.1f runs/s per \
+       lane.\n"
       s.Fix.Validate.fixed s.Fix.Validate.bugs
       (100. *. s.Fix.Validate.fix_rate)
       s.Fix.Validate.not_fixed s.Fix.Validate.regressed s.Fix.Validate.errors
-      s.Fix.Validate.total_runs s.Fix.Validate.seeds_per_sec;
+      s.Fix.Validate.total_runs s.Fix.Validate.wall_secs
+      s.Fix.Validate.seeds_per_sec s.Fix.Validate.lane_seeds_per_sec;
     List.iter
       (fun (k, f, total) -> Printf.printf "  %-20s %d/%d fixed\n" k f total)
       s.Fix.Validate.by_kind;
-    let json_ok = write_json out (Fix.Validate.to_json results) in
+    let json_ok = write_json out (Fix.Validate.to_json ~wall_secs results) in
     if json_ok then Printf.printf "Fix report written to %s\n" out;
     let obs_ok = emit_obs obs in
     let rate_ok = s.Fix.Validate.fix_rate >= min_fix_rate in

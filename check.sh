@@ -10,6 +10,12 @@ dune build @all
 echo "== test =="
 dune runtest
 
+echo "== benchmark smoke =="
+# Every benchmark workload at reduced size, untraced and traced, with its
+# correctness checks (verdict table == sequential fix_all, stream
+# accounting, incremental == batch); the build fails if any check does.
+dune build @perfbench/smoke/smoke
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== fmt =="
   dune build @fmt

@@ -45,12 +45,39 @@ type verdict =
    and ends at any sync node preceding the other access. *)
 type edge_kind = E_fork | E_join | E_cond | E_lock
 
+(* What a node stands for; rendered to text only when a path is
+   explained, so feeding events formats nothing. *)
+type action =
+  | Acquires of { lock : int; iid : int }
+  | Releases of { lock : int; iid : int }
+  | Forks of { child : int; iid : int }
+  | Begins
+  | Ends
+  | Joins of { target : int; iid : int }
+  | Signals of { cond : int }
+  | Wakes of { cond : int }
+
 type node = {
   n_tid : int;
   n_pos : int;
-  n_label : string;
+  n_action : action;
   mutable n_out : (edge_kind * int) list;
 }
+
+let node_label n =
+  let tid = n.n_tid in
+  match n.n_action with
+  | Acquires { lock; iid } ->
+    Printf.sprintf "t%d acquires lock 0x%x (iid %d)" tid lock iid
+  | Releases { lock; iid } ->
+    Printf.sprintf "t%d releases lock 0x%x (iid %d)" tid lock iid
+  | Forks { child; iid } -> Printf.sprintf "t%d forks t%d (iid %d)" tid child iid
+  | Begins -> Printf.sprintf "t%d begins" tid
+  | Ends -> Printf.sprintf "t%d ends" tid
+  | Joins { target; iid } ->
+    Printf.sprintf "t%d joins t%d (iid %d)" tid target iid
+  | Signals { cond } -> Printf.sprintf "t%d signals cond 0x%x" tid cond
+  | Wakes { cond } -> Printf.sprintf "t%d wakes on cond 0x%x" tid cond
 
 type tstate = {
   (* Own component starts at 1 so an access epoch is never ≤ the 0 a
@@ -119,9 +146,16 @@ let tstate t tid =
     Hashtbl.add t.threads tid ts;
     ts
 
-let new_node t ts ~tid ~label =
+let new_node t ts ~tid action =
   let id = Dynbuf.length t.nodes in
-  let n = { n_tid = tid; n_pos = Dynbuf.length ts.tnodes; n_label = label; n_out = [] } in
+  let n =
+    {
+      n_tid = tid;
+      n_pos = Dynbuf.length ts.tnodes;
+      n_action = action;
+      n_out = [];
+    }
+  in
   Dynbuf.push t.nodes n;
   Dynbuf.push ts.tnodes id;
   id
@@ -233,10 +267,7 @@ let feed t event =
     (match Hashtbl.find_opt t.lock_clocks lock with
     | Some lc -> ts.full <- Vc.join ts.full lc
     | None -> ());
-    let n =
-      new_node t ts ~tid
-        ~label:(Printf.sprintf "t%d acquires lock 0x%x (iid %d)" tid lock iid)
-    in
+    let n = new_node t ts ~tid (Acquires { lock; iid }) in
     (match Hashtbl.find_opt t.last_release lock with
     | Some rel -> add_edge t E_lock ~src:rel ~dst:n
     | None -> ());
@@ -245,39 +276,26 @@ let feed t event =
     let ts = tstate t tid in
     Hashtbl.replace t.lock_clocks lock ts.full;
     ts.full <- Vc.tick tid ts.full;
-    let n =
-      new_node t ts ~tid
-        ~label:(Printf.sprintf "t%d releases lock 0x%x (iid %d)" tid lock iid)
-    in
+    let n = new_node t ts ~tid (Releases { lock; iid }) in
     Hashtbl.replace t.last_release lock n;
     ts.held <- List.remove_assoc lock ts.held
   | Fork { parent; child; iid } ->
     let ps = tstate t parent in
-    let pn =
-      new_node t ps ~tid:parent
-        ~label:(Printf.sprintf "t%d forks t%d (iid %d)" parent child iid)
-    in
+    let pn = new_node t ps ~tid:parent (Forks { child; iid }) in
     let cs = tstate t child in
     cs.full <- Vc.join cs.full ps.full;
     cs.enf <- Vc.join cs.enf ps.enf;
     ps.full <- Vc.tick parent ps.full;
     ps.enf <- Vc.tick parent ps.enf;
-    let cn =
-      new_node t cs ~tid:child ~label:(Printf.sprintf "t%d begins" child)
-    in
+    let cn = new_node t cs ~tid:child Begins in
     add_edge t E_fork ~src:pn ~dst:cn
   | Join { tid; target; iid } ->
     let ts = tstate t tid in
     let gs = tstate t target in
     ts.full <- Vc.join ts.full gs.full;
     ts.enf <- Vc.join ts.enf gs.enf;
-    let en =
-      new_node t gs ~tid:target ~label:(Printf.sprintf "t%d ends" target)
-    in
-    let jn =
-      new_node t ts ~tid
-        ~label:(Printf.sprintf "t%d joins t%d (iid %d)" tid target iid)
-    in
+    let en = new_node t gs ~tid:target Ends in
+    let jn = new_node t ts ~tid (Joins { target; iid }) in
     add_edge t E_join ~src:en ~dst:jn
   | Cond_wake { waker; woken; cond } ->
     let ws = tstate t waker in
@@ -286,14 +304,8 @@ let feed t event =
     vs.enf <- Vc.join vs.enf ws.enf;
     ws.full <- Vc.tick waker ws.full;
     ws.enf <- Vc.tick waker ws.enf;
-    let sn =
-      new_node t ws ~tid:waker
-        ~label:(Printf.sprintf "t%d signals cond 0x%x" waker cond)
-    in
-    let wn =
-      new_node t vs ~tid:woken
-        ~label:(Printf.sprintf "t%d wakes on cond 0x%x" woken cond)
-    in
+    let sn = new_node t ws ~tid:waker (Signals { cond }) in
+    let wn = new_node t vs ~tid:woken (Wakes { cond }) in
     add_edge t E_cond ~src:sn ~dst:wn
 
 (* Breadth-first search over the sync-node graph from just after access
@@ -348,7 +360,7 @@ let find_path t ~allow_lock (a : arec) (b : arec) =
             if id = -1 then acc
             else
               walk (Hashtbl.find prev id)
-                ((Dynbuf.get t.nodes id).n_label :: acc)
+                (node_label (Dynbuf.get t.nodes id) :: acc)
           in
           endpoints (walk g [])
       end

@@ -484,10 +484,14 @@ type summary = {
   by_kind : (string * int * int) list;  (** kind, fixed, total *)
   total_runs : int;
   total_secs : float;
-  seeds_per_sec : float;  (** validation executions per wall-clock second *)
+  wall_secs : float;
+  seeds_per_sec : float;
+  lane_seeds_per_sec : float;
 }
 
-let summarize results =
+let rate runs secs = if secs > 0. then float_of_int runs /. secs else 0.
+
+let summarize ~wall_secs results =
   let bugs = List.length results in
   let fixed = ref 0 and not_fixed = ref 0 and regressed = ref 0 in
   let errors = ref 0 in
@@ -520,8 +524,9 @@ let summarize results =
         (Hashtbl.fold (fun k (f, t) acc -> (k, f, t) :: acc) kinds []);
     total_runs = !total_runs;
     total_secs = !total_secs;
-    seeds_per_sec =
-      (if !total_secs > 0. then float_of_int !total_runs /. !total_secs else 0.);
+    wall_secs;
+    seeds_per_sec = rate !total_runs wall_secs;
+    lane_seeds_per_sec = rate !total_runs !total_secs;
   }
 
 let attempt_json (a : attempt) =
@@ -564,8 +569,8 @@ let report_json (b : bug_report) =
       ("notes", Obs.Json.List (List.map (fun n -> Obs.Json.String n) b.notes));
     ]
 
-let to_json results =
-  let s = summarize results in
+let to_json ~wall_secs results =
+  let s = summarize ~wall_secs results in
   Obs.Json.Obj
     [
       ( "summary",
@@ -589,7 +594,9 @@ let to_json results =
                    s.by_kind) );
             ("total_runs", Obs.Json.Int s.total_runs);
             ("total_secs", Obs.Json.Float s.total_secs);
+            ("wall_secs", Obs.Json.Float s.wall_secs);
             ("validation_seeds_per_sec", Obs.Json.Float s.seeds_per_sec);
+            ("lane_seeds_per_sec", Obs.Json.Float s.lane_seeds_per_sec);
           ] );
       ( "bugs",
         Obs.Json.Obj

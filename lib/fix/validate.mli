@@ -38,7 +38,12 @@ type bug_report = {
   replay_ok : bool;
   sweep_seeds : int;
   runs : int;
-  secs : float;
+      (** simulated executions behind the verdict: the reproduction runs
+          up to the first failure ([Runner.collected.runs_needed]), the
+          pristine baseline runs, and every template's failing-seed
+          replay and oracle sweep — not the runs that collected
+          successful traces for the diagnosis *)
+  secs : float;  (** wall-clock time of this bug's [fix_bug] *)
   notes : string list;
 }
 
@@ -100,14 +105,22 @@ type summary = {
   errors : int;
   fix_rate : float;  (** fixed / all bugs, reproduction failures included *)
   by_kind : (string * int * int) list;  (** kind, fixed, total *)
-  total_runs : int;
-  total_secs : float;
-  seeds_per_sec : float;
+  total_runs : int;  (** sum of [bug_report.runs] *)
+  total_secs : float;  (** sum of [bug_report.secs]: time spent per lane *)
+  wall_secs : float;  (** the sweep's wall-clock time *)
+  seeds_per_sec : float;  (** [total_runs / wall_secs] *)
+  lane_seeds_per_sec : float;
+      (** [total_runs / total_secs]: one lane's validation throughput,
+          about [seeds_per_sec] for a sequential sweep *)
 }
 
-val summarize : (string * (bug_report, string) result) list -> summary
+val summarize :
+  wall_secs:float -> (string * (bug_report, string) result) list -> summary
+(** [wall_secs] is the sweep's measured wall-clock time.  Summed per-bug
+    times would overstate it for a parallel sweep. *)
 
-val to_json : (string * (bug_report, string) result) list -> Obs.Json.t
+val to_json :
+  wall_secs:float -> (string * (bug_report, string) result) list -> Obs.Json.t
 (** The [BENCH_fix.json] document: summary block (fix rate overall and
-    per bug kind, validation seeds/sec) plus per-bug verdicts and
-    attempt ladders. *)
+    per bug kind, validation seeds/sec per wall-clock second and per
+    lane) plus per-bug verdicts and attempt ladders. *)

@@ -13,7 +13,8 @@ type thread_state = {
 
 type t = {
   config : Config.t;
-  threads : (int, thread_state) Hashtbl.t;
+  mutable threads : thread_state option array;  (** indexed by tid *)
+  mutable thread_count : int;
   scratch : Buffer.t;
   timing_scratch : Buffer.t;
   mutable bytes_written : int;
@@ -24,7 +25,8 @@ type t = {
 let create ~config =
   {
     config;
-    threads = Hashtbl.create 16;
+    threads = Array.make 8 None;
+    thread_count = 0;
     scratch = Buffer.create 64;
     timing_scratch = Buffer.create 16;
     bytes_written = 0;
@@ -33,7 +35,12 @@ let create ~config =
   }
 
 let thread_state t tid =
-  match Hashtbl.find_opt t.threads tid with
+  if tid >= Array.length t.threads then begin
+    let grown = Array.make (max (tid + 1) (2 * Array.length t.threads)) None in
+    Array.blit t.threads 0 grown 0 (Array.length t.threads);
+    t.threads <- grown
+  end;
+  match t.threads.(tid) with
   | Some ts -> ts
   | None ->
     let ts =
@@ -47,7 +54,8 @@ let thread_state t tid =
         pend_count = 0;
       }
     in
-    Hashtbl.add t.threads tid ts;
+    t.threads.(tid) <- Some ts;
+    t.thread_count <- t.thread_count + 1;
     ts
 
 (* Consecutive branch outcomes accumulate per thread and hit the ring as
@@ -191,27 +199,26 @@ let on_control t ~time event =
   | Sim.Hooks.Thread_exit _ -> ());
   let produced = Buffer.length t.scratch in
   if produced > 0 then begin
-    Ringbuf.write_bytes ts.ring (Buffer.to_bytes t.scratch);
+    Ringbuf.write_buffer ts.ring t.scratch;
     t.bytes_written <- t.bytes_written + produced
   end;
   ts.bytes_since_psb <- ts.bytes_since_psb + !charged;
   let c = t.config.Config.costs in
   c.Config.per_event_ns
   +. (c.Config.per_byte_ns *. float_of_int !charged)
-  +. (c.Config.per_thread_ns *. float_of_int (Hashtbl.length t.threads))
+  +. (c.Config.per_thread_ns *. float_of_int t.thread_count)
 
 let snapshot t =
   (* Pending TNT runs flush to the rings first: a snapshot must expose
      every branch the thread has taken, not hide a partial run. *)
-  Hashtbl.iter
-    (fun _ ts ->
-      if ts.pend_count > 0 then begin
+  Array.iter
+    (function
+      | Some ts when ts.pend_count > 0 ->
         Buffer.clear t.scratch;
         flush_pending t ts;
-        let n = Buffer.length t.scratch in
-        Ringbuf.write_bytes ts.ring (Buffer.to_bytes t.scratch);
-        t.bytes_written <- t.bytes_written + n
-      end)
+        Ringbuf.write_buffer ts.ring t.scratch;
+        t.bytes_written <- t.bytes_written + Buffer.length t.scratch
+      | Some _ | None -> ())
     t.threads;
   (* Snapshot is the reconciliation point, so the hot per-event path never
      touches the ambient scope: cumulative totals are published here. *)
@@ -219,13 +226,18 @@ let snapshot t =
     Obs.Scope.set_gauge "pt/bytes_written" (float_of_int t.bytes_written);
     Obs.Scope.set_gauge "pt/events_seen" (float_of_int t.events_seen);
     Obs.Scope.set_gauge "pt/timing_packets" (float_of_int t.timing_packets);
-    Obs.Scope.set_gauge "pt/threads" (float_of_int (Hashtbl.length t.threads));
+    Obs.Scope.set_gauge "pt/threads" (float_of_int t.thread_count);
     Obs.Scope.count "pt/snapshots" 1
   end;
-  Hashtbl.fold (fun tid ts acc -> (tid, Ringbuf.snapshot ts.ring) :: acc) t.threads []
-  |> List.sort compare
+  let acc = ref [] in
+  for tid = Array.length t.threads - 1 downto 0 do
+    match t.threads.(tid) with
+    | Some ts -> acc := (tid, Ringbuf.snapshot ts.ring) :: !acc
+    | None -> ()
+  done;
+  !acc
 
 let bytes_written t = t.bytes_written
 let events_seen t = t.events_seen
 let timing_packets t = t.timing_packets
-let thread_count t = Hashtbl.length t.threads
+let thread_count t = t.thread_count

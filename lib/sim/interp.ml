@@ -1,4 +1,5 @@
 module Prng = Snorlax_util.Prng
+module L = Lir.Lowered
 
 type outcome =
   | Completed
@@ -44,13 +45,17 @@ type status =
   | Blocked_join of { target : int; call_iid : int; since : float }
   | Finished
 
+(* Registers live in dense slots.  Any int is a legal register value, so
+   no sentinel can mark a slot as unwritten: [defined] tracks the slots
+   this frame has written, and reading any other is an undefined read. *)
 type frame = {
-  func : Lir.Func.t;
-  mutable instrs : Lir.Instr.t array;
+  blocks : L.instr array array;
+  mutable code : L.instr array;
   mutable idx : int;
-  regs : (int, int) Hashtbl.t;
+  regs : int array;
+  defined : Bytes.t;
   stack_mark : int;
-  ret_dst : Lir.Value.reg option; (* caller register receiving our result *)
+  ret_dst : int; (* caller slot receiving our result; -1 for none *)
 }
 
 type thread = {
@@ -64,18 +69,18 @@ type thread = {
 
 type state = {
   m : Lir.Irmod.t;
+  image : L.t;
+  gaddr : int array; (* address of each of [image.globals] *)
   cfg : config;
   mem : Memory.t;
   mutexes : Mutexes.t;
   condvars : Condvars.t;
-  threads : (int, thread) Hashtbl.t;
+  mutable threads : thread array; (* indexed by tid; [next_tid] live *)
   mutable next_tid : int;
   prng : Prng.t;
   mutable failure : (Failure.t * float) option;
   mutable steps : int;
   mutable output_rev : int list;
-  fn_by_entry_pc : (int, Lir.Func.t) Hashtbl.t;
-  block_arrays : (string * string, Lir.Instr.t array) Hashtbl.t;
   joiners : (int, int list ref) Hashtbl.t; (* target tid -> waiting tids *)
 }
 
@@ -89,51 +94,51 @@ let jitter st base =
    seed to seed, so a bug manifests in some runs and not in others. *)
 let delay_jitter st ns = ns *. (0.95 +. Prng.float st.prng ~bound:0.10)
 
-let block_array st (f : Lir.Func.t) label =
-  let key = (f.Lir.Func.fname, label) in
-  match Hashtbl.find_opt st.block_arrays key with
-  | Some a -> a
-  | None ->
-    let b = Lir.Func.find_block f label in
-    let a = Array.of_list b.Lir.Block.instrs in
-    Hashtbl.add st.block_arrays key a;
-    a
+let set_reg frame slot v =
+  Array.unsafe_set frame.regs slot v;
+  Bytes.unsafe_set frame.defined slot '\001'
 
-let entry_pc st (f : Lir.Func.t) =
-  Lir.Irmod.block_start_pc st.m ~fname:f.Lir.Func.fname
-    ~label:(Lir.Func.entry f).Lir.Block.label
-
-let push_frame st th (f : Lir.Func.t) ~args ~ret_dst =
-  let regs = Hashtbl.create 16 in
-  List.iter2
-    (fun (p : Lir.Value.reg) v -> Hashtbl.replace regs p.Lir.Value.rid v)
-    f.Lir.Func.params args;
+(* A malformed call fails with the host exceptions validation reports by
+   message: an arity mismatch as [List.iter2]'s, checked before a
+   body-less callee as [Func.entry]'s. *)
+let push_frame st th (f : L.func) ~(args : int array) ~ret_dst =
+  let body = L.body st.image f in
+  if Array.length args <> Array.length body.L.params then
+    invalid_arg "List.iter2";
+  if Array.length body.L.blocks = 0 then ignore (Lir.Func.entry f.L.fn);
   let frame =
     {
-      func = f;
-      instrs = block_array st f (Lir.Func.entry f).Lir.Block.label;
+      blocks = body.L.blocks;
+      code = body.L.blocks.(0);
       idx = 0;
-      regs;
+      regs = Array.make body.L.slots 0;
+      defined = Bytes.make body.L.slots '\000';
       stack_mark = Memory.frame_mark st.mem ~tid:th.tid;
       ret_dst;
     }
   in
+  Array.iteri (fun k slot -> set_reg frame slot args.(k)) body.L.params;
   th.stack <- frame :: th.stack
 
-let spawn_thread st (f : Lir.Func.t) ~arg ~start_clock =
+let spawn_thread st (f : L.func) ~arg ~start_clock =
   let tid = st.next_tid in
   st.next_tid <- tid + 1;
   let th =
     { tid; stack = []; status = Runnable; clock = start_clock; pending_ret_pc = None }
   in
-  Hashtbl.replace st.threads tid th;
+  if tid >= Array.length st.threads then begin
+    let grown = Array.make (max 8 (2 * tid)) th in
+    Array.blit st.threads 0 grown 0 tid;
+    st.threads <- grown
+  end;
+  st.threads.(tid) <- th;
   let args =
-    match f.Lir.Func.params with
-    | [] -> []
-    | [ _ ] -> [ arg ]
-    | params -> List.map (fun _ -> 0) params
+    match List.length f.L.fn.Lir.Func.params with
+    | 0 -> [||]
+    | 1 -> [| arg |]
+    | n -> Array.make n 0
   in
-  push_frame st th f ~args ~ret_dst:None;
+  push_frame st th f ~args ~ret_dst:(-1);
   th
 
 let fire_control st th event =
@@ -151,15 +156,6 @@ let fire_sched st event =
 
 let fire_obs st event =
   match st.cfg.hooks.Hooks.on_obs with None -> () | Some f -> f event
-
-(* Byte extent of a load/store through [ptr]: the pointee size.  Memory
-   cells live at distinct offsets computed from these same sizes, so two
-   accesses conflict exactly when their byte ranges overlap. *)
-let access_size st ptr =
-  match Lir.Value.ty_of ~globals:(Lir.Irmod.global_ty st.m) ptr with
-  | Lir.Ty.Ptr t -> ( try Lir.Irmod.size_of st.m t with _ -> 8)
-  | _ -> 8
-  | exception _ -> 8
 
 (* A blocked thread just became runnable: report how long it was parked.
    [since] is when it blocked; its clock was already advanced to the wake
@@ -196,7 +192,7 @@ let crash st th (i : Lir.Instr.t) err addr =
    (attributed to the lock call that parked it), and trace the pending
    return of that call. *)
 let grant_mutex st th ~addr next =
-  let w = Hashtbl.find st.threads next in
+  let w = st.threads.(next) in
   let since = blocked_since w in
   let call_iid =
     match w.status with
@@ -224,7 +220,7 @@ let deadlock_waiters st ~closer cycle =
   let waiter_of tid =
     if tid = closer_tid then closer
     else
-      let other = Hashtbl.find st.threads tid in
+      let other = st.threads.(tid) in
       match other.status with
       | Blocked_mutex { addr; call_iid; _ } -> (tid, call_iid, addr)
       | Runnable | Blocked_cond _ | Blocked_join _ | Finished ->
@@ -238,30 +234,20 @@ let deadlock_waiters st ~closer cycle =
    attributed to the instruction that performed the read. *)
 exception Undef_register of string
 
-let eval st frame v =
-  match (v : Lir.Value.t) with
-  | Lir.Value.Reg r -> (
-    match Hashtbl.find_opt frame.regs r.Lir.Value.rid with
-    | Some v -> v
-    | None -> raise (Undef_register r.Lir.Value.rname))
-  | Lir.Value.Imm (v, _) -> Int64.to_int v
-  | Lir.Value.Global g -> Memory.global_addr st.mem g
-  | Lir.Value.Null _ -> 0
-  | Lir.Value.Fn_ref f -> entry_pc st (Lir.Irmod.find_func st.m f)
+let eval st frame (v : L.operand) =
+  match v with
+  | L.Slot (s, rname) ->
+    if Bytes.unsafe_get frame.defined s = '\001' then
+      Array.unsafe_get frame.regs s
+    else raise (Undef_register rname)
+  | L.Const c -> c
+  | L.Global g -> st.gaddr.(g)
+  | L.Raise e -> raise e
 
-let set_reg frame (r : Lir.Value.reg) v = Hashtbl.replace frame.regs r.Lir.Value.rid v
-
-let field_offset st sname field =
-  let fields = Lir.Irmod.struct_fields st.m sname in
-  let rec go i = function
-    | [] -> invalid_arg "Interp.field_offset"
-    | f :: rest -> if i = field then 0 else Lir.Irmod.size_of st.m f + go (i + 1) rest
-  in
-  go 0 fields
-
-let goto frame st label =
-  let a = block_array st frame.func label in
-  frame.instrs <- a;
+(* A negative block index is a label the function does not define. *)
+let goto frame block =
+  if block < 0 then raise Not_found;
+  frame.code <- frame.blocks.(block);
   frame.idx <- 0
 
 (* Return from the current frame: pop, deliver the value, resume caller.
@@ -283,7 +269,7 @@ let do_return st th value =
       | Some waiting ->
         List.iter
           (fun wtid ->
-            let w = Hashtbl.find st.threads wtid in
+            let w = st.threads.(wtid) in
             let since = blocked_since w in
             let join_iid =
               match w.status with
@@ -310,13 +296,11 @@ let do_return st th value =
           !waiting;
         Hashtbl.remove st.joiners th.tid)
     | caller :: _ ->
-      let target = caller.instrs.(caller.idx) in
+      let target = caller.code.(caller.idx).L.src in
       fire_control st th
         (Hooks.Ret_branch { tid = th.tid; target_pc = Some target.Lir.Instr.pc });
-      (match frame.ret_dst, value with
-      | Some dst, Some v -> set_reg caller dst v
-      | Some dst, None -> set_reg caller dst 0
-      | None, _ -> ()))
+      if frame.ret_dst >= 0 then
+        set_reg caller frame.ret_dst (match value with Some v -> v | None -> 0))
 
 (* Zero divisors never reach here: [step] turns them into a structured
    [Failure.Arith_fault] before dispatching, with the faulting thread and
@@ -346,17 +330,19 @@ let exec_icmp cmp a b =
   in
   if r then 1 else 0
 
-let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
-  let arg n = eval st frame (List.nth args n) in
-  let return v =
-    match dst with Some d -> set_reg frame d v | None -> ()
+(* A call with too few arguments fails at the first missing argument,
+   with [List.nth]'s exception (validation reports it by message). *)
+let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
+  let arg n =
+    if n < Array.length args then eval st frame args.(n) else failwith "nth"
   in
+  let return v = if dst >= 0 then set_reg frame dst v in
   let advance cost = th.clock <- th.clock +. jitter st cost in
-  if String.equal callee Lir.Intrinsics.malloc then begin
+  match (code : L.intrinsic) with
+  | L.Malloc ->
     advance Cost.malloc;
     return (Memory.alloc_heap st.mem ~size:(arg 0))
-  end
-  else if String.equal callee Lir.Intrinsics.free then begin
+  | L.Free -> (
     advance Cost.malloc;
     let addr = arg 0 in
     (* Observed before the free so the block extent is still known: a free
@@ -375,10 +361,9 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
              kind = Hooks.Free; time = th.clock }));
     match Memory.free_heap st.mem addr with
     | Ok () -> ()
-    | Error err -> crash st th i err addr
-  end
-  else if String.equal callee Lir.Intrinsics.mutex_init then advance Cost.intrinsic
-  else if String.equal callee Lir.Intrinsics.mutex_lock then begin
+    | Error err -> crash st th i err addr)
+  | L.Mutex_init | L.Cond_init -> advance Cost.intrinsic
+  | L.Mutex_lock -> (
     advance Cost.mutex;
     let addr = arg 0 in
     fire_obs st
@@ -401,9 +386,8 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
     | Mutexes.Deadlocked cycle ->
       let closer = (th.tid, i.Lir.Instr.iid, addr) in
       set_failure st th
-        (Failure.Deadlock { waiters = deadlock_waiters st ~closer cycle })
-  end
-  else if String.equal callee Lir.Intrinsics.mutex_unlock then begin
+        (Failure.Deadlock { waiters = deadlock_waiters st ~closer cycle }))
+  | L.Mutex_unlock -> (
     advance Cost.mutex;
     let addr = arg 0 in
     match Mutexes.unlock st.mutexes ~addr ~tid:th.tid with
@@ -423,10 +407,8 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
            { tid = th.tid; iid = i.Lir.Instr.iid; addr; time = th.clock });
       (match next with
       | None -> ()
-      | Some next -> grant_mutex st th ~addr next)
-  end
-  else if String.equal callee Lir.Intrinsics.cond_init then advance Cost.intrinsic
-  else if String.equal callee Lir.Intrinsics.cond_wait then begin
+      | Some next -> grant_mutex st th ~addr next))
+  | L.Cond_wait ->
     advance Cost.mutex;
     let cond_addr = arg 0 and mutex_addr = arg 1 in
     (* Atomically release the mutex and park on the condition. *)
@@ -451,13 +433,11 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
          { tid = th.tid; iid = i.Lir.Instr.iid; cond = cond_addr;
            mutex = mutex_addr; time = th.clock });
     th.status <- Blocked_cond { addr = cond_addr; since = th.clock }
-  end
-  else if String.equal callee Lir.Intrinsics.cond_signal
-          || String.equal callee Lir.Intrinsics.cond_broadcast then begin
+  | L.Cond_signal | L.Cond_broadcast ->
     advance Cost.mutex;
     let cond_addr = arg 0 in
     let woken =
-      if String.equal callee Lir.Intrinsics.cond_signal then
+      if code = L.Cond_signal then
         match Condvars.signal st.condvars ~addr:cond_addr with
         | Some w -> [ w ]
         | None -> []
@@ -465,7 +445,7 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
     in
     List.iter
       (fun (wtid, mutex_addr, wait_iid) ->
-        let w = Hashtbl.find st.threads wtid in
+        let w = st.threads.(wtid) in
         let since = blocked_since w in
         w.clock <- Float.max w.clock th.clock +. jitter st Cost.wake;
         (match since with Some s -> fire_unblocked st w ~since:s | None -> ());
@@ -512,11 +492,10 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
           set_failure st w
             (Failure.Deadlock { waiters = deadlock_waiters st ~closer cycle }))
       woken
-  end
-  else if String.equal callee Lir.Intrinsics.thread_create then begin
+  | L.Thread_create -> (
     advance Cost.thread_spawn;
     let fn_pc = arg 0 and a = arg 1 in
-    match Hashtbl.find_opt st.fn_by_entry_pc fn_pc with
+    match L.func_at_entry_pc st.image fn_pc with
     | None ->
       set_failure st th
         (Failure.Thread_misuse
@@ -530,12 +509,12 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
         (Hooks.Obs_spawn
            { parent_tid = th.tid; child_tid = child.tid; iid = i.Lir.Instr.iid;
              time = th.clock });
-      return child.tid
-  end
-  else if String.equal callee Lir.Intrinsics.thread_join then begin
+      return child.tid)
+  | L.Thread_join -> (
     advance Cost.join;
     let target = arg 0 in
-    match Hashtbl.find_opt st.threads target with
+    let known = target >= 0 && target < st.next_tid in
+    match if known then Some st.threads.(target) else None with
     | None ->
       set_failure st th
         (Failure.Thread_misuse
@@ -559,27 +538,20 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst callee args =
             l
         in
         waiting := th.tid :: !waiting
-      end
-  end
-  else if String.equal callee Lir.Intrinsics.work then
+      end)
+  | L.Work | L.Io_delay ->
     th.clock <- th.clock +. delay_jitter st (float_of_int (arg 0))
-  else if String.equal callee Lir.Intrinsics.io_delay then
-    th.clock <- th.clock +. delay_jitter st (float_of_int (arg 0))
-  else if String.equal callee Lir.Intrinsics.assert_true then begin
+  | L.Assert_true ->
     advance Cost.intrinsic;
     if arg 0 = 0 then
       set_failure st th
         (Failure.Assert_fail { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc })
-  end
-  else if String.equal callee Lir.Intrinsics.print_i64 then begin
+  | L.Print_i64 ->
     advance Cost.intrinsic;
     st.output_rev <- arg 0 :: st.output_rev
-  end
-  else if String.equal callee Lir.Intrinsics.rand then begin
+  | L.Rand ->
     advance Cost.intrinsic;
     return (Prng.int st.prng ~bound:(max 1 (arg 0)))
-  end
-  else failwith ("Interp: unknown intrinsic " ^ callee)
 
 exception Gated
 
@@ -603,7 +575,8 @@ let step st th =
     | f :: _ -> f
     | [] -> assert false
   in
-  let i = frame.instrs.(frame.idx) in
+  let li = frame.code.(frame.idx) in
+  let i = li.L.src in
   check_gate st th i;
   fire_instr st th i;
   st.steps <- st.steps + 1;
@@ -612,12 +585,11 @@ let step st th =
   frame.idx <- frame.idx + 1;
   let advance cost = th.clock <- th.clock +. jitter st cost in
   try
-    match i.Lir.Instr.kind with
-  | Lir.Instr.Alloca { dst; ty } ->
+    match li.L.op with
+  | L.Alloca { dst; size } ->
     advance Cost.alloca;
-    let size = Lir.Irmod.size_of st.m ty in
     set_reg frame dst (Memory.alloc_stack st.mem ~tid:th.tid ~size)
-  | Lir.Instr.Load { dst; ptr } -> (
+  | L.Load { dst; ptr; size } -> (
     advance Cost.load;
     let addr = eval st frame ptr in
     (* Observed before the memory check so crashing accesses appear in the
@@ -627,12 +599,12 @@ let step st th =
     | Some f ->
       f
         (Hooks.Obs_access
-           { tid = th.tid; iid = i.Lir.Instr.iid; addr;
-             size = access_size st ptr; kind = Hooks.Read; time = th.clock }));
+           { tid = th.tid; iid = i.Lir.Instr.iid; addr; size; kind = Hooks.Read;
+             time = th.clock }));
     match Memory.read st.mem ~addr with
     | Ok v -> set_reg frame dst v
     | Error err -> crash st th i err addr)
-  | Lir.Instr.Store { value; ptr } -> (
+  | L.Store { value; ptr; size } -> (
     advance Cost.store;
     let addr = eval st frame ptr in
     let v = eval st frame value in
@@ -641,12 +613,12 @@ let step st th =
     | Some f ->
       f
         (Hooks.Obs_access
-           { tid = th.tid; iid = i.Lir.Instr.iid; addr;
-             size = access_size st ptr; kind = Hooks.Write; time = th.clock }));
+           { tid = th.tid; iid = i.Lir.Instr.iid; addr; size; kind = Hooks.Write;
+             time = th.clock }));
     match Memory.write st.mem ~addr ~value:v with
     | Ok () -> ()
     | Error err -> crash st th i err addr)
-  | Lir.Instr.Binop { dst; op; lhs; rhs } -> (
+  | L.Binop { dst; op; lhs; rhs } -> (
     advance Cost.arith;
     let a = eval st frame lhs in
     let b = eval st frame rhs in
@@ -660,137 +632,132 @@ let step st th =
         (Failure.Arith_fault
            { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc; fault })
     | _ -> set_reg frame dst (exec_binop op a b))
-  | Lir.Instr.Icmp { dst; cmp; lhs; rhs } ->
+  | L.Icmp { dst; cmp; lhs; rhs } ->
     advance Cost.arith;
     set_reg frame dst (exec_icmp cmp (eval st frame lhs) (eval st frame rhs))
-  | Lir.Instr.Gep { dst; base; field } ->
+  | L.Gep { dst; base; offset } ->
     advance Cost.arith;
-    let sname =
-      match Lir.Value.ty_of ~globals:(Lir.Irmod.global_ty st.m) base with
-      | Lir.Ty.Ptr (Lir.Ty.Struct s) -> s
-      | _ -> failwith "Interp: gep base not a struct pointer"
-    in
-    set_reg frame dst (eval st frame base + field_offset st sname field)
-  | Lir.Instr.Index { dst; base; idx } ->
+    set_reg frame dst (eval st frame base + offset)
+  | L.Index { dst; base; idx; esize } ->
     advance Cost.arith;
-    let elem_ty =
-      match Lir.Value.ty_of ~globals:(Lir.Irmod.global_ty st.m) base with
-      | Lir.Ty.Ptr (Lir.Ty.Array (t, _)) -> t
-      | Lir.Ty.Ptr t -> t
-      | _ -> failwith "Interp: index base not a pointer"
-    in
-    let esize = Lir.Irmod.size_of st.m elem_ty in
     set_reg frame dst (eval st frame base + (esize * eval st frame idx))
-  | Lir.Instr.Cast { dst; src } ->
+  | L.Cast { dst; src } ->
     advance Cost.arith;
     set_reg frame dst (eval st frame src)
-  | Lir.Instr.Call { dst; callee; args } ->
+  | L.Intrinsic { dst; code; args } -> (
     advance Cost.call;
-    if Lir.Intrinsics.is_intrinsic callee then begin
-      exec_intrinsic st th frame i dst callee args;
-      (* The library function's return is an indirect branch the hardware
-         tracer records; blocking calls are recorded when they wake. *)
-      match th.status with
-      | Runnable ->
-        fire_control st th
-          (Hooks.Ret_branch { tid = th.tid; target_pc = Some (i.Lir.Instr.pc + 4) })
-      | Blocked_mutex _ | Blocked_cond _ | Blocked_join _ ->
-        th.pending_ret_pc <- Some (i.Lir.Instr.pc + 4)
-      | Finished -> ()
-    end
-    else begin
-      let f = Lir.Irmod.find_func st.m callee in
-      let argv = List.map (eval st frame) args in
-      push_frame st th f ~args:argv ~ret_dst:dst
-    end
-  | Lir.Instr.Br label ->
+    exec_intrinsic st th frame i dst code args;
+    (* The library function's return is an indirect branch the hardware
+       tracer records; blocking calls are recorded when they wake. *)
+    match th.status with
+    | Runnable ->
+      fire_control st th
+        (Hooks.Ret_branch { tid = th.tid; target_pc = Some (i.Lir.Instr.pc + 4) })
+    | Blocked_mutex _ | Blocked_cond _ | Blocked_join _ ->
+      th.pending_ret_pc <- Some (i.Lir.Instr.pc + 4)
+    | Finished -> ())
+  | L.Call { dst; callee; args } ->
+    advance Cost.call;
+    let argv = Array.map (eval st frame) args in
+    push_frame st th (L.funcs st.image).(callee) ~args:argv ~ret_dst:dst
+  | L.Br target ->
     advance Cost.branch;
-    goto frame st label
-  | Lir.Instr.Cond_br { cond; then_; else_ } ->
+    goto frame target
+  | L.Cond_br { cond; then_; else_ } ->
     advance Cost.branch;
     let taken = eval st frame cond <> 0 in
     fire_control st th
       (Hooks.Cond_branch { tid = th.tid; pc = i.Lir.Instr.pc; taken });
-    goto frame st (if taken then then_ else else_)
-  | Lir.Instr.Ret v ->
+    goto frame (if taken then then_ else else_)
+  | L.Ret v ->
     advance Cost.ret;
     let value = Option.map (eval st frame) v in
     do_return st th value
-  | Lir.Instr.Unreachable -> failwith "Interp: reached unreachable"
+  | L.Unreachable -> failwith "Interp: reached unreachable"
+  | L.Malformed e ->
+    (* Static resolution failed: charge what the instruction charged
+       before its resolution step, then fail the same way. *)
+    (match i.Lir.Instr.kind with
+    | Lir.Instr.Alloca _ -> advance Cost.alloca
+    | Lir.Instr.Call _ -> advance Cost.call
+    | _ -> advance Cost.arith);
+    raise e
   with Undef_register rname ->
     set_failure st th
       (Failure.Undef_read
          { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc; rname })
 
+(* The runnable thread with the smallest (clock, tid), or -1: scanning in
+   tid order and replacing only on a strictly smaller clock keeps the
+   lowest tid on a tie. *)
 let pick_runnable st =
-  let best = ref None in
-  Hashtbl.iter
-    (fun _ th ->
-      if th.status = Runnable then
-        match !best with
-        | None -> best := Some th
-        | Some b ->
-          if
-            th.clock < b.clock
-            || (th.clock = b.clock && th.tid < b.tid)
-          then best := Some th)
-    st.threads;
+  let best = ref (-1) in
+  let best_clock = ref 0.0 in
+  for tid = 0 to st.next_tid - 1 do
+    let th = Array.unsafe_get st.threads tid in
+    match th.status with
+    | Runnable ->
+      if !best < 0 || th.clock < !best_clock then begin
+        best := tid;
+        best_clock := th.clock
+      end
+    | Blocked_mutex _ | Blocked_cond _ | Blocked_join _ | Finished -> ()
+  done;
   !best
 
 let any_blocked st =
-  Hashtbl.fold
-    (fun _ th acc ->
-      acc
-      ||
-      match th.status with
-      | Blocked_mutex _ | Blocked_cond _ | Blocked_join _ -> true
-      | Runnable | Finished -> false)
-    st.threads false
+  let blocked = ref false in
+  for tid = 0 to st.next_tid - 1 do
+    match st.threads.(tid).status with
+    | Blocked_mutex _ | Blocked_cond _ | Blocked_join _ -> blocked := true
+    | Runnable | Finished -> ()
+  done;
+  !blocked
 
 let final_time st =
-  Hashtbl.fold (fun _ th acc -> Float.max acc th.clock) st.threads 0.0
+  let t = ref 0.0 in
+  for tid = 0 to st.next_tid - 1 do
+    t := Float.max !t st.threads.(tid).clock
+  done;
+  !t
 
 let run ?(config = default_config) m ~entry =
-  Lir.Irmod.layout m;
+  let image = L.of_module m in
   let mem = Memory.create () in
   Memory.load_globals mem m;
   let st =
     {
       m;
+      image;
+      gaddr = Array.map (Memory.global_addr mem) (L.globals image);
       cfg = config;
       mem;
       mutexes = Mutexes.create ();
       condvars = Condvars.create ();
-      threads = Hashtbl.create 16;
+      threads = [||];
       next_tid = 0;
       prng = Prng.create ~seed:config.seed;
       failure = None;
       steps = 0;
       output_rev = [];
-      fn_by_entry_pc = Hashtbl.create 16;
-      block_arrays = Hashtbl.create 64;
       joiners = Hashtbl.create 8;
     }
   in
-  List.iter
-    (fun f ->
-      if f.Lir.Func.blocks <> [] then
-        Hashtbl.replace st.fn_by_entry_pc (entry_pc st f) f)
-    (Lir.Irmod.funcs m);
-  let main_fn = Lir.Irmod.find_func m entry in
+  let main_fn = L.find_func image entry in
   let main = spawn_thread st main_fn ~arg:0 ~start_clock:0.0 in
   fire_control st main
-    (Hooks.Thread_start { tid = main.tid; entry_pc = entry_pc st main_fn });
+    (Hooks.Thread_start { tid = main.tid; entry_pc = main_fn.L.entry_pc });
   let outcome = ref None in
   (* -1 = no thread has run yet; a plain int keeps the per-step check an
      unboxed compare on the no-switch fast path. *)
   let last_tid = ref (-1) in
   (try
-     while !outcome = None do
+     while Option.is_none !outcome do
        if st.steps >= config.max_steps then outcome := Some Fuel_exhausted
        else
-         match pick_runnable st with
-         | Some th ->
+         let tid = pick_runnable st in
+         if tid >= 0 then begin
+           let th = st.threads.(tid) in
            if !last_tid <> th.tid then begin
              fire_sched st
                (Hooks.Switch
@@ -801,10 +768,10 @@ let run ?(config = default_config) m ~entry =
                   });
              last_tid := th.tid
            end;
-           ( try step st th with Gated -> ())
-         | None ->
-           if any_blocked st then outcome := Some Stuck
-           else outcome := Some Completed
+           try step st th with Gated -> ()
+         end
+         else if any_blocked st then outcome := Some Stuck
+         else outcome := Some Completed
      done
    with Sim_failure ->
      match st.failure with

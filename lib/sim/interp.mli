@@ -36,5 +36,13 @@ val default_config : config
 val run : ?config:config -> Lir.Irmod.t -> entry:string -> run_result
 (** Executes [entry] (a nullary or unary function; a unary entry receives
     0) to completion.  The module is laid out and globals are allocated
-    first.  Host-level exceptions ([Failure]) indicate corpus-program bugs
-    such as unlocking an unheld mutex, not simulated failures. *)
+    first; the module's {!Lir.Lowered} image is reused across runs.
+
+    Program errors the runtime detects — lock misuse such as unlocking an
+    unheld mutex, division by zero, reads of undefined registers, bad
+    thread create/join — end the run as a structured [Failed] outcome.
+    Host-level exceptions are left for malformed modules, raised only when
+    the offending instruction executes: [Failure] for a GEP or index
+    through the wrong type or for reaching [unreachable], [Not_found] for
+    a call to an unknown function or a branch to an unknown label,
+    [Invalid_argument] for a call with the wrong number of arguments. *)

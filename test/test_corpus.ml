@@ -191,6 +191,129 @@ let test_watch_pcs_start_with_failure_pc () =
     Alcotest.(check int) "head is failing pc"
       (Lir.Irmod.instr_by_iid m anchor).Lir.Instr.pc (List.hd pcs)
 
+(* --- golden determinism --------------------------------------------------- *)
+
+(* Everything observable about a traced run and an HB-observed run of every
+   corpus bug on seeds 1-3, plus one full collection, folded into a single
+   digest.  Performance work on the simulator, the tracer or the HB engine
+   must leave each of these bit-identical: outcomes, step counts, virtual
+   times (as IEEE bits), program output, every thread's ring bytes, racy
+   pairs, lock-order facts and the happens-before explanation of every
+   conflicting pair of accessed instructions.  The constant was computed
+   with the tree-walking interpreter and full-size (64 KB) rings. *)
+let golden_digest = "e408aa97b7dcd83f6f8afcec759f6491"
+
+let golden_text () =
+  let buf = Buffer.create (1 lsl 16) in
+  let add fmt = Printf.bprintf buf fmt in
+  let time f = Int64.bits_of_float f in
+  let add_outcome (r : Sim.Interp.run_result) =
+    (match r.Sim.Interp.outcome with
+    | Sim.Interp.Completed -> add "completed"
+    | Sim.Interp.Stuck -> add "stuck"
+    | Sim.Interp.Fuel_exhausted -> add "fuel"
+    | Sim.Interp.Failed { failure; time_ns } ->
+      add "failed %s @%Ld" (Sim.Failure.to_string failure) (time time_ns));
+    add " steps=%d threads=%d\n" r.Sim.Interp.steps r.Sim.Interp.threads_spawned
+  in
+  let add_traces traces =
+    List.iter
+      (fun (tid, bytes) ->
+        add "ring %d %s\n" tid (Digest.to_hex (Digest.bytes bytes)))
+      traces
+  in
+  List.iter
+    (fun (bug : Corpus.Bug.t) ->
+      let built = bug.Corpus.Bug.build () in
+      let entry = bug.Corpus.Bug.entry in
+      List.iter
+        (fun seed ->
+          add "%s seed %d\n" bug.Corpus.Bug.id seed;
+          let tr = Corpus.Runner.run_traced ~built ~entry ~seed () in
+          let r = tr.Corpus.Runner.result in
+          add_outcome r;
+          add "time=%Ld output=%s\n" (time r.Sim.Interp.final_time_ns)
+            (String.concat "," (List.map string_of_int r.Sim.Interp.output));
+          add_traces
+            (Pt.Tracer.snapshot (Pt.Driver.tracer tr.Corpus.Runner.driver));
+          let engine = Analysis.Hb.create () in
+          let accessed = ref [] in
+          let note =
+            {
+              Sim.Hooks.none with
+              Sim.Hooks.on_obs =
+                Some
+                  (function
+                  | Sim.Hooks.Obs_access { iid; _ } ->
+                    accessed := iid :: !accessed
+                  | _ -> ());
+            }
+          in
+          let config =
+            {
+              Sim.Interp.default_config with
+              seed;
+              hooks = Sim.Hooks.combine (Oracle.Observe.hooks engine) note;
+            }
+          in
+          let o = Sim.Interp.run ~config built.Corpus.Bug.m ~entry in
+          let accessed = List.sort_uniq compare !accessed in
+          add_outcome o;
+          List.iter
+            (fun (x : Analysis.Hb.race) ->
+              add "race %d %d\n" x.Analysis.Hb.a_iid x.Analysis.Hb.b_iid)
+            (Analysis.Hb.races engine);
+          List.iter
+            (fun (t, hl, hi, wl, wi) -> add "edge %d %d %d %d %d\n" t hl hi wl wi)
+            (Analysis.Hb.lock_edges engine);
+          (* Every conflicting pair of accessed instructions, with the
+             happens-before chain that explains its ordering. *)
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  if a <= b then
+                    match Analysis.Hb.pair_verdict engine a b with
+                    | Analysis.Hb.No_conflict -> ()
+                    | Analysis.Hb.Conflict { ordering; path } ->
+                      add "pair %d %d %s [%s]\n" a b
+                        (match ordering with
+                        | Analysis.Hb.Racy -> "racy"
+                        | Analysis.Hb.Lock_ordered -> "lock"
+                        | Analysis.Hb.Enforced -> "enforced")
+                        (String.concat "; " path))
+                accessed)
+            accessed)
+        [ 1; 2; 3 ])
+    all;
+  (match
+     Corpus.Runner.collect (Corpus.Registry.find_exn "pbzip2-1")
+       ~success_per_failing:4 ()
+   with
+  | Error e -> add "collect error %s\n" e
+  | Ok c ->
+    add "collect failing=%s success=%s runs=%d\n"
+      (String.concat "," (List.map string_of_int c.Corpus.Runner.failing_seeds))
+      (String.concat "," (List.map string_of_int c.Corpus.Runner.success_seeds))
+      c.Corpus.Runner.runs_needed;
+    List.iter
+      (fun (f : Snorlax_core.Report.failing_report) ->
+        add "failing t=%d\n" f.Snorlax_core.Report.failure_time_ns;
+        add_traces f.Snorlax_core.Report.traces)
+      c.Corpus.Runner.failing;
+    List.iter
+      (fun (s : Snorlax_core.Report.success_report) ->
+        add "success t=%d pc=%d tid=%d\n" s.Snorlax_core.Report.trigger_time_ns
+          s.Snorlax_core.Report.trigger_pc s.Snorlax_core.Report.trigger_tid;
+        add_traces s.Snorlax_core.Report.s_traces)
+      c.Corpus.Runner.successful);
+  Buffer.contents buf
+
+let test_golden_determinism () =
+  let text = golden_text () in
+  Alcotest.(check string) "corpus run digest" golden_digest
+    (Digest.to_hex (Digest.string text))
+
 let tests =
   [
     ( "corpus.registry",
@@ -215,5 +338,6 @@ let tests =
           test_failure_kind_matches_bug_kind;
         Alcotest.test_case "collect shape" `Quick test_runner_collect_shape;
         Alcotest.test_case "watch pcs" `Quick test_watch_pcs_start_with_failure_pc;
+        Alcotest.test_case "golden run digest" `Quick test_golden_determinism;
       ] );
   ]

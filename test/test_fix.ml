@@ -127,6 +127,37 @@ let test_parallel_matches_sequential () =
       Alcotest.(check string) (id ^ " fixed") "fixed" verdict)
     seq
 
+(* Seeds/sec divides by the sweep's wall-clock time, not by the summed
+   per-bug times: two lanes that each spent 1 s on 10 and 20 runs
+   finished 30 runs in 1 s of wall time. *)
+let test_summarize_wall_clock () =
+  let report id runs =
+    ( id,
+      Ok
+        {
+          Fix.Validate.bug_id = id;
+          bug_kind = "order-violation";
+          pattern = None;
+          verdict = Fix.Validate.Fixed;
+          template = None;
+          patch = None;
+          attempts = [];
+          replay_ok = true;
+          sweep_seeds = 2;
+          runs;
+          secs = 1.0;
+          notes = [];
+        } )
+  in
+  let results = [ report "a" 10; report "b" 20 ] in
+  let par = Fix.Validate.summarize ~wall_secs:1.0 results in
+  Alcotest.(check int) "runs" 30 par.Fix.Validate.total_runs;
+  Alcotest.(check (float 1e-9)) "wall-clock rate" 30.
+    par.Fix.Validate.seeds_per_sec;
+  Alcotest.(check (float 1e-9)) "per-lane rate" 15.
+    par.Fix.Validate.lane_seeds_per_sec;
+  Alcotest.(check (float 1e-9)) "summed lane time" 2. par.Fix.Validate.total_secs
+
 let tests =
   [
     ( "fix.synthesis",
@@ -140,5 +171,7 @@ let tests =
           test_one_sided_patch_rejected;
         Alcotest.test_case "parallel == sequential" `Slow
           test_parallel_matches_sequential;
+        Alcotest.test_case "seeds/sec over wall-clock time" `Quick
+          test_summarize_wall_clock;
       ] );
   ]

@@ -223,6 +223,102 @@ let test_undef_read_structured () =
     Alcotest.(check bool) "names the register" true (String.length rname > 0)
   | _ -> Alcotest.fail "expected a structured undefined-register failure"
 
+(* Register slots are reused across frames of the same function: a value
+   one call defined must not read as defined in the next call. *)
+let test_undef_read_fresh_frame () =
+  let m = Lir.Irmod.create "t" in
+  B.define m "f" ~params:[ ("define", T.I1) ] ~ret:T.I64 (fun b ->
+      let def = B.fresh_label b "def" in
+      let use = B.fresh_label b "use" in
+      B.cond_br b (B.param b 0) def use;
+      B.start_block b def;
+      let x = B.add b (V.i64 40) (V.i64 2) in
+      B.br b use;
+      B.start_block b use;
+      B.ret b x);
+  B.define m "main" ~params:[] ~ret:T.Void (fun b ->
+      let v = B.call b ~ret:T.I64 "f" [ V.bool_true ] in
+      B.call_void b Lir.Intrinsics.print_i64 [ v ];
+      let w = B.call b ~ret:T.I64 "f" [ V.bool_false ] in
+      B.call_void b Lir.Intrinsics.print_i64 [ w ];
+      B.ret_void b);
+  Lir.Verify.check_exn m;
+  let r = run m in
+  Alcotest.(check (list int)) "first call printed" [ 42 ] (output r);
+  match failure_of r with
+  | Some (Sim.Failure.Undef_read _) -> ()
+  | _ -> Alcotest.fail "second call must read an undefined register"
+
+(* Lowering resolves sizes, offsets and callees once per module, but an
+   instruction it cannot resolve must only fail when it executes, with
+   the same host exception as before.  [bad] holds a GEP through an i64
+   pointer and a call to a function that does not exist. *)
+let malformed_module ~call_bad =
+  let m = Lir.Irmod.create "t" in
+  Lir.Irmod.declare_global m "g" T.I64;
+  B.define m "bad" ~params:[ ("which", T.I1) ] ~ret:T.Void (fun b ->
+      let gep = B.fresh_label b "gep" in
+      let call = B.fresh_label b "call" in
+      B.cond_br b (B.param b 0) gep call;
+      B.start_block b gep;
+      B.ret_void b;
+      B.start_block b call;
+      B.ret_void b);
+  B.define m "main" ~params:[] ~ret:T.Void (fun b ->
+      B.call_void b Lir.Intrinsics.print_i64 [ V.i64 1 ];
+      (match call_bad with
+      | Some which -> B.call_void b "bad" [ which ]
+      | None -> ());
+      B.ret_void b);
+  let f = Lir.Irmod.find_func m "bad" in
+  let first (b : Lir.Block.t) = (List.hd b.Lir.Block.instrs).Lir.Instr.iid in
+  let dst = Lir.Irmod.fresh_reg m ~name:"p" ~ty:(T.Ptr T.I64) in
+  ignore
+    (Lir.Rewrite.insert_before m
+       ~iid:(first (List.nth f.Lir.Func.blocks 1))
+       [ Lir.Instr.Gep { dst; base = V.Global "g"; field = 0 } ]);
+  ignore
+    (Lir.Rewrite.insert_before m
+       ~iid:(first (List.nth f.Lir.Func.blocks 2))
+       [ Lir.Instr.Call { dst = None; callee = "missing"; args = [] } ]);
+  m
+
+let test_malformed_fails_only_when_executed () =
+  let r = run (malformed_module ~call_bad:None) in
+  Alcotest.(check bool) "cold malformed code is harmless" true (completed r);
+  Alcotest.(check (list int)) "output" [ 1 ] (output r);
+  (match run (malformed_module ~call_bad:(Some V.bool_true)) with
+  | _ -> Alcotest.fail "executing the GEP must raise"
+  | exception Failure msg ->
+    Alcotest.(check string) "gep message" "Interp: gep base not a struct pointer"
+      msg);
+  match run (malformed_module ~call_bad:(Some V.bool_false)) with
+  | _ -> Alcotest.fail "calling an unknown function must raise"
+  | exception Not_found -> ()
+
+(* The run image is cached per module layout: an in-place rewrite (which
+   invalidates the layout) must be picked up by the next run. *)
+let test_image_follows_rewrites () =
+  let m = expr_module (fun b -> B.add b (V.i64 1) (V.i64 2)) in
+  Alcotest.(check (list int)) "before" [ 3 ] (output (run m));
+  let print =
+    let found = ref None in
+    Lir.Irmod.iter_instrs m (fun _ _ i ->
+        match i.Lir.Instr.kind with
+        | Lir.Instr.Call { callee; _ }
+          when String.equal callee Lir.Intrinsics.print_i64 ->
+          found := Some i.Lir.Instr.iid
+        | _ -> ());
+    Option.get !found
+  in
+  ignore
+    (Lir.Rewrite.insert_before m ~iid:print
+       [
+         Lir.Instr.Call
+           { dst = None; callee = Lir.Intrinsics.print_i64; args = [ V.i64 7 ] };
+       ]);
+  Alcotest.(check (list int)) "after" [ 7; 3 ] (output (run m))
+
 (* thread_create whose entry pc names no function: a structured
    thread-misuse at the faulting call. *)
 let test_create_not_function_structured () =
@@ -797,6 +893,12 @@ let tests =
         Alcotest.test_case "div by zero" `Quick test_div_by_zero_structured;
         Alcotest.test_case "rem by zero" `Quick test_rem_by_zero_structured;
         Alcotest.test_case "undef read" `Quick test_undef_read_structured;
+        Alcotest.test_case "undef read in a fresh frame" `Quick
+          test_undef_read_fresh_frame;
+        Alcotest.test_case "malformed fails only when executed" `Quick
+          test_malformed_fails_only_when_executed;
+        Alcotest.test_case "image follows rewrites" `Quick
+          test_image_follows_rewrites;
         Alcotest.test_case "create not function" `Quick
           test_create_not_function_structured;
         Alcotest.test_case "join unknown" `Quick test_join_unknown_structured;

@@ -136,6 +136,125 @@ let prop_ringbuf_suffix =
       let expected = String.sub data (String.length data - keep) keep in
       String.equal expected (Bytes.to_string (Ringbuf.snapshot rb)))
 
+(* Random chunked writes against a naive model (everything written since
+   the last clear, keep the suffix).  Chunk sizes straddle the storage
+   growth steps and the wrap point; capacities include 1, non-powers of
+   two and sizes above the initial storage; a clear can land after the
+   storage has grown. *)
+type ring_op = Chunk of string * int | Byte of int | Clear
+
+let ring_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 8,
+          map2
+            (fun s via -> Chunk (s, via))
+            (string_size ~gen:char (int_range 0 700))
+            (int_range 0 1) );
+        (3, map (fun b -> Byte b) (int_range (-300) 300));
+        (1, return Clear);
+      ])
+
+let show_ring_op = function
+  | Chunk (s, via) -> Printf.sprintf "chunk(%d,%d)" (String.length s) via
+  | Byte b -> Printf.sprintf "byte(%d)" b
+  | Clear -> "clear"
+
+let prop_ringbuf_model =
+  QCheck.Test.make ~name:"Ringbuf matches a suffix model under chunked writes"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "cap=%d [%s]" cap
+           (String.concat "; " (List.map show_ring_op ops)))
+       QCheck.Gen.(
+         pair
+           (oneof
+              [ oneofl [ 1; 2; 3; 255; 256; 257; 300; 511; 1000; 4096 ];
+                int_range 1 1500 ])
+           (list_size (int_range 0 25) ring_op_gen)))
+    (fun (cap, ops) ->
+      let rb = Ringbuf.create ~capacity:cap in
+      let model = Buffer.create 64 in
+      let ok = ref true in
+      let check () =
+        let all = Buffer.contents model in
+        let n = String.length all in
+        let keep = min cap n in
+        ok :=
+          !ok
+          && String.equal (String.sub all (n - keep) keep)
+               (Bytes.to_string (Ringbuf.snapshot rb))
+          && Ringbuf.length rb = keep
+          && Ringbuf.total_written rb = n
+          && Ringbuf.wrapped rb = (n > cap)
+          && Ringbuf.storage rb <= cap
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Chunk (s, 0) ->
+            Ringbuf.write_bytes rb (Bytes.of_string s);
+            Buffer.add_string model s
+          | Chunk (s, _) ->
+            let b = Buffer.create 8 in
+            Buffer.add_string b s;
+            Ringbuf.write_buffer rb b;
+            Buffer.add_string model s
+          | Byte v ->
+            Ringbuf.write_byte rb v;
+            Buffer.add_char model (Char.chr (v land 0xff))
+          | Clear ->
+            Ringbuf.clear rb;
+            Buffer.clear model);
+          check ())
+        ops;
+      !ok)
+
+(* A ring holding a few hundred bytes must not allocate its full
+   capacity; storage doubles as content arrives and stops at the
+   capacity once the ring wraps. *)
+let test_ringbuf_content_sized () =
+  let rb = Ringbuf.create ~capacity:65536 in
+  Ringbuf.write_bytes rb (Bytes.make 480 'x');
+  Alcotest.(check bool) "small content, small storage" true
+    (Ringbuf.storage rb < 1024);
+  Ringbuf.write_bytes rb (Bytes.make 70_000 'y');
+  Alcotest.(check int) "full after wrap" 65536 (Ringbuf.storage rb);
+  Alcotest.(check bool) "wrapped" true (Ringbuf.wrapped rb);
+  Ringbuf.clear rb;
+  Ringbuf.write_bytes rb (Bytes.of_string "abc");
+  Alcotest.(check string) "clear keeps working storage" "abc"
+    (Bytes.to_string (Ringbuf.snapshot rb))
+
+(* A snapshot allocates its result and nothing else: measured in minor
+   words against an empty measurement, for wrapped and unwrapped rings. *)
+let test_ringbuf_snapshot_allocation () =
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = words (fun () -> ()) in
+  List.iter
+    (fun (cap, written) ->
+      let rb = Ringbuf.create ~capacity:cap in
+      Ringbuf.write_bytes rb (Bytes.make written 'z');
+      let n = Ringbuf.length rb in
+      let out = ref Bytes.empty in
+      let used = words (fun () -> out := Ringbuf.snapshot rb) -. overhead in
+      Alcotest.(check int) "snapshot length" n (Bytes.length !out);
+      (* header + ceil((n + 1) / 8) payload words, as for any bytes *)
+      Alcotest.(check int)
+        (Printf.sprintf "cap %d written %d" cap written)
+        ((n / 8) + 2)
+        (int_of_float used))
+    [
+      (1000, 0); (1000, 100); (1000, 999); (1000, 1000); (1000, 1700);
+      (300, 301);
+    ]
+
 (* --- varint ------------------------------------------------------------- *)
 
 (* Generators that always exercise the boundary values (7-bit group edges
@@ -725,6 +844,11 @@ let tests =
         Alcotest.test_case "wrap keeps newest" `Quick test_ringbuf_wrap;
         Alcotest.test_case "clear" `Quick test_ringbuf_clear;
         qtest prop_ringbuf_suffix;
+        qtest prop_ringbuf_model;
+        Alcotest.test_case "content-sized storage" `Quick
+          test_ringbuf_content_sized;
+        Alcotest.test_case "snapshot allocates only its result" `Quick
+          test_ringbuf_snapshot_allocation;
       ] );
     ( "util.varint",
       [
