@@ -171,6 +171,21 @@ let run_reproduction ~samples =
   ignore (Experiments.Report.print_latency ());
   Experiments.Ablations.print_all ()
 
+(* --- BENCH artifacts ------------------------------------------------------ *)
+
+(* Write [json] to [path] and announce "[what] written to [path][detail]";
+   a bench that cannot write its artifact fails with exit 1. *)
+let write_artifact ?(detail = "") ~what path json =
+  match
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc (Obs.Json.to_string json);
+        Out_channel.output_char oc '\n')
+  with
+  | () -> Printf.printf "%s written to %s%s\n%!" what path detail
+  | exception Sys_error msg ->
+    Printf.eprintf "cannot write %s: %s\n" path msg;
+    exit 1
+
 (* --- part 3: pipeline telemetry artifact --------------------------------- *)
 
 (* One instrumented diagnosis run, exported as a Chrome trace so a
@@ -188,16 +203,7 @@ let emit_pipeline_trace () =
        ~successful:c.Corpus.Runner.successful);
   let json = Option.get (Obs.Scope.export_chrome ()) in
   Obs.Scope.disable ();
-  let path = "BENCH_pipeline.json" in
-  match
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Obs.Json.to_string json);
-        Out_channel.output_char oc '\n')
-  with
-  | () -> Printf.printf "Pipeline trace written to %s\n%!" path
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write %s: %s\n" path msg;
-    exit 1
+  write_artifact ~what:"Pipeline trace" "BENCH_pipeline.json" json
 
 (* --- part 4: fleet deployment artifact ----------------------------------- *)
 
@@ -234,16 +240,7 @@ let emit_fleet_bench () =
         ("root_cause_match", Obs.Json.Bool rc_match);
       ]
   in
-  let path = "BENCH_fleet.json" in
-  match
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Obs.Json.to_string json);
-        Out_channel.output_char oc '\n')
-  with
-  | () -> Printf.printf "Fleet summary written to %s\n%!" path
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write %s: %s\n" path msg;
-    exit 1
+  write_artifact ~what:"Fleet summary" "BENCH_fleet.json" json
 
 (* --- part 5: decode throughput artifact ---------------------------------- *)
 
@@ -340,19 +337,10 @@ let emit_decode_bench () =
         ("cache_entries", Obs.Json.Int warm.Pt.Decode_cache.entries);
       ]
   in
-  let path = "BENCH_decode.json" in
-  match
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Obs.Json.to_string json);
-        Out_channel.output_char oc '\n')
-  with
-  | () ->
-    Printf.printf
-      "Decode bench written to %s (%d traces, cold %d decodes, warm %d)\n%!"
-      path traces decode_calls_cold decode_calls_warm
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write %s: %s\n" path msg;
-    exit 1
+  write_artifact ~what:"Decode bench" "BENCH_decode.json" json
+    ~detail:
+      (Printf.sprintf " (%d traces, cold %d decodes, warm %d)" traces
+         decode_calls_cold decode_calls_warm)
 
 (* The streaming fleet under the shard-per-domain service: the same
    seeded scenario serviced inline (shard_domains = 1) and with one
@@ -467,27 +455,17 @@ let emit_stream_bench () =
         ("parallel_gate", Obs.Json.String gate);
       ]
   in
-  let path = "BENCH_stream.json" in
-  match
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Obs.Json.to_string json);
-        Out_channel.output_char oc '\n')
-  with
-  | () ->
-    Printf.printf
-      "Stream bench written to %s (seq %.1f ms, par %.1f ms, speedup %.2fx \
-       on %d core(s), gate %s)\n%!"
-      path
-      (seq.Deploy.stream_ns /. 1e6)
-      (par.Deploy.stream_ns /. 1e6)
-      speedup cores gate
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write %s: %s\n" path msg;
-    exit 1
+  write_artifact ~what:"Stream bench" "BENCH_stream.json" json
+    ~detail:
+      (Printf.sprintf
+         " (seq %.1f ms, par %.1f ms, speedup %.2fx on %d core(s), gate %s)"
+         (seq.Deploy.stream_ns /. 1e6)
+         (par.Deploy.stream_ns /. 1e6)
+         speedup cores gate)
 
 (* The fix sweep as a benchmark: corpus-wide fix rate per bug class and
    validation throughput (seeds/sec), written to BENCH_fix.json.  The
-   sweep fans one bug per pool lane; the verdict table is deterministic
+   sweep runs one bug per lane; the verdict table is deterministic
    (asserted parallel == sequential in the test suite), so the numbers
    here are throughput only. *)
 let emit_fix_bench () =
@@ -504,23 +482,15 @@ let emit_fix_bench () =
       s.Fix.Validate.fix_rate;
     exit 1
   end;
-  let path = "BENCH_fix.json" in
-  match
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc
-          (Obs.Json.to_string (Fix.Validate.to_json ~wall_secs results));
-        Out_channel.output_char oc '\n')
-  with
-  | () ->
-    Printf.printf
-      "Fix bench written to %s (%d/%d fixed, %.0f%% rate, %.1f validation \
-       seeds/sec wall-clock, %.1f per lane)\n%!"
-      path s.Fix.Validate.fixed s.Fix.Validate.bugs
-      (100.0 *. s.Fix.Validate.fix_rate)
-      s.Fix.Validate.seeds_per_sec s.Fix.Validate.lane_seeds_per_sec
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write %s: %s\n" path msg;
-    exit 1
+  write_artifact ~what:"Fix bench" "BENCH_fix.json"
+    (Fix.Validate.to_json ~wall_secs results)
+    ~detail:
+      (Printf.sprintf
+         " (%d/%d fixed, %.0f%% rate, %.1f validation seeds/sec wall-clock, \
+          %.1f per lane)"
+         s.Fix.Validate.fixed s.Fix.Validate.bugs
+         (100.0 *. s.Fix.Validate.fix_rate)
+         s.Fix.Validate.seeds_per_sec s.Fix.Validate.lane_seeds_per_sec)
 
 let () =
   let quick = Array.exists (String.equal "--quick") Sys.argv in

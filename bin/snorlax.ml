@@ -132,6 +132,16 @@ let apply_decode_opts jobs cache =
   Option.iter Snorlax_util.Pool.set_default_jobs jobs;
   Option.iter (Pt.Decode_cache.set_capacity Pt.Decode_cache.shared) cache
 
+(* The bugs a [--bug ID | --all] command runs on; [--all] means [corpus]. *)
+let select_bugs ~corpus bug_id all =
+  match (bug_id, all) with
+  | _, true -> Ok corpus
+  | Some id, false -> (
+    match Corpus.Registry.find id with
+    | Some bug -> Ok [ bug ]
+    | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
+  | None, false -> Error "pass --bug ID or --all"
+
 let diagnose_bug id verbose decode_jobs decode_cache obs =
   apply_decode_opts decode_jobs decode_cache;
   if not (setup_obs obs) then 1
@@ -207,15 +217,7 @@ let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
   (* --watch reads stage percentiles out of the ambient registry, so it
      needs the scope even when no export flag asked for one. *)
   if watch && not (Obs.Scope.enabled ()) then ignore (Obs.Scope.enable ());
-  let bugs =
-    match (bug_id, all) with
-    | _, true -> Ok Corpus.Registry.eval_set
-    | Some id, false -> (
-      match Corpus.Registry.find id with
-      | Some bug -> Ok [ bug ]
-      | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-    | None, false -> Error "pass --bug ID or --all"
-  in
+  let bugs = select_bugs ~corpus:Corpus.Registry.eval_set bug_id all in
   match bugs with
   | Error msg ->
     Printf.eprintf "%s\n" msg;
@@ -296,15 +298,7 @@ let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
 let chaos_run seeds n_endpoints bug_id all fault_name out obs =
   if not (setup_obs obs) then 1
   else
-  let bugs =
-    match (bug_id, all) with
-    | _, true -> Ok Corpus.Registry.eval_set
-    | Some id, false -> (
-      match Corpus.Registry.find id with
-      | Some bug -> Ok [ bug ]
-      | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-    | None, false -> Error "pass --bug ID or --all"
-  in
+  let bugs = select_bugs ~corpus:Corpus.Registry.eval_set bug_id all in
   let classes =
     match fault_name with
     | None -> Ok Chaos.Fault.all
@@ -326,8 +320,8 @@ let chaos_run seeds n_endpoints bug_id all fault_name out obs =
        each...\n%!"
       seeds (List.length classes) (List.length bugs) n_endpoints;
     match
-      (* One bug per pool lane; --decode-jobs (which sets the pool
-         default) therefore scales the chaos sweep too. *)
+      (* One bug per lane, as wide as the pool default: the host's
+         recommended domain count (chaos has no jobs flag). *)
       Chaos.Harness.run ~endpoints:n_endpoints ~classes
         ~progress:(fun line -> Printf.printf "  %s\n%!" line)
         ~jobs:(Snorlax_util.Pool.default_jobs ())
@@ -445,16 +439,7 @@ let stream_run n_endpoints ticks n_shards shard_domains churn fault_name
   if not (setup_obs obs) then 1
   else begin
     if watch && not (Obs.Scope.enabled ()) then ignore (Obs.Scope.enable ());
-    let bugs =
-      match (bug_id, all) with
-      | _, true -> Ok Corpus.Registry.eval_set
-      | Some id, false -> (
-        match Corpus.Registry.find id with
-        | Some bug -> Ok [ bug ]
-        | None ->
-          Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-      | None, false -> Error "pass --bug ID or --all"
-    in
+    let bugs = select_bugs ~corpus:Corpus.Registry.eval_set bug_id all in
     let fault =
       match fault_name with
       | None -> Ok None
@@ -782,15 +767,7 @@ let oracle_run bug_id all out decode_jobs decode_cache obs =
   apply_decode_opts decode_jobs decode_cache;
   if not (setup_obs obs) then 1
   else
-  let bugs =
-    match (bug_id, all) with
-    | _, true -> Ok Corpus.Registry.all
-    | Some id, false -> (
-      match Corpus.Registry.find id with
-      | Some bug -> Ok [ bug ]
-      | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-    | None, false -> Error "pass --bug ID or --all"
-  in
+  let bugs = select_bugs ~corpus:Corpus.Registry.all bug_id all in
   match bugs with
   | Error msg ->
     Printf.eprintf "%s\n" msg;
@@ -883,15 +860,7 @@ let fix_run bug_id all seeds jobs min_fix_rate out decode_jobs decode_cache obs
   apply_decode_opts decode_jobs decode_cache;
   if not (setup_obs obs) then 1
   else
-  let bugs =
-    match (bug_id, all) with
-    | _, true -> Ok Corpus.Registry.all
-    | Some id, false -> (
-      match Corpus.Registry.find id with
-      | Some bug -> Ok [ bug ]
-      | None -> Error (Printf.sprintf "unknown bug id %s (try `snorlax list`)" id))
-    | None, false -> Error "pass --bug ID or --all"
-  in
+  let bugs = select_bugs ~corpus:Corpus.Registry.all bug_id all in
   match bugs with
   | Error msg ->
     Printf.eprintf "%s\n" msg;

@@ -1,7 +1,6 @@
 module Core = Snorlax_core
 module Collector = Fleet.Collector
 module Prng = Snorlax_util.Prng
-module Pool = Snorlax_util.Pool
 
 type trial = {
   cls : Fault.cls;
@@ -176,10 +175,10 @@ let summarize cls trials ~nondeterministic =
   }
 
 (* One bug's full trial matrix: for each class, [seeds] trials plus the
-   fixed-seed determinism replay.  [modules] is the server-build cache
-   the trials share — process-wide in the sequential path, lane-private
-   in the parallel one (a lane only ever meets its own bug). *)
-let trials_for_bug ~modules ~policy ~endpoints ~classes ~seeds bl =
+   fixed-seed determinism replay.  The trials share one server-build
+   cache, private to this bug. *)
+let trials_for_bug ~policy ~endpoints ~classes ~seeds bl =
+  let modules = Hashtbl.create 16 in
   List.map
     (fun cls ->
       let trials =
@@ -213,93 +212,27 @@ let collect_baseline bug =
         successful = c.Corpus.Runner.successful;
       }
 
-(* The sweep's lanes in bug input order, each carrying that bug's
-   per-class trials.  Sequential mode is the historical loop exactly:
-   every baseline collected first (stopping at the first failure, trials
-   untouched), then trial matrices bug by bug with progress in between.
-   Parallel mode fans one bug per pool lane — baseline collect included
-   — with a lane-private modules table, sequential nested decode and a
-   private telemetry context; lanes merge back in input order (first
-   baseline error in input order wins, progress replays on the
-   submitting domain), so the report is identical either way. *)
-let sweep_lanes ~eff ~policy ~endpoints ~classes ~seeds ~progress bugs =
-  if eff <= 1 then begin
-    let modules = Hashtbl.create 16 in
-    let baselines =
-      List.fold_left
-        (fun acc bug ->
-          match acc with
-          | Error _ as e -> e
-          | Ok bls -> (
-            match collect_baseline bug with
-            | Error _ as e -> e
-            | Ok bl -> Ok (bl :: bls)))
-        (Ok []) bugs
-    in
-    match baselines with
-    | Error e -> Error e
-    | Ok baselines_rev ->
-      Ok
-        (List.map
-           (fun bl ->
-             let r =
-               trials_for_bug ~modules ~policy ~endpoints ~classes ~seeds bl
-             in
-             progress (progress_line bl ~classes ~seeds);
-             (bl, r))
-           (List.rev baselines_rev))
-  end
-  else begin
-    let arr = Array.of_list bugs in
-    let n = Array.length arr in
-    let telemetry = Obs.Scope.enabled () in
-    let out = Array.make n None in
-    let regs = Array.make n None in
-    Pool.with_pool ~jobs:eff (fun pool ->
-        Pool.run pool n (fun i ->
-            Pool.with_default_jobs 1 @@ fun () ->
-            let go () =
-              let r =
-                match collect_baseline arr.(i) with
-                | Error _ as e -> e
-                | Ok bl ->
-                  let modules = Hashtbl.create 16 in
-                  Ok
-                    ( bl,
-                      trials_for_bug ~modules ~policy ~endpoints ~classes
-                        ~seeds bl )
-              in
-              out.(i) <- Some r
-            in
-            if telemetry then begin
-              let c = Obs.Scope.make () in
-              regs.(i) <- Some c.Obs.Scope.metrics;
-              Obs.Scope.using c go
-            end
-            else go ()));
-    Array.iter (Option.iter Obs.Scope.merge_worker) regs;
-    let first_error = ref None in
-    Array.iter
-      (fun r ->
-        match (r, !first_error) with
-        | Some (Error e), None -> first_error := Some e
-        | _ -> ())
-      out;
-    match !first_error with
-    | Some e -> Error e
-    | None ->
-      Ok
-        (List.init n (fun i ->
-             match out.(i) with
-             | Some (Ok lane) ->
-               let bl, _ = lane in
-               progress (progress_line bl ~classes ~seeds);
-               lane
-             | _ -> assert false))
-  end
+(* One {!Obs.Scope.sweep} lane per bug: baseline collect, then that
+   bug's whole trial matrix.  The first baseline error in input order
+   wins; progress fires once the lanes are back, in bug order. *)
+let sweep_lanes ~jobs ~policy ~endpoints ~classes ~seeds ~progress bugs =
+  let lanes =
+    Obs.Scope.sweep ~jobs
+      (fun bug ->
+        Result.map
+          (fun bl -> (bl, trials_for_bug ~policy ~endpoints ~classes ~seeds bl))
+          (collect_baseline bug))
+      bugs
+  in
+  match List.find_map (function Error e -> Some e | Ok _ -> None) lanes with
+  | Some e -> Error e
+  | None ->
+    let lanes = List.filter_map Result.to_option lanes in
+    List.iter (fun (bl, _) -> progress (progress_line bl ~classes ~seeds)) lanes;
+    Ok lanes
 
 let run ?(policy = Collector.default_policy) ?(endpoints = 3)
-    ?(classes = Fault.all) ?(progress = fun _ -> ()) ?jobs ~seeds bugs =
+    ?(classes = Fault.all) ?(progress = fun _ -> ()) ?(jobs = 1) ~seeds bugs =
   if seeds < 1 then Error "chaos: seeds < 1"
   else if bugs = [] then Error "chaos: no bugs selected"
   else if endpoints < 1 then Error "chaos: endpoints < 1"
@@ -311,11 +244,7 @@ let run ?(policy = Collector.default_policy) ?(endpoints = 3)
           ("bugs", Obs.Span.Int (List.length bugs));
         ]
     @@ fun () ->
-    let eff =
-      let j = match jobs with Some j -> max 1 j | None -> 1 in
-      min (min j (Domain.recommended_domain_count ())) (List.length bugs)
-    in
-    match sweep_lanes ~eff ~policy ~endpoints ~classes ~seeds ~progress bugs with
+    match sweep_lanes ~jobs ~policy ~endpoints ~classes ~seeds ~progress bugs with
     | Error e -> Error e
     | Ok lanes ->
       let baselines = List.map fst lanes in

@@ -7,9 +7,9 @@
     exceptions never escape the ingest path (a raise is recorded as an
     uncaught-exception count, the trial keeps going), the first seed of
     every (bug, class) pair is executed twice and must produce identical
-    observable results (fixed-seed determinism), and baseline
-    reproduction failures abort the run with [Error] before any fault is
-    injected. *)
+    observable results (fixed-seed determinism), and a baseline
+    reproduction failure turns the whole run into [Error] — no partial
+    report. *)
 
 type trial = {
   cls : Fault.cls;
@@ -70,13 +70,13 @@ val run :
     [endpoints] (default 3) simulated machines replay each bug.
     [Error] when [seeds < 1], [bugs] is empty, or a bug's lab baseline
     fails to reproduce.  [progress] receives one line per completed bug.
-    [jobs] (default 1 = the historical sequential loop) fans the sweep
-    one bug per lane across a scoped domain pool — baseline collect and
-    all that bug's trials together, with a lane-private server-build
-    table and private telemetry merged back in input order.  Trials are
-    already independent per (bug, class, seed), so the report is
-    identical whatever [jobs]; [progress] then fires on the submitting
-    domain as lanes merge, still in bug order. *)
+    Each bug is one {!Obs.Scope.sweep} lane of width [jobs] (default 1)
+    — baseline collect and all that bug's trials together, with a
+    bug-private server-build table.  Trials are independent per (bug,
+    class, seed), so the report is identical whatever [jobs]; the first
+    baseline failure in bug order is the one reported, and [progress]
+    fires on the calling domain once every lane is back, in bug
+    order. *)
 
 val to_json : report -> Obs.Json.t
 (** The BENCH_chaos.json document: run parameters, per-class rows

@@ -59,9 +59,7 @@ let decode_all m ~config ~tail_for ~engine ~jobs ~cache traces_a =
   (* Decode is CPU-bound: domains beyond the hardware thread count only
      add scheduler contention, so oversubscribed requests clamp to the
      core count.  [misses] caps further — no point waking idle workers. *)
-  let eff_jobs =
-    min (min jobs (Domain.recommended_domain_count ())) (Array.length misses)
-  in
+  let eff_jobs = Pool.lanes ~jobs (Array.length misses) in
   let decode_fn =
     match engine with
     | `Cursor -> Pt.Decoder.decode_raw

@@ -436,41 +436,13 @@ let fix_bug ?jobs ?cache ?(seeds = default_sweep_seeds) (bug : Corpus.Bug.t) =
 
 (* --- the corpus-wide sweep ------------------------------------------------ *)
 
-(* Same lane discipline as [Diffcheck.check_all]: one bug per pool lane,
-   nested decode pinned sequential inside each lane, private telemetry
-   scopes merged back in input order — so the parallel sweep's result
-   list is identical to the sequential one's. *)
-let fix_all ?jobs ?sweep_jobs ?cache ?seeds bugs =
-  let arr = Array.of_list bugs in
-  let n = Array.length arr in
-  let sj = match sweep_jobs with Some j -> max 1 j | None -> 1 in
-  let eff = min (min sj (Domain.recommended_domain_count ())) n in
-  if eff <= 1 then
-    List.map
-      (fun (b : Corpus.Bug.t) ->
-        (b.Corpus.Bug.id, fix_bug ?jobs ?cache ?seeds b))
-      bugs
-  else begin
-    let telemetry = Obs.Scope.enabled () in
-    let out = Array.make n None in
-    let regs = Array.make n None in
-    Pool.with_pool ~jobs:eff (fun pool ->
-        Pool.run pool n (fun i ->
-            Pool.with_default_jobs 1 @@ fun () ->
-            let go () =
-              out.(i) <- Some (fix_bug ~jobs:1 ?cache ?seeds arr.(i))
-            in
-            if telemetry then begin
-              let c = Obs.Scope.make () in
-              regs.(i) <- Some c.Obs.Scope.metrics;
-              Obs.Scope.using c go
-            end
-            else go ()));
-    Array.iter (Option.iter Obs.Scope.merge_worker) regs;
-    List.init n (fun i ->
-        ( arr.(i).Corpus.Bug.id,
-          match out.(i) with Some r -> r | None -> assert false ))
-  end
+let fix_all ?jobs ?(sweep_jobs = 1) ?cache ?seeds bugs =
+  let jobs =
+    if Pool.lanes ~jobs:sweep_jobs (List.length bugs) > 1 then Some 1 else jobs
+  in
+  Obs.Scope.sweep ~jobs:sweep_jobs
+    (fun (b : Corpus.Bug.t) -> (b.Corpus.Bug.id, fix_bug ?jobs ?cache ?seeds b))
+    bugs
 
 (* --- reporting ------------------------------------------------------------ *)
 

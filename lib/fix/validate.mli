@@ -92,10 +92,11 @@ val fix_all :
   ?seeds:int ->
   Corpus.Bug.t list ->
   (string * (bug_report, string) result) list
-(** [fix_bug] over a bug list, tagged by bug id, in input order.
-    [sweep_jobs] fans one bug per pool lane (nested decode pinned
-    sequential, private telemetry scopes merged in input order), so the
-    parallel sweep returns exactly the sequential sweep's list. *)
+(** [fix_bug] over a bug list, tagged by bug id, in input order, one
+    bug per {!Obs.Scope.sweep} lane of width [sweep_jobs] (default 1 =
+    the sequential loop).  [jobs] sets nested decode width on the
+    sequential path only; parallel lanes always decode sequentially.  The
+    result list is the same at any width. *)
 
 type summary = {
   bugs : int;

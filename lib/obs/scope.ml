@@ -1,3 +1,5 @@
+module Pool = Snorlax_util.Pool
+
 type ctx = {
   metrics : Metrics.t;
   trace : Span.t;
@@ -110,6 +112,34 @@ let timed name f =
 
 let merge_worker m =
   match !(Domain.DLS.get state) with None -> () | Some c -> Metrics.merge ~into:c.metrics m
+
+(* Lanes pin nested decode sequential so no lane nests a pool inside a
+   pool or reaches for the shared one from a worker domain; lane
+   registries merge only after the barrier because the ambient context
+   is not domain-safe. *)
+let sweep ~jobs f items =
+  let lanes = Pool.lanes ~jobs (List.length items) in
+  if lanes <= 1 then List.map f items
+  else begin
+    let telemetry = enabled () in
+    let arr = Array.of_list items in
+    let regs = Array.make (Array.length arr) None in
+    let out =
+      Pool.with_pool ~jobs:lanes (fun pool ->
+          Pool.map pool
+            (fun i x ->
+              Pool.with_default_jobs 1 @@ fun () ->
+              if telemetry then begin
+                let c = make () in
+                regs.(i) <- Some c.metrics;
+                using c (fun () -> f x)
+              end
+              else f x)
+            arr)
+    in
+    Array.iter (Option.iter merge_worker) regs;
+    Array.to_list out
+  end
 
 let export_chrome () =
   match !(Domain.DLS.get state) with

@@ -69,6 +69,27 @@ val merge_worker : Metrics.t -> unit
     telemetry rejoins the main registry — workers must never touch the
     ambient context directly. *)
 
+val sweep : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [sweep ~jobs f items] is [List.map f items] fanned one item per lane —
+    the lane function behind every corpus-wide sweep (the oracle
+    cross-check, fix validation, the chaos sweep, the stream's baseline
+    reproductions).  The width is {!Snorlax_util.Pool.lanes}[ ~jobs
+    (List.length items)].
+
+    - Width [<= 1]: exactly [List.map f items] on the calling domain — no
+      pool, no private scope, {!Snorlax_util.Pool.default_jobs} untouched.
+    - Otherwise: the items run on a dedicated
+      {!Snorlax_util.Pool.with_pool}.  Each lane runs under
+      [Pool.with_default_jobs 1], so nested decode that resolves its width
+      from the default stays sequential, and — when a scope is enabled —
+      under a private context ({!make}/{!using}) whose metrics are merged
+      into the ambient registry ({!merge_worker}) in input order after
+      every lane has finished.  Lane spans are not kept.
+
+    Results come back in input order; an exception raised by a lane
+    cancels the lanes not yet started and is re-raised to the caller.
+    [f] must touch no domain-unsafe shared state. *)
+
 val export_chrome : unit -> Json.t option
 (** The current context as a Chrome trace-event document, including the
     counter/gauge time series sampled at span boundaries. *)

@@ -273,40 +273,15 @@ let check_bug ?jobs ?cache (bug : Corpus.Bug.t) =
     Obs.Scope.count (if diverged r then "oracle/diverge" else "oracle/agree") 1;
     Ok r
 
-(* The registry-wide sweep, fanned one-bug-per-lane across a scoped
-   pool.  Per-bug isolation keeps the parallel run equivalent to the
-   sequential one: each lane pins nested decode sequential (so [jobs]
-   never nests a pool inside a pool), runs under a private telemetry
-   context, and results land in input order.  The only shared state is
-   the decode cache, which is lock-striped. *)
-let check_all ?jobs ?sweep_jobs ?cache bugs =
-  let arr = Array.of_list bugs in
-  let n = Array.length arr in
-  let sj = match sweep_jobs with Some j -> max 1 j | None -> 1 in
-  let eff = min (min sj (Domain.recommended_domain_count ())) n in
-  if eff <= 1 then
-    List.map
-      (fun (b : Corpus.Bug.t) -> (b.Corpus.Bug.id, check_bug ?jobs ?cache b))
-      bugs
-  else begin
-    let telemetry = Obs.Scope.enabled () in
-    let out = Array.make n None in
-    let regs = Array.make n None in
-    Pool.with_pool ~jobs:eff (fun pool ->
-        Pool.run pool n (fun i ->
-            Pool.with_default_jobs 1 @@ fun () ->
-            let go () = out.(i) <- Some (check_bug ~jobs:1 ?cache arr.(i)) in
-            if telemetry then begin
-              let c = Obs.Scope.make () in
-              regs.(i) <- Some c.Obs.Scope.metrics;
-              Obs.Scope.using c go
-            end
-            else go ()));
-    Array.iter (Option.iter Obs.Scope.merge_worker) regs;
-    List.init n (fun i ->
-        ( arr.(i).Corpus.Bug.id,
-          match out.(i) with Some r -> r | None -> assert false ))
-  end
+(* The registry-wide sweep, one bug per lane.  The only state lanes
+   share is the decode cache, which is lock-striped. *)
+let check_all ?jobs ?(sweep_jobs = 1) ?cache bugs =
+  let jobs =
+    if Pool.lanes ~jobs:sweep_jobs (List.length bugs) > 1 then Some 1 else jobs
+  in
+  Obs.Scope.sweep ~jobs:sweep_jobs
+    (fun (b : Corpus.Bug.t) -> (b.Corpus.Bug.id, check_bug ?jobs ?cache b))
+    bugs
 
 let ordering_name = function
   | Hb.Racy -> "racy"

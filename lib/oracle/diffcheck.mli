@@ -81,12 +81,11 @@ val check_all :
   ?cache:Pt.Decode_cache.t ->
   Corpus.Bug.t list ->
   (string * (bug_result, string) result) list
-(** [check_bug] over a bug list, tagged by bug id, in registry order.
-    [sweep_jobs] (default 1 = sequential) fans the sweep one bug per
-    lane across a scoped domain pool; each lane pins nested decode
-    sequential (so [jobs] is ignored while sweeping in parallel) and
-    runs under a private telemetry context merged back in input order —
-    the result list is identical to the sequential sweep's. *)
+(** [check_bug] over a bug list, tagged by bug id, in input order, one
+    bug per {!Obs.Scope.sweep} lane of width [sweep_jobs] (default 1 =
+    the sequential loop).  [jobs] sets nested decode width on the
+    sequential path only; parallel lanes always decode sequentially.  The
+    result list is the same at any width. *)
 
 val diverged : bug_result -> bool
 (** True for [Diagnosis_miss], [Diagnosis_spurious] and [Oracle_only]. *)

@@ -105,51 +105,26 @@ let baseline_of bug (c : Corpus.Runner.collected) =
     runs_needed = c.Corpus.Runner.runs_needed;
   }
 
-(* The baseline corpus sweep: one simulator reproduction per bug, fanned
-   across a scoped pool.  Per-bug isolation: each lane runs with
-   sequential nested decode and a private telemetry context; results
-   merge in input order, and failure warnings are (re-)emitted on the
-   coordinating domain, so the outcome is identical to the sequential
-   loop whatever the pool size. *)
+(* The baseline corpus sweep: one simulator reproduction per bug, one
+   bug per {!Obs.Scope.sweep} lane.  Failure warnings are emitted on the
+   calling domain once every lane is back, in input order. *)
 let prepare ?(config = Pt.Config.default) ?jobs bugs =
-  let arr = Array.of_list bugs in
-  let n = Array.length arr in
-  let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  let eff = min (min jobs (Domain.recommended_domain_count ())) n in
-  let collect bug = Corpus.Runner.collect bug ~pt_config:config ~seed_base:1 () in
-  let results =
-    if eff <= 1 then Array.map collect arr
-    else begin
-      let telemetry = Obs.Scope.enabled () in
-      let out = Array.make n None in
-      let regs = Array.make n None in
-      Pool.with_pool ~jobs:eff (fun pool ->
-          Pool.run pool n (fun i ->
-              Pool.with_default_jobs 1 @@ fun () ->
-              if telemetry then begin
-                let c = Obs.Scope.make () in
-                regs.(i) <- Some c.Obs.Scope.metrics;
-                Obs.Scope.using c (fun () -> out.(i) <- Some (collect arr.(i)))
-              end
-              else out.(i) <- Some (collect arr.(i))));
-      Array.iter (Option.iter Obs.Scope.merge_worker) regs;
-      Array.map (function Some r -> r | None -> assert false) out
-    end
-  in
-  List.filter_map
-    (fun i ->
-      let bug = arr.(i) in
-      match results.(i) with
-      | Ok c -> Some (baseline_of bug c)
-      | Error msg ->
-        Obs.Log.warn "stream/baseline_failed"
-          ~fields:
-            [
-              ("bug", Obs.Log.Str bug.Corpus.Bug.id);
-              ("reason", Obs.Log.Str msg);
-            ];
-        None)
-    (List.init n Fun.id)
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+  Obs.Scope.sweep ~jobs
+    (fun bug ->
+      (bug, Corpus.Runner.collect bug ~pt_config:config ~seed_base:1 ()))
+    bugs
+  |> List.filter_map (fun ((bug : Corpus.Bug.t), collected) ->
+         match collected with
+         | Ok c -> Some (baseline_of bug c)
+         | Error msg ->
+           Obs.Log.warn "stream/baseline_failed"
+             ~fields:
+               [
+                 ("bug", Obs.Log.Str bug.Corpus.Bug.id);
+                 ("reason", Obs.Log.Str msg);
+               ];
+           None)
 
 let create ~seed ~endpoints ?(churn = false) ?fault
     ?(config = Pt.Config.default) ?baselines bugs =

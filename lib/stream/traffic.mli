@@ -32,12 +32,12 @@ type baseline
 
 val prepare :
   ?config:Pt.Config.t -> ?jobs:int -> Corpus.Bug.t list -> baseline list
-(** Reproduce each bug once (the expensive simulator runs), fanning the
-    corpus across a scoped domain pool ([jobs] lanes, default
-    {!Snorlax_util.Pool.default_jobs}; nested decode inside each lane is
-    sequential).  Results keep input order and bugs that fail to
-    reproduce are dropped with a [stream/baseline_failed] warning, so
-    the output is identical to a sequential loop.  Prepared baselines
+(** Reproduce each bug once (the expensive simulator runs), one bug per
+    {!Obs.Scope.sweep} lane of width [jobs] (default
+    {!Snorlax_util.Pool.default_jobs}).  Results keep input order and
+    bugs that fail to reproduce are dropped with a
+    [stream/baseline_failed] warning, so the output is the same at any
+    width.  Prepared baselines
     can feed several {!create} calls — e.g. a 1-domain and a 4-domain
     run of the same scenario sharing one reproduction. *)
 

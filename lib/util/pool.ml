@@ -209,6 +209,8 @@ let balanced_chunks ~weights ~chunks =
 
 (* --- scoped dedicated pools ---------------------------------------------- *)
 
+let lanes ~jobs n = min (min (max 1 jobs) (Domain.recommended_domain_count ())) n
+
 let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -79,6 +79,13 @@ val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; the pool then runs
     batches inline. *)
 
+val lanes : jobs:int -> int -> int
+(** [lanes ~jobs n] is the useful width of a fan-out of [n] items asked to
+    run on [jobs] domains: [min (max 1 jobs)
+    (Domain.recommended_domain_count ()) n].  CPU-bound work gains nothing
+    from more domains than hardware threads, nor from more lanes than
+    items. *)
+
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a dedicated pool and tears it down
     (joining its domains) when [f] returns or raises.  Use this for

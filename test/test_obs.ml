@@ -880,6 +880,101 @@ let test_parallel_decode_merges_worker_metrics () =
           Alcotest.(check int) "one decode_ns sample per invocation" calls
             s.Obs.Metrics.count)
 
+(* --- the corpus-sweep lane function ----------------------------------- *)
+
+module Pool = Snorlax_util.Pool
+
+let test_sweep_equals_map () =
+  let f x = (x * x) + 1 in
+  List.iter
+    (fun n ->
+      let items = List.init n Fun.id in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%d items, jobs %d" n jobs)
+            (List.map f items)
+            (Obs.Scope.sweep ~jobs f items))
+        [ 1; 2; 4 ])
+    [ 0; 1; 3; 9 ]
+
+let test_sweep_lanes_decode_sequentially () =
+  let items = List.init 6 Fun.id in
+  let seen =
+    Pool.with_default_jobs 3 (fun () ->
+        Obs.Scope.sweep ~jobs:4 (fun _ -> Pool.default_jobs ()) items)
+  in
+  (* A single-core host has one lane: the plain loop, default untouched. *)
+  let expect = if Pool.lanes ~jobs:4 6 > 1 then 1 else 3 in
+  Alcotest.(check (list int)) "default_jobs inside each lane"
+    (List.map (fun _ -> expect) items)
+    seen
+
+let test_sweep_sequential_path_untouched () =
+  Pool.with_default_jobs 3 @@ fun () ->
+  with_scope @@ fun () ->
+  let ambient = Option.get (Obs.Scope.current ()) in
+  let seen =
+    Obs.Scope.sweep ~jobs:1
+      (fun _ ->
+        ( Pool.default_jobs (),
+          match Obs.Scope.current () with
+          | Some c -> c == ambient
+          | None -> false ))
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check (list (pair int bool)))
+    "unpinned default, ambient scope"
+    [ (3, true); (3, true); (3, true) ]
+    seen;
+  Alcotest.(check int) "default restored" 3 (Pool.default_jobs ())
+
+let test_sweep_merges_lane_counters () =
+  let run jobs =
+    with_scope (fun () ->
+        ignore
+          (Obs.Scope.sweep ~jobs
+             (fun i ->
+               Obs.Scope.count "lane/items" 1;
+               Obs.Scope.count "lane/sum" i;
+               Obs.Scope.observe "lane/value" (float_of_int i))
+             (List.init 8 Fun.id));
+        let m = (Option.get (Obs.Scope.current ())).Obs.Scope.metrics in
+        ( Obs.Metrics.find_counter m "lane/items",
+          Obs.Metrics.find_counter m "lane/sum",
+          Option.map
+            (fun s -> s.Obs.Metrics.count)
+            (Obs.Metrics.find_histogram m "lane/value") ))
+  in
+  let seq = run 1 in
+  Alcotest.(check bool) "sequential totals" true
+    (seq = (Some 8, Some 28, Some 8));
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d sums like the sequential run" jobs)
+        true (run jobs = seq))
+    [ 2; 4 ]
+
+let test_sweep_lane_exception_reaches_caller () =
+  List.iter
+    (fun jobs ->
+      with_scope @@ fun () ->
+      let ambient = Option.get (Obs.Scope.current ()) in
+      let default = Pool.default_jobs () in
+      (match
+         Obs.Scope.sweep ~jobs
+           (fun i -> if i = 5 then failwith "lane 5" else i)
+           (List.init 8 Fun.id)
+       with
+      | _ -> Alcotest.failf "jobs %d: lane exception swallowed" jobs
+      | exception Failure msg ->
+        Alcotest.(check string) (Printf.sprintf "jobs %d" jobs) "lane 5" msg);
+      Alcotest.(check bool) "ambient scope restored" true
+        (match Obs.Scope.current () with Some c -> c == ambient | None -> false);
+      Alcotest.(check int) "default restored" default (Pool.default_jobs ()))
+    [ 1; 4 ]
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -941,6 +1036,15 @@ let tests =
       [
         Alcotest.test_case "noop when disabled" `Quick test_scope_noop_when_disabled;
         Alcotest.test_case "records" `Quick test_scope_records;
+        Alcotest.test_case "sweep equals List.map" `Quick test_sweep_equals_map;
+        Alcotest.test_case "sweep lanes decode sequentially" `Quick
+          test_sweep_lanes_decode_sequentially;
+        Alcotest.test_case "sweep width 1 is the plain loop" `Quick
+          test_sweep_sequential_path_untouched;
+        Alcotest.test_case "sweep merges lane counters" `Quick
+          test_sweep_merges_lane_counters;
+        Alcotest.test_case "sweep lane exception reaches caller" `Quick
+          test_sweep_lane_exception_reaches_caller;
       ] );
     ( "obs.pipeline",
       [

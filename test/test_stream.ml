@@ -504,6 +504,24 @@ let test_stream_fault_classes_parallel_identical () =
         par.Deploy.shed)
     Chaos.Fault.all
 
+let test_prepare_lane_width_invisible () =
+  (* [prepare] fans the baseline reproductions one bug per lane: the
+     baselines it hands the deployment must not depend on the width. *)
+  let bugs = List.map Corpus.Registry.find_exn [ "pbzip2-1"; "aget-1" ] in
+  let cfg = { small_cfg with Deploy.seed = 3 } in
+  let run jobs =
+    Deploy.run ~baselines:(Traffic.prepare ~jobs bugs) cfg bugs
+  in
+  let seq = run 1 and par = run 4 in
+  check_clean "prepare ~jobs:4" par;
+  Alcotest.(check bool) "rows identical across lane widths" true
+    (seq.Deploy.rows = par.Deploy.rows);
+  Alcotest.(check int) "offered identical" seq.Deploy.offered
+    par.Deploy.offered;
+  Alcotest.(check int) "shed identical" seq.Deploy.shed par.Deploy.shed;
+  Alcotest.(check int) "drained identical" seq.Deploy.drained
+    par.Deploy.drained
+
 let test_stream_rejects_bad_config () =
   let bug, _ = Lazy.force fixture in
   Alcotest.check_raises "shards < 1"
@@ -551,6 +569,8 @@ let tests =
           test_traffic_deterministic;
         Alcotest.test_case "diurnal load produces traffic" `Quick
           test_traffic_diurnal_produces_load;
+        Alcotest.test_case "prepare identical across lane widths" `Quick
+          test_prepare_lane_width_invisible;
       ] );
     ( "stream.deploy",
       [
