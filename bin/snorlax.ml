@@ -373,66 +373,6 @@ let chaos_run seeds n_endpoints bug_id all fault_name out obs =
       let obs_ok = emit_obs obs in
       if Chaos.Harness.ok r && json_ok && obs_ok then 0 else 1)
 
-let stream_json (s : Stream.Deploy.summary) =
-  Obs.Json.Obj
-    [
-      ("endpoints", Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.endpoints);
-      ("duration_ticks", Obs.Json.Int s.Stream.Deploy.ticks);
-      ("shards", Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.shards);
-      ( "shard_domains",
-        Obs.Json.Int s.Stream.Deploy.cfg.Stream.Deploy.shard_domains );
-      ("domains_used", Obs.Json.Int s.Stream.Deploy.domains_used);
-      ("churn", Obs.Json.Bool s.Stream.Deploy.cfg.Stream.Deploy.churn);
-      ( "fault",
-        Obs.Json.String
-          (match s.Stream.Deploy.cfg.Stream.Deploy.fault with
-          | Some c -> Chaos.Fault.name c
-          | None -> "none") );
-      ( "shed_policy",
-        Obs.Json.String (Stream.Shard.shed_name s.Stream.Deploy.cfg.Stream.Deploy.shed) );
-      ("offered", Obs.Json.Int s.Stream.Deploy.offered);
-      ("shed", Obs.Json.Int s.Stream.Deploy.shed);
-      ("drained", Obs.Json.Int s.Stream.Deploy.drained);
-      ("ingested_ok", Obs.Json.Int s.Stream.Deploy.ingested_ok);
-      ("ingest_errors", Obs.Json.Int s.Stream.Deploy.ingest_errors);
-      ("tracker_malformed", Obs.Json.Int s.Stream.Deploy.tracker_malformed);
-      ("tracker_held", Obs.Json.Int s.Stream.Deploy.tracker_held);
-      ("tracker_dropped", Obs.Json.Int s.Stream.Deploy.tracker_dropped);
-      ("buckets", Obs.Json.Int s.Stream.Deploy.bucket_count);
-      ("incidents", Obs.Json.Int s.Stream.Deploy.incidents);
-      ("joins", Obs.Json.Int s.Stream.Deploy.joins);
-      ("leaves", Obs.Json.Int s.Stream.Deploy.leaves);
-      ("crashes", Obs.Json.Int s.Stream.Deploy.crashes);
-      ("final_endpoints", Obs.Json.Int s.Stream.Deploy.final_endpoints);
-      ("inject_faults", Obs.Json.Int s.Stream.Deploy.inject_faults);
-      ("peak_queue_depth", Obs.Json.Int s.Stream.Deploy.peak_queue_depth);
-      ("watermark_highs", Obs.Json.Int s.Stream.Deploy.watermark_highs);
-      ("rederives", Obs.Json.Int s.Stream.Deploy.rederives);
-      ("fast_updates", Obs.Json.Int s.Stream.Deploy.fast_updates);
-      ("reports_per_sec", Obs.Json.Float s.Stream.Deploy.reports_per_sec);
-      ("shed_ratio", Obs.Json.Float s.Stream.Deploy.shed_ratio);
-      ( "report_to_diagnosis_p50_ns",
-        Obs.Json.Float s.Stream.Deploy.latency_p50_ns );
-      ( "report_to_diagnosis_p99_ns",
-        Obs.Json.Float s.Stream.Deploy.latency_p99_ns );
-      ( "shard_latency",
-        Obs.Json.List
-          (Array.to_list
-             (Array.mapi
-                (fun i (p50, p99) ->
-                  Obs.Json.Obj
-                    [
-                      ("shard", Obs.Json.Int i);
-                      ("queue_wait_p50_ns", Obs.Json.Float p50);
-                      ("queue_wait_p99_ns", Obs.Json.Float p99);
-                    ])
-                s.Stream.Deploy.shard_latency)) );
-      ("incremental_agrees_batch", Obs.Json.Bool s.Stream.Deploy.agree);
-      ("accounted", Obs.Json.Bool s.Stream.Deploy.accounted);
-      ("stream_ns", Obs.Json.Float s.Stream.Deploy.stream_ns);
-      ("total_ns", Obs.Json.Float s.Stream.Deploy.total_ns);
-    ]
-
 let stream_run n_endpoints ticks n_shards shard_domains churn fault_name
     shed_str watch bug_id all seed out decode_jobs decode_cache obs =
   apply_decode_opts decode_jobs decode_cache;
@@ -539,7 +479,7 @@ let stream_run n_endpoints ticks n_shards shard_domains churn fault_name
         s.Stream.Deploy.reports_per_sec
         (s.Stream.Deploy.latency_p50_ns /. 1e6)
         (s.Stream.Deploy.latency_p99_ns /. 1e6);
-      let json_ok = write_json out (stream_json s) in
+      let json_ok = write_json out (Stream.Deploy.to_json s) in
       if json_ok then Printf.printf "Stream bench written to %s\n" out;
       let obs_ok = emit_obs obs in
       (* The gate: incremental == batch on every bucket, backpressure

@@ -1,5 +1,6 @@
 module Core = Snorlax_core
 module Collector = Fleet.Collector
+module Endpoint = Fleet.Endpoint
 module Prng = Snorlax_util.Prng
 
 type trial = {
@@ -45,12 +46,6 @@ type report = {
   violation_examples : string list;
 }
 
-type baseline = {
-  bug : Corpus.Bug.t;
-  failing : Core.Report.failing_report list;
-  successful : Core.Report.success_report list;
-}
-
 (* One generator per (user seed, class, bug): trials are independent and
    each is reproducible in isolation. *)
 let trial_prng ~seed ~cls ~bug_id =
@@ -68,19 +63,15 @@ let ingest_and_diagnose ~modules ~policy ~cls ~(stream : Inject.stream) =
   let outcomes =
     List.map
       (fun b ->
-        let res = Collector.diagnose collector b in
-        let gt = (Collector.built collector b).Corpus.Bug.ground_truth in
-        match res.Core.Diagnosis.top with
-        | None ->
-          { Invariant.diagnosed = false; rc_match = false; f1 = 0.0 }
-        | Some top ->
-          {
-            Invariant.diagnosed = true;
-            rc_match =
-              Core.Accuracy.root_cause_match
-                ~diagnosed:top.Core.Statistics.pattern ~ground_truth:gt;
-            f1 = top.Core.Statistics.f1;
-          })
+        let v =
+          Collector.verdict collector b
+            (Collector.diagnose collector b).Core.Diagnosis.top
+        in
+        {
+          Invariant.diagnosed = v.Collector.top_pattern <> None;
+          rc_match = v.Collector.root_cause_match;
+          f1 = v.Collector.f1;
+        })
       (Collector.buckets collector)
   in
   let violations =
@@ -90,12 +81,9 @@ let ingest_and_diagnose ~modules ~policy ~cls ~(stream : Inject.stream) =
   (outcomes, violations)
 
 let run_trial ~modules ~policy ~endpoints bl cls seed =
-  let prng = trial_prng ~seed ~cls ~bug_id:bl.bug.Corpus.Bug.id in
-  let stream =
-    Inject.build ~prng ~cls ~bug_id:bl.bug.Corpus.Bug.id
-      ~config:Pt.Config.default ~endpoints ~failing:bl.failing
-      ~successful:bl.successful
-  in
+  let bug_id = bl.Endpoint.bug.Corpus.Bug.id in
+  let prng = trial_prng ~seed ~cls ~bug_id in
+  let stream = Inject.build ~prng ~cls ~endpoints bl in
   Obs.Scope.count "chaos/trials" 1;
   Obs.Scope.count "chaos/faults" stream.Inject.faults;
   (* The trial's black box: collector log events (rejects, new buckets,
@@ -123,7 +111,7 @@ let run_trial ~modules ~policy ~endpoints bl cls seed =
   {
     cls;
     seed;
-    bug_id = bl.bug.Corpus.Bug.id;
+    bug_id;
     faults = stream.Inject.faults;
     packets_sent = stream.Inject.packets_sent;
     failing_sent = stream.Inject.failing_sent;
@@ -194,23 +182,10 @@ let trials_for_bug ~policy ~endpoints ~classes ~seeds bl =
     classes
 
 let progress_line bl ~classes ~seeds =
-  Printf.sprintf "%s: %d trials across %d fault classes" bl.bug.Corpus.Bug.id
+  Printf.sprintf "%s: %d trials across %d fault classes"
+    bl.Endpoint.bug.Corpus.Bug.id
     (seeds * List.length classes)
     (List.length classes)
-
-let collect_baseline bug =
-  match Corpus.Runner.collect bug () with
-  | Error msg ->
-    Error
-      (Printf.sprintf "chaos: baseline for %s failed: %s" bug.Corpus.Bug.id
-         msg)
-  | Ok c ->
-    Ok
-      {
-        bug;
-        failing = c.Corpus.Runner.failing;
-        successful = c.Corpus.Runner.successful;
-      }
 
 (* One {!Obs.Scope.sweep} lane per bug: baseline collect, then that
    bug's whole trial matrix.  The first baseline error in input order
@@ -219,9 +194,12 @@ let sweep_lanes ~jobs ~policy ~endpoints ~classes ~seeds ~progress bugs =
   let lanes =
     Obs.Scope.sweep ~jobs
       (fun bug ->
-        Result.map
-          (fun bl -> (bl, trials_for_bug ~policy ~endpoints ~classes ~seeds bl))
-          (collect_baseline bug))
+        match Endpoint.reproduce ~config:Pt.Config.default ~endpoint:0 bug with
+        | Ok bl -> Ok (bl, trials_for_bug ~policy ~endpoints ~classes ~seeds bl)
+        | Error msg ->
+          Error
+            (Printf.sprintf "chaos: baseline for %s failed: %s"
+               bug.Corpus.Bug.id msg))
       bugs
   in
   match List.find_map (function Error e -> Some e | Ok _ -> None) lanes with
@@ -297,7 +275,8 @@ let run ?(policy = Collector.default_policy) ?(endpoints = 3)
         {
           seeds;
           endpoints;
-          bug_ids = List.map (fun bl -> bl.bug.Corpus.Bug.id) baselines;
+          bug_ids =
+            List.map (fun bl -> bl.Endpoint.bug.Corpus.Bug.id) baselines;
           classes = summaries;
           total_faults =
             List.fold_left (fun a s -> a + s.faults_injected) 0 summaries;

@@ -1,6 +1,6 @@
 module Report = Snorlax_core.Report
 module Prng = Snorlax_util.Prng
-module Wire = Fleet.Wire
+module Endpoint = Fleet.Endpoint
 
 type stream = {
   packets : bytes list;
@@ -8,8 +8,6 @@ type stream = {
   packets_sent : int;
   failing_sent : int;
 }
-
-type kind = F | S
 
 (* --- report-content mutations -------------------------------------- *)
 
@@ -61,17 +59,26 @@ let skew_offset prng ~faults (cls : Fault.cls) =
     off
   | _ -> 0
 
-let damage_failing cls prng ~faults ~skew (r : Report.failing_report) =
-  let r = { r with Report.traces = mutate_rings cls prng faults r.traces } in
-  if skew = 0 then r
-  else { r with Report.failure_time_ns = skew_time skew r.Report.failure_time_ns }
-
-let damage_success cls prng ~faults ~skew (r : Report.success_report) =
-  let r =
-    { r with Report.s_traces = mutate_rings cls prng faults r.s_traces }
-  in
-  if skew = 0 then r
-  else { r with Report.trigger_time_ns = skew_time skew r.Report.trigger_time_ns }
+let damage cls prng ~faults ~skew =
+  let skewed t = if skew = 0 then t else skew_time skew t in
+  {
+    Endpoint.on_failing =
+      (fun (r : Report.failing_report) ->
+        let traces = mutate_rings cls prng faults r.Report.traces in
+        {
+          r with
+          Report.traces;
+          failure_time_ns = skewed r.Report.failure_time_ns;
+        });
+    on_success =
+      (fun (r : Report.success_report) ->
+        let s_traces = mutate_rings cls prng faults r.Report.s_traces in
+        {
+          r with
+          Report.s_traces;
+          trigger_time_ns = skewed r.Report.trigger_time_ns;
+        });
+  }
 
 (* Wire-level faults act on an (already interleaved) arrival stream. *)
 let wire_faults cls prng ~faults arrival =
@@ -115,7 +122,7 @@ let wire_faults cls prng ~faults arrival =
         else p)
       arrival
   | Fault.Success_first ->
-    let succ, fail = List.partition (fun (k, _) -> k = S) arrival in
+    let succ, fail = List.partition (fun (k, _) -> k = Endpoint.S) arrival in
     faults := !faults + List.length succ;
     succ @ fail
   | Fault.Ring_truncate | Fault.Ring_overwrite | Fault.Endpoint_death
@@ -124,79 +131,35 @@ let wire_faults cls prng ~faults arrival =
 
 (* --- stream assembly ------------------------------------------------ *)
 
-let build ~prng ~cls ~bug_id ~config ~endpoints ~failing ~successful =
+let build ~prng ~cls ~endpoints baseline =
   if endpoints < 1 then invalid_arg "Inject.build: endpoints < 1";
   let faults = ref 0 in
-  let streams =
-    Array.init endpoints (fun e ->
+  let shipments =
+    List.init endpoints (fun endpoint ->
         let skew = skew_offset prng ~faults cls in
-        (* Deterministic per-endpoint provenance, so the chaos stream
-           also exercises the v2 prov block through every fault class. *)
-        let prov =
-          Some
-            {
-              Wire.runs = e + 1;
-              sync_ops = 64 + (e * 7);
-              sync_digest = e * 0x9e3779b9 land max_int;
-            }
-        in
-        let envelope payload =
-          { Wire.endpoint = e; seed = e + 1; bug_id; config; prov; payload }
-        in
-        let failing_pkts =
-          List.map
-            (fun (r : Report.failing_report) ->
-              let r = damage_failing cls prng ~faults ~skew r in
-              (F, Wire.encode (envelope (Wire.Failing r))))
-            failing
-        in
-        let success_pkts =
-          List.map
-            (fun (r : Report.success_report) ->
-              let r = damage_success cls prng ~faults ~skew r in
-              (S, Wire.encode (envelope (Wire.Success r))))
-            successful
-        in
-        failing_pkts @ success_pkts)
+        Endpoint.ship ~endpoint ~incident:0
+          ~damage:(damage cls prng ~faults ~skew)
+          baseline)
   in
-  (* Endpoint death: a suffix of one endpoint's stream never leaves the
-     machine (the prefix length is uniform in [0, n-1], so at least one
-     packet is always lost). *)
-  (match cls with
-  | Fault.Endpoint_death ->
-    let e = Prng.int prng ~bound:endpoints in
-    let s = streams.(e) in
-    let n = List.length s in
-    if n > 0 then begin
-      let keep = Prng.int prng ~bound:n in
-      faults := !faults + (n - keep);
-      streams.(e) <- List.filteri (fun i _ -> i < keep) s
-    end
-  | _ -> ());
-  (* Round-robin interleave simulates concurrent endpoint arrival. *)
-  let arrival =
-    let q = Array.map (fun l -> ref l) streams in
-    let out = ref [] in
-    let progressed = ref true in
-    while !progressed do
-      progressed := false;
-      Array.iter
-        (fun r ->
-          match !r with
-          | [] -> ()
-          | p :: rest ->
-            out := p :: !out;
-            r := rest;
-            progressed := true)
-        q
-    done;
-    List.rev !out
+  let shipments =
+    match cls with
+    | Fault.Endpoint_death ->
+      let victim = Prng.int prng ~bound:endpoints in
+      List.mapi
+        (fun e s ->
+          if e <> victim then s
+          else
+            let kept, lost = Endpoint.crash prng s in
+            faults := !faults + lost;
+            kept)
+        shipments
+    | _ -> shipments
   in
-  let arrival = wire_faults cls prng ~faults arrival in
+  let arrival = wire_faults cls prng ~faults (Endpoint.interleave shipments) in
   {
     packets = List.map snd arrival;
     faults = !faults;
     packets_sent = List.length arrival;
     failing_sent =
-      List.length (List.filter (fun (k, _) -> k = F) arrival);
+      List.length (List.filter (fun (k, _) -> k = Endpoint.F) arrival);
   }

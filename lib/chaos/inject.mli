@@ -1,17 +1,15 @@
 (** Turn one reproduced bug into a faulty fleet packet stream.
 
-    The harness reproduces each corpus bug once (in the lab, no faults),
-    then replays the same failing/success reports as if [endpoints]
-    identical machines had hit the bug, injecting exactly one
-    {!Fault.cls} into the replay.  Ring and clock faults mutate report
-    content before encoding; wire faults mutate the encoded packet
-    stream; ordering faults permute arrival.  Everything is a pure
-    function of the given generator, so one seed reproduces one trial. *)
-
-type kind = F | S
-(** What a packet carries — tracked alongside the encoded bytes so
-    ordering faults ([Success_first]) and accounting can tell report
-    kinds apart without re-decoding. *)
+    The harness reproduces each corpus bug once in the lab (endpoint 0's
+    seed range, no faults).  [endpoints] endpoints then each ship that
+    reproduction as their own incident through the one endpoint model,
+    {!Fleet.Endpoint.ship}: their own identity and seed range, the
+    baseline's real provenance, failing reports first.  Exactly one
+    {!Fault.cls} is injected into the replay.  Ring and clock faults
+    mutate report content before encoding; endpoint death cuts one
+    shipment short; wire faults mutate the arrival stream; ordering
+    faults permute it.  Everything is a pure function of the given
+    generator, so one seed reproduces one trial. *)
 
 type stream = {
   packets : bytes list;  (** arrival order at the collector *)
@@ -33,31 +31,22 @@ val skew_offset : Snorlax_util.Prng.t -> faults:int ref -> Fault.cls -> int
 (** A per-endpoint clock offset in ns, nonzero only for [Clock_skew]
     (uniform in ±1ms). *)
 
-val damage_failing :
+val damage :
   Fault.cls ->
   Snorlax_util.Prng.t ->
   faults:int ref ->
   skew:int ->
-  Snorlax_core.Report.failing_report ->
-  Snorlax_core.Report.failing_report
-(** Apply ring faults (truncate/overwrite, each ring hit with p=1/2) and
-    the clock skew to one failing report's content. *)
-
-val damage_success :
-  Fault.cls ->
-  Snorlax_util.Prng.t ->
-  faults:int ref ->
-  skew:int ->
-  Snorlax_core.Report.success_report ->
-  Snorlax_core.Report.success_report
-(** Same for a success report ([s_traces] / [trigger_time_ns]). *)
+  Fleet.Endpoint.damage
+(** Ring faults (truncate/overwrite, each ring hit with p=1/2) and the
+    clock skew, applied to one endpoint's report content.  Skew clamps
+    shifted timestamps at 0 (the wire format carries unsigned times). *)
 
 val wire_faults :
   Fault.cls ->
   Snorlax_util.Prng.t ->
   faults:int ref ->
-  (kind * bytes) list ->
-  (kind * bytes) list
+  (Fleet.Endpoint.kind * bytes) list ->
+  (Fleet.Endpoint.kind * bytes) list
 (** Apply wire-level faults (drop/duplicate/bitflip each packet with
     p=0.3, full-stream reorder, success-before-failure partition) to an
     arrival stream.  Ring, death and skew classes pass through. *)
@@ -65,14 +54,11 @@ val wire_faults :
 val build :
   prng:Snorlax_util.Prng.t ->
   cls:Fault.cls ->
-  bug_id:string ->
-  config:Pt.Config.t ->
   endpoints:int ->
-  failing:Snorlax_core.Report.failing_report list ->
-  successful:Snorlax_core.Report.success_report list ->
+  Fleet.Endpoint.baseline ->
   stream
-(** Requires [endpoints >= 1].  Every endpoint ships the same baseline
-    reports (failing first, like {!Fleet.Endpoint.run}); streams are
+(** Requires [endpoints >= 1].  Endpoint [e] ships the baseline as its
+    incident 0; under [Endpoint_death] one endpoint's shipment is cut
+    to a strict prefix ({!Fleet.Endpoint.crash}); shipments are
     interleaved round-robin to simulate concurrent arrival, then the
-    fault class is applied.  Clock skew clamps shifted timestamps at 0
-    (the wire format carries unsigned times). *)
+    wire faults are applied. *)

@@ -1,4 +1,5 @@
-module Report = Snorlax_core.Report
+module Core = Snorlax_core
+module Report = Core.Report
 
 type policy = { max_failing : int; max_success : int; max_pending : int }
 
@@ -460,6 +461,37 @@ let built t b =
   | Error msg ->
     (* A bucket only exists because [built_for] succeeded for it. *)
     invalid_arg ("Collector.built: " ^ msg)
+
+type verdict = {
+  top_pattern : string option;
+  top_describe : string option;
+  f1 : float;
+  root_cause_match : bool;
+  ordering_accuracy : float;
+}
+
+let verdict t b top =
+  match (top : Core.Statistics.scored option) with
+  | None ->
+    {
+      top_pattern = None;
+      top_describe = None;
+      f1 = 0.0;
+      root_cause_match = false;
+      ordering_accuracy = 0.0;
+    }
+  | Some { Core.Statistics.pattern = p; f1; _ } ->
+    let built = built t b in
+    let ground_truth = built.Corpus.Bug.ground_truth in
+    {
+      top_pattern = Some (Core.Patterns.id p);
+      top_describe = Some (Core.Patterns.describe built.Corpus.Bug.m p);
+      f1;
+      root_cause_match =
+        Core.Accuracy.root_cause_match ~diagnosed:p ~ground_truth;
+      ordering_accuracy =
+        Core.Accuracy.ordering_accuracy ~diagnosed:p ~ground_truth;
+    }
 
 let diagnose t b =
   Obs.Scope.timed "fleet/diagnosis_ns" @@ fun () ->

@@ -138,6 +138,20 @@ val built : t -> bucket -> Corpus.Bug.built
     deterministic construction is what lets iids in endpoint reports
     resolve against it. *)
 
+type verdict = {
+  top_pattern : string option;
+      (** {!Snorlax_core.Patterns.id} of the top scorer *)
+  top_describe : string option;  (** its human description *)
+  f1 : float;  (** 0 when no pattern scored *)
+  root_cause_match : bool;
+  ordering_accuracy : float;  (** A_O; 0 when no pattern scored *)
+}
+
+val verdict : t -> bucket -> Snorlax_core.Statistics.scored option -> verdict
+(** A bucket's top scorer judged against the ground truth of {!built} —
+    the one scoring every fleet path (batch, streaming, chaos) reports
+    per bucket. *)
+
 val diagnose : t -> bucket -> Snorlax_core.Diagnosis.result
 (** Run the full server pipeline over the bucket's kept reports — the
     cross-endpoint statistical diagnosis. *)

@@ -94,19 +94,7 @@ let diagnose_bucket collector latency_hist (b : Collector.bucket) =
       Obs.Metrics.observe latency_hist l;
       Obs.Scope.observe "fleet/report_to_diagnosis_ns" l)
     (Collector.arrivals b);
-  let built = Collector.built collector b in
-  let gt = built.Corpus.Bug.ground_truth in
-  let top_pattern, top_describe, f1, rc_match, a_o =
-    match res.Core.Diagnosis.top with
-    | None -> (None, None, 0.0, false, 0.0)
-    | Some top ->
-      let p = top.Core.Statistics.pattern in
-      ( Some (Core.Patterns.id p),
-        Some (Core.Patterns.describe built.Corpus.Bug.m p),
-        top.Core.Statistics.f1,
-        Core.Accuracy.root_cause_match ~diagnosed:p ~ground_truth:gt,
-        Core.Accuracy.ordering_accuracy ~diagnosed:p ~ground_truth:gt )
-  in
+  let v = Collector.verdict collector b res.Core.Diagnosis.top in
   {
     bug_id = b.Collector.signature.Signature.bug_id;
     signature = Signature.to_string b.Collector.signature;
@@ -118,11 +106,11 @@ let diagnose_bucket collector latency_hist (b : Collector.bucket) =
     wire_bytes = b.Collector.wire_bytes;
     qualifiers =
       List.map Collector.qualifier_to_string (Collector.qualifiers b);
-    top_pattern;
-    top_describe;
-    f1;
-    root_cause_match = rc_match;
-    ordering_accuracy = a_o;
+    top_pattern = v.Collector.top_pattern;
+    top_describe = v.Collector.top_describe;
+    f1 = v.Collector.f1;
+    root_cause_match = v.Collector.root_cause_match;
+    ordering_accuracy = v.Collector.ordering_accuracy;
     diagnosis_ns = dt;
   }
 

@@ -95,7 +95,9 @@ type summary = {
   shed_ratio : float;  (** shed / shard-offered *)
   latency_p50_ns : float;
   latency_p99_ns : float;
-  shard_latency : (float * float) array;  (** per-shard (p50, p99) queue-wait *)
+  shard_latency : (float * float) array;
+      (** per-shard (p50, p99) report->diagnosis latency, queue wait
+          included *)
   domains_used : int;  (** worker domains actually spawned; 0 = inline *)
   agree : bool;  (** every bucket's [batch_agrees] *)
   accounted : bool;  (** offered = shed + drained + leftover, per shard *)
@@ -107,38 +109,25 @@ let now = Obs.Span.wall_clock_ns
 
 let diagnose_bucket shards shard_idx shard (b : Collector.bucket) =
   let collector = Shard.collector shard in
-  let built = Collector.built collector b in
-  let gt = built.Corpus.Bug.ground_truth in
   let snap =
     match Shard.engine shard b with
     | Some eng -> Incremental.results eng
     | None -> None
   in
-  let top_pattern, top_describe, f1, rc_match =
-    match snap with
-    | Some { Incremental.top = Some top; _ } ->
-      let p = top.Core.Statistics.pattern in
-      ( Some (Core.Patterns.id p),
-        Some (Core.Patterns.describe built.Corpus.Bug.m p),
-        top.Core.Statistics.f1,
-        Core.Accuracy.root_cause_match ~diagnosed:p ~ground_truth:gt )
-    | _ -> (None, None, 0.0, false)
+  let v =
+    Collector.verdict collector b
+      (Option.bind snap (fun s -> s.Incremental.top))
   in
   (* The lazy cross-check: a from-scratch batch diagnosis over the same
      kept reports must land on the same top pattern.  Cheap here — the
      traces are warm in the shared decode cache. *)
   let batch = Collector.diagnose collector b in
+  let top_pattern = v.Collector.top_pattern in
   let batch_top =
-    Option.map
-      (fun (s : Core.Statistics.scored) -> Core.Patterns.id s.Core.Statistics.pattern)
-      batch.Core.Diagnosis.top
+    (Collector.verdict collector b batch.Core.Diagnosis.top)
+      .Collector.top_pattern
   in
-  let batch_agrees =
-    match (top_pattern, batch_top) with
-    | None, None -> true
-    | Some a, Some b -> String.equal a b
-    | _ -> false
-  in
+  let batch_agrees = Option.equal String.equal top_pattern batch_top in
   if not batch_agrees then
     Obs.Log.error "stream/incremental_diverged"
       ~fields:
@@ -158,9 +147,9 @@ let diagnose_bucket shards shard_idx shard (b : Collector.bucket) =
     failing_kept = Collector.failing_kept b;
     success_kept = Collector.success_kept b;
     top_pattern;
-    top_describe;
-    f1;
-    root_cause_match = rc_match;
+    top_describe = v.Collector.top_describe;
+    f1 = v.Collector.f1;
+    root_cause_match = v.Collector.root_cause_match;
     batch_agrees;
     rederives = (match snap with Some s -> s.Incremental.rederives | None -> 0);
     fast_updates =
@@ -337,3 +326,60 @@ let run ?tick ?baselines cfg bugs =
     stream_ns;
     total_ns = t_done -. t0;
   }
+
+let to_json s =
+  let open Obs.Json in
+  Obj
+    [
+      ("endpoints", Int s.cfg.endpoints);
+      ("duration_ticks", Int s.ticks);
+      ("shards", Int s.cfg.shards);
+      ("shard_domains", Int s.cfg.shard_domains);
+      ("domains_used", Int s.domains_used);
+      ("churn", Bool s.cfg.churn);
+      ( "fault",
+        String
+          (match s.cfg.fault with
+          | Some c -> Chaos.Fault.name c
+          | None -> "none") );
+      ("shed_policy", String (Shard.shed_name s.cfg.shed));
+      ("offered", Int s.offered);
+      ("shed", Int s.shed);
+      ("drained", Int s.drained);
+      ("ingested_ok", Int s.ingested_ok);
+      ("ingest_errors", Int s.ingest_errors);
+      ("tracker_malformed", Int s.tracker_malformed);
+      ("tracker_held", Int s.tracker_held);
+      ("tracker_dropped", Int s.tracker_dropped);
+      ("buckets", Int s.bucket_count);
+      ("incidents", Int s.incidents);
+      ("joins", Int s.joins);
+      ("leaves", Int s.leaves);
+      ("crashes", Int s.crashes);
+      ("final_endpoints", Int s.final_endpoints);
+      ("inject_faults", Int s.inject_faults);
+      ("peak_queue_depth", Int s.peak_queue_depth);
+      ("watermark_highs", Int s.watermark_highs);
+      ("rederives", Int s.rederives);
+      ("fast_updates", Int s.fast_updates);
+      ("reports_per_sec", Float s.reports_per_sec);
+      ("shed_ratio", Float s.shed_ratio);
+      ("report_to_diagnosis_p50_ns", Float s.latency_p50_ns);
+      ("report_to_diagnosis_p99_ns", Float s.latency_p99_ns);
+      ( "shard_latency",
+        List
+          (Array.to_list
+             (Array.mapi
+                (fun i (p50, p99) ->
+                  Obj
+                    [
+                      ("shard", Int i);
+                      ("report_to_diagnosis_p50_ns", Float p50);
+                      ("report_to_diagnosis_p99_ns", Float p99);
+                    ])
+                s.shard_latency)) );
+      ("incremental_agrees_batch", Bool s.agree);
+      ("accounted", Bool s.accounted);
+      ("stream_ns", Float s.stream_ns);
+      ("total_ns", Float s.total_ns);
+    ]

@@ -118,3 +118,9 @@ val run :
     [baselines] (from {!Traffic.prepare}) skips the per-bug reproduction
     step — share one reproduction across runs when benchmarking the same
     scenario at several domain counts. *)
+
+val to_json : summary -> Obs.Json.t
+(** The stream summary document ([snorlax stream --out], and the body of
+    BENCH_stream.json): run parameters, traffic and churn counts,
+    backpressure, incremental-engine counters, report→diagnosis latency
+    fleet-wide and per shard, and the agreement and accounting gates. *)

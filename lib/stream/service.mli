@@ -33,7 +33,7 @@ val create :
     spawned and every call runs on the caller.  Otherwise
     [min domains (Array.length shards)] workers are spawned and shards
     are assigned round-robin.  [latency.(i)] receives shard [i]'s
-    queue-wait latency observations; with workers, each histogram is
+    report→diagnosis latency observations (queue wait included); with workers, each histogram is
     written only by the worker owning shard [i] — give every shard its
     own histogram.  Raises [Invalid_argument] on a length mismatch. *)
 

@@ -1,20 +1,14 @@
-module Report = Snorlax_core.Report
 module Prng = Snorlax_util.Prng
 module Pool = Snorlax_util.Pool
-module Wire = Fleet.Wire
+module Endpoint = Fleet.Endpoint
 module Inject = Chaos.Inject
 module Fault = Chaos.Fault
 
 (* One reproduction of a bug, made once at stream start; endpoints
-   re-envelope these reports per incident (the chaos-harness trick), so
-   a fleet of hundreds costs one simulator run per scenario, not one per
-   endpoint per tick. *)
-type baseline = {
-  bug : Corpus.Bug.t;
-  b_failing : (Report.failing_report * int * Corpus.Runner.sync_profile) list;
-  b_success : (Report.success_report * int * Corpus.Runner.sync_profile) list;
-  runs_needed : int;
-}
+   replay it per incident through {!Endpoint.ship}, so a fleet of
+   hundreds costs one simulator run per scenario, not one per endpoint
+   per tick. *)
+type baseline = Endpoint.baseline
 
 type endpoint = {
   ep_id : int;
@@ -25,7 +19,6 @@ type endpoint = {
 
 type t = {
   prng : Prng.t;
-  config : Pt.Config.t;
   fault : Fault.cls option;
   churn : bool;
   baselines : baseline array;
@@ -89,34 +82,17 @@ let add_endpoint t =
   t.eps <- t.eps @ [ ep ];
   ep
 
-let baseline_of bug (c : Corpus.Runner.collected) =
-  {
-    bug;
-    b_failing =
-      List.map2
-        (fun r (seed, sync) -> (r, seed, sync))
-        c.Corpus.Runner.failing
-        (List.combine c.Corpus.Runner.failing_seeds c.Corpus.Runner.failing_sync);
-    b_success =
-      List.map2
-        (fun r (seed, sync) -> (r, seed, sync))
-        c.Corpus.Runner.successful
-        (List.combine c.Corpus.Runner.success_seeds c.Corpus.Runner.success_sync);
-    runs_needed = c.Corpus.Runner.runs_needed;
-  }
-
 (* The baseline corpus sweep: one simulator reproduction per bug, one
    bug per {!Obs.Scope.sweep} lane.  Failure warnings are emitted on the
    calling domain once every lane is back, in input order. *)
 let prepare ?(config = Pt.Config.default) ?jobs bugs =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   Obs.Scope.sweep ~jobs
-    (fun bug ->
-      (bug, Corpus.Runner.collect bug ~pt_config:config ~seed_base:1 ()))
+    (fun bug -> (bug, Endpoint.reproduce ~config ~endpoint:0 bug))
     bugs
-  |> List.filter_map (fun ((bug : Corpus.Bug.t), collected) ->
-         match collected with
-         | Ok c -> Some (baseline_of bug c)
+  |> List.filter_map (fun ((bug : Corpus.Bug.t), reproduced) ->
+         match reproduced with
+         | Ok b -> Some b
          | Error msg ->
            Obs.Log.warn "stream/baseline_failed"
              ~fields:
@@ -136,7 +112,6 @@ let create ~seed ~endpoints ?(churn = false) ?fault
   let t =
     {
       prng = Prng.create ~seed;
-      config;
       fault;
       churn;
       baselines = Array.of_list baselines;
@@ -151,79 +126,27 @@ let create ~seed ~endpoints ?(churn = false) ?fault
   done;
   t
 
-(* One incident: the endpoint's baseline reports re-enveloped with its
-   identity and fresh provenance, content faults applied per report.  A
+(* One incident: the endpoint replays its scenario's baseline with its
+   own identity and seed range, content faults applied per report.  A
    crashing endpoint ships only a prefix (Endpoint_death semantics). *)
 let incident t ep ~truncate =
   ep.ep_incidents <- ep.ep_incidents + 1;
-  let b = t.baselines.(ep.ep_bug) in
-  let seed_off = (ep.ep_id * Fleet.Endpoint.seed_stride) + ep.ep_incidents in
-  let envelope seed (sync : Corpus.Runner.sync_profile) payload =
-    {
-      Wire.endpoint = ep.ep_id;
-      seed = seed + seed_off;
-      bug_id = b.bug.Corpus.Bug.id;
-      config = t.config;
-      prov =
-        Some
-          {
-            Wire.runs = b.runs_needed;
-            sync_ops = sync.Corpus.Runner.sync_ops;
-            sync_digest = sync.Corpus.Runner.sync_digest;
-          };
-      payload;
-    }
-  in
-  let damage_f r =
+  let damage =
     match t.fault with
-    | None -> r
-    | Some cls ->
-      Inject.damage_failing cls t.prng ~faults:t.faults ~skew:ep.ep_skew r
-  in
-  let damage_s s =
-    match t.fault with
-    | None -> s
-    | Some cls ->
-      Inject.damage_success cls t.prng ~faults:t.faults ~skew:ep.ep_skew s
+    | None -> Endpoint.no_damage
+    | Some cls -> Inject.damage cls t.prng ~faults:t.faults ~skew:ep.ep_skew
   in
   let pkts =
-    List.map
-      (fun (r, seed, sync) ->
-        (Inject.F, Wire.encode (envelope seed sync (Wire.Failing (damage_f r)))))
-      b.b_failing
-    @ List.map
-        (fun (s, seed, sync) ->
-          (Inject.S, Wire.encode (envelope seed sync (Wire.Success (damage_s s)))))
-        b.b_success
+    Endpoint.ship ~endpoint:ep.ep_id ~incident:ep.ep_incidents ~damage
+      t.baselines.(ep.ep_bug)
   in
   if not truncate then pkts
   else begin
-    let n = List.length pkts in
-    let keep = if n = 0 then 0 else Prng.int t.prng ~bound:n in
+    let kept, lost = Endpoint.crash t.prng pkts in
     if t.fault = Some Fault.Endpoint_death then
-      t.faults := !(t.faults) + (n - keep);
-    List.filteri (fun i _ -> i < keep) pkts
+      t.faults := !(t.faults) + lost;
+    kept
   end
-
-(* Round-robin interleave across this tick's shipments — concurrent
-   endpoints do not arrive one after another. *)
-let interleave shipments =
-  let q = List.map ref shipments in
-  let out = ref [] in
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    List.iter
-      (fun r ->
-        match !r with
-        | [] -> ()
-        | p :: rest ->
-          out := p :: !out;
-          r := rest;
-          progressed := true)
-      q
-  done;
-  List.rev !out
 
 let load_of t tick =
   let phase =
@@ -284,7 +207,7 @@ let tick t =
        crashes shrink the fleet until a join refills it. *)
     if t.fault = Some Fault.Endpoint_death then ignore (add_endpoint t)
   | None -> ());
-  let arrival = interleave shipments in
+  let arrival = Endpoint.interleave shipments in
   let arrival =
     match t.fault with
     | None -> arrival

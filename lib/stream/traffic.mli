@@ -4,11 +4,12 @@
     {!Chaos.Fault} class injected into every shipment.
 
     Each scenario is reproduced {e once} at stream start (the expensive
-    simulator runs); endpoints then re-envelope the baseline reports per
-    incident with their own identity, seeds and provenance — the same
-    replay trick the chaos harness uses, which is what makes hundreds of
-    endpoints over thousands of ticks affordable.  Everything is a pure
-    function of [seed]. *)
+    simulator runs, in endpoint 0's seed range); every incident then
+    replays that baseline through the one endpoint model,
+    {!Fleet.Endpoint.ship}, with the shipping endpoint's identity and
+    seed range — the same replay the chaos harness uses, which is what
+    makes hundreds of endpoints over thousands of ticks affordable.
+    Everything is a pure function of [seed]. *)
 
 type t
 
@@ -27,12 +28,13 @@ type batch = {
 val diurnal_period : int
 (** Ticks per simulated "day" (24). *)
 
-type baseline
-(** One bug's reproduced reports, ready to re-envelope per incident. *)
+type baseline = Fleet.Endpoint.baseline
+(** One bug's reproduction, replayed by every incident of its scenario. *)
 
 val prepare :
   ?config:Pt.Config.t -> ?jobs:int -> Corpus.Bug.t list -> baseline list
-(** Reproduce each bug once (the expensive simulator runs), one bug per
+(** Reproduce each bug once with {!Fleet.Endpoint.reproduce} as
+    endpoint 0 (the expensive simulator runs), one bug per
     {!Obs.Scope.sweep} lane of width [jobs] (default
     {!Snorlax_util.Pool.default_jobs}).  Results keep input order and
     bugs that fail to reproduce are dropped with a
@@ -57,14 +59,14 @@ val create :
     report (content faults) and every tick's arrival stream (wire
     faults).  A crashing endpoint ships a truncated prefix of its
     incident — the [Endpoint_death] semantics — whether the crash came
-    from churn or from the fault class.  [baselines] (from {!prepare},
-    with the same [config]) skips the reproduction step; [bugs] is then
-    ignored. *)
+    from churn or from the fault class.  [baselines] (from {!prepare})
+    skips the reproduction step; [bugs] and [config] are then ignored —
+    each baseline carries the tracer config it was reproduced under. *)
 
 val tick : t -> batch
 (** Advance one tick: decide churn, let each alive endpoint ship an
     incident with the current load probability, interleave shipments
-    round-robin, apply wire faults. *)
+    round-robin ({!Fleet.Endpoint.interleave}), apply wire faults. *)
 
 val alive : t -> int
 (** Currently alive endpoints. *)

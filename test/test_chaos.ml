@@ -91,15 +91,14 @@ let prop_inject_deterministic =
     (fun (seed, cls_idx) ->
       let cls = List.nth Chaos.Fault.all cls_idx in
       let b = bug () in
-      match Corpus.Runner.collect b () with
+      match
+        Fleet.Endpoint.reproduce ~config:Pt.Config.default ~endpoint:0 b
+      with
       | Error _ -> QCheck.assume_fail ()
-      | Ok c ->
+      | Ok baseline ->
         let build () =
           let prng = Snorlax_util.Prng.create ~seed in
-          Chaos.Inject.build ~prng ~cls ~bug_id:b.Corpus.Bug.id
-            ~config:Pt.Config.default ~endpoints:2
-            ~failing:c.Corpus.Runner.failing
-            ~successful:c.Corpus.Runner.successful
+          Chaos.Inject.build ~prng ~cls ~endpoints:2 baseline
         in
         let a = build () and b' = build () in
         a.Chaos.Inject.packets = b'.Chaos.Inject.packets
