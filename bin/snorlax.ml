@@ -969,7 +969,8 @@ let decode_cache_arg =
     & info [ "decode-cache" ] ~docv:"N"
         ~doc:
           "Capacity of the decode memo cache shared by all diagnoses \
-           (default 256 entries). 0 disables caching.")
+           (default 1024 entries, segmented LRU: decodes hit again are \
+           protected from one-shot ones). 0 disables caching.")
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the 54-bug corpus")

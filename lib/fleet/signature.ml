@@ -9,29 +9,25 @@ type t = {
 
 let stack_depth = 8
 
-(* The last [stack_depth] block entries of one thread's decoded steps.
-   A step enters a block when its pc is its block's start pc. *)
-let block_stack_of_steps m steps =
-  let entries =
-    List.filter_map
-      (fun (s : Pt.Decoder.step) ->
-        match Lir.Irmod.block_at_pc m s.Pt.Decoder.pc with
-        | f, b ->
-          let start =
-            Lir.Irmod.block_start_pc m ~fname:f.Lir.Func.fname
-              ~label:b.Lir.Block.label
-          in
-          if start = s.Pt.Decoder.pc then Some s.Pt.Decoder.pc else None
-        | exception _ -> None)
-      (Array.to_list steps)
+(* The last [stack_depth] block entries of one thread's decoded steps,
+   oldest first.  A step enters a block when its pc is a block's start
+   pc.  Walks back from the newest step and stops at the depth bound, so
+   the cost follows the stack depth, not the ring's length. *)
+let block_stack_of_steps m (steps : Pt.Decoder.step array) =
+  let rec walk i depth acc =
+    if i < 0 || depth = stack_depth then acc
+    else
+      let pc = steps.(i).Pt.Decoder.pc in
+      if Lir.Irmod.is_block_start m pc then walk (i - 1) (depth + 1) (pc :: acc)
+      else walk (i - 1) depth acc
   in
-  let n = List.length entries in
-  if n <= stack_depth then entries
-  else List.filteri (fun i _ -> i >= n - stack_depth) entries
+  walk (Array.length steps - 1) 0 []
 
 (* Both the stream router (tracker-side sharding) and the shard's own
-   collector compute the signature of the same packet; memoizing the ring
-   decode through the shared cache makes the second computation free. *)
+   collector compute the signature of the same packet.  Memoizing the
+   ring decode through the shared cache turns the second computation into
+   a key digest, a cache hit and the bounded {!block_stack_of_steps}
+   walk. *)
 let decode_memo m ~config ring =
   let cache = Pt.Decode_cache.shared in
   if not (Pt.Decode_cache.enabled cache) then Pt.Decoder.decode m ~config ring

@@ -21,6 +21,11 @@ type t = {
 val stack_depth : int
 (** How many trailing block entries the signature keeps (8). *)
 
+val block_stack_of_steps : Lir.Irmod.t -> Pt.Decoder.step array -> int list
+(** The last {!stack_depth} block-entry pcs among one thread's decoded
+    steps, oldest first.  Walks back from the newest step and stops at
+    the bound, so its cost does not grow with the ring. *)
+
 val of_failing :
   Lir.Irmod.t ->
   config:Pt.Config.t ->

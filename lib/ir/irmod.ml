@@ -7,6 +7,7 @@ type t = {
   mutable next_reg : int;
   mutable laid_out : bool;
   mutable generation : int;  (* bumped by every layout rebuild *)
+  mutable n_instrs : int;  (* instructions counted by the last layout *)
   by_iid : (int, Instr.t) Hashtbl.t;
   by_pc : (int, Instr.t) Hashtbl.t;
   block_pcs : (string * string, int) Hashtbl.t;
@@ -24,6 +25,7 @@ let create mname =
     next_reg = 0;
     laid_out = false;
     generation = 0;
+    n_instrs = 0;
     by_iid = Hashtbl.create 256;
     by_pc = Hashtbl.create 256;
     block_pcs = Hashtbl.create 64;
@@ -81,7 +83,7 @@ let layout t =
     Hashtbl.reset t.block_pcs;
     Hashtbl.reset t.pc_blocks;
     Hashtbl.reset t.iid_locs;
-    let pc = ref 0x1000 in
+    let pc = ref 0x1000 and n = ref 0 in
     let visit_func f =
       pc := (!pc + 0xfff) land lnot 0xfff;
       let visit_block b =
@@ -93,6 +95,7 @@ let layout t =
           Hashtbl.replace t.by_iid i.Instr.iid i;
           Hashtbl.replace t.by_pc !pc i;
           Hashtbl.replace t.iid_locs i.Instr.iid (f, b);
+          incr n;
           pc := !pc + 4
         in
         List.iter visit_instr b.Block.instrs
@@ -100,6 +103,7 @@ let layout t =
       List.iter visit_block f.Func.blocks
     in
     List.iter visit_func (funcs t);
+    t.n_instrs <- !n;
     t.generation <- t.generation + 1;
     t.laid_out <- true
   end
@@ -126,6 +130,10 @@ let block_at_pc t pc =
   ensure_layout t;
   Hashtbl.find t.pc_blocks pc
 
+let is_block_start t pc =
+  ensure_layout t;
+  Hashtbl.mem t.pc_blocks pc
+
 let location_of_iid t iid =
   ensure_layout t;
   Hashtbl.find t.iid_locs iid
@@ -134,7 +142,10 @@ let iter_instrs t f =
   let visit fn = Func.iter_instrs fn (fun b i -> f fn b i) in
   List.iter visit (funcs t)
 
+(* Every edit that can change the count ([add_func], {!Rewrite}) clears
+   [laid_out], so the memo is only trusted while the layout is current. *)
 let instr_count t =
-  List.fold_left (fun acc f -> acc + Func.instr_count f) 0 t.funcs_rev
+  if t.laid_out then t.n_instrs
+  else List.fold_left (fun acc f -> acc + Func.instr_count f) 0 t.funcs_rev
 
 let size_of t ty = Ty.size_in_bytes ~struct_fields:(struct_fields t) ty

@@ -66,11 +66,17 @@ val block_start_pc : t -> fname:string -> label:string -> int
 val block_at_pc : t -> int -> Func.t * Block.t
 (** Resolve a block-entry pc (as carried by TIP packets). *)
 
+val is_block_start : t -> int -> bool
+(** [true] iff [pc] is the first pc of some block — {!block_at_pc}
+    without the exception. *)
+
 val location_of_iid : t -> int -> Func.t * Block.t
 (** Enclosing function and block of an instruction. *)
 
 val iter_instrs : t -> (Func.t -> Block.t -> Instr.t -> unit) -> unit
 val instr_count : t -> int
+(** Constant-time on a laid-out module ({!layout} counts once); folds
+    over every function while the layout is stale. *)
 
 val size_of : t -> Ty.t -> int
 (** Byte size of a type under this module's struct table. *)

@@ -158,12 +158,81 @@ let test_summarize_wall_clock () =
     par.Fix.Validate.lane_seeds_per_sec;
   Alcotest.(check (float 1e-9)) "summed lane time" 2. par.Fix.Validate.total_secs
 
+(* The decode cache keys a module by name and instruction count, and the
+   count is memoized by layout.  Patching a fresh build must move both
+   the count and every key of the bug's rings: a stale memo would let a
+   patched module hit the pristine module's decodes.  Between an edit and
+   the next layout the count folds, so it is never stale either. *)
+let test_patch_invalidates_key () =
+  let bug = Corpus.Registry.find_exn "mysql-7" in
+  let entry =
+    match Experiments.Eval_runs.get_result bug with
+    | Ok e -> e
+    | Error msg -> Alcotest.failf "mysql-7 did not reproduce: %s" msg
+  in
+  let pattern =
+    match entry.Experiments.Eval_runs.diagnosis.Core.Diagnosis.top with
+    | Some top -> top.Core.Statistics.pattern
+    | None -> Alcotest.fail "mysql-7 diagnosed no pattern"
+  in
+  let failing =
+    match entry.Experiments.Eval_runs.collected.Corpus.Runner.failing with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "no failing report"
+  in
+  let ring = snd (List.hd failing.Core.Report.traces) in
+  let folded m =
+    let n = ref 0 in
+    Lir.Irmod.iter_instrs m (fun _ _ _ -> incr n);
+    !n
+  in
+  let config = Pt.Config.default in
+  let m = (bug.build ()).Corpus.Bug.m in
+  Lir.Irmod.layout m;
+  let n0 = Lir.Irmod.instr_count m in
+  Alcotest.(check int) "memo equals fold" (folded m) n0;
+  let k0 = Pt.Decode_cache.key m ~config ring in
+  let template =
+    List.find
+      (fun t ->
+        let scratch = (bug.build ()).Corpus.Bug.m in
+        Result.is_ok (Fix.Patch.synthesize ~m:scratch ~pattern t))
+      (Fix.Patch.candidates pattern)
+  in
+  (match Fix.Patch.synthesize ~m ~pattern template with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "synthesis failed: %s" e);
+  Alcotest.(check int) "patched memo equals fold" (folded m)
+    (Lir.Irmod.instr_count m);
+  Alcotest.(check bool) "patch adds instructions" true
+    (Lir.Irmod.instr_count m > n0);
+  Alcotest.(check bool) "patched module's key differs" false
+    (String.equal k0 (Pt.Decode_cache.key m ~config ring));
+  (* A raw edit before the next layout: the count folds, not memo. *)
+  let before = Lir.Irmod.instr_count m in
+  let g = Lir.Rewrite.fresh_global m ~base:"__probe_mutex" Lir.Ty.I64 in
+  ignore
+    (Lir.Rewrite.insert_before m
+       ~iid:(Core.Report.failing_anchor_iid failing)
+       [
+         Lir.Instr.Call
+           {
+             dst = None;
+             callee = Lir.Intrinsics.mutex_lock;
+             args = [ Lir.Value.Global g ];
+           };
+       ]);
+  Alcotest.(check int) "edited, not laid out: count follows the edit"
+    (before + 1) (Lir.Irmod.instr_count m)
+
 let tests =
   [
     ( "fix.synthesis",
       [
         Alcotest.test_case "patches verify and localize" `Slow
           test_patches_verify_and_localize;
+        Alcotest.test_case "patch invalidates the decode key" `Quick
+          test_patch_invalidates_key;
       ] );
     ( "fix.validation",
       [

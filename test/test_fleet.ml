@@ -688,6 +688,120 @@ let prop_wire_stream_preserves_provenance =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* --- signature walk == reference filter ----------------------------------- *)
+
+(* The crash signature's block stack as it was first written: every
+   decoded step resolved through [block_at_pc], kept when it is its
+   block's start pc, and the last [stack_depth] of those kept.  The
+   bounded backward walk must agree with it on every input. *)
+let reference_block_stack m steps =
+  let entries =
+    List.filter_map
+      (fun (s : Pt.Decoder.step) ->
+        match Lir.Irmod.block_at_pc m s.Pt.Decoder.pc with
+        | f, b ->
+          let start =
+            Lir.Irmod.block_start_pc m ~fname:f.Lir.Func.fname
+              ~label:b.Lir.Block.label
+          in
+          if start = s.Pt.Decoder.pc then Some s.Pt.Decoder.pc else None
+        | exception _ -> None)
+      (Array.to_list steps)
+  in
+  let n = List.length entries in
+  List.filteri (fun i _ -> i >= n - Fleet.Signature.stack_depth) entries
+
+let reference_signature m ~config ~bug_id (r : Report.failing_report) =
+  let i = Lir.Irmod.instr_by_iid m (Report.failing_anchor_iid r) in
+  let block_stack =
+    match List.assoc_opt r.Report.failing_tid r.Report.traces with
+    | None -> []
+    | Some ring -> (
+      match Pt.Decoder.decode m ~config ring with
+      | d -> reference_block_stack m d.Pt.Decoder.steps
+      | exception _ -> [])
+  in
+  {
+    Fleet.Signature.bug_id;
+    kind = Report.kind_label r;
+    failing_pc = i.Lir.Instr.pc;
+    block_stack;
+  }
+
+(* Returns the signature's key. *)
+let check_signature_matches_reference name m ~config ~bug_id r =
+  match Fleet.Signature.of_failing m ~config ~bug_id r with
+  | Error e -> Alcotest.failf "%s: %s" name e
+  | Ok s ->
+    let expect = reference_signature m ~config ~bug_id r in
+    Alcotest.(check (list int))
+      (name ^ ": block stack") expect.Fleet.Signature.block_stack
+      s.Fleet.Signature.block_stack;
+    Alcotest.(check string)
+      (name ^ ": key") (Fleet.Signature.key expect) (Fleet.Signature.key s);
+    Fleet.Signature.key s
+
+(* Every corpus bug's failing report, intact and as each content-damaging
+   chaos class leaves it, plus the walk alone on every ring decoded up to
+   the failing thread's tail. *)
+let test_signature_walk_matches_reference () =
+  let damaging =
+    List.filter (fun c -> not (Chaos.Fault.payload_preserving c)) Chaos.Fault.all
+  in
+  let moved = ref 0 in
+  List.iter
+    (fun (bug : Corpus.Bug.t) ->
+      match Corpus.Runner.collect bug ~success_per_failing:1 () with
+      | Error e -> Alcotest.failf "%s: %s" bug.Corpus.Bug.id e
+      | Ok c ->
+        let m = c.Corpus.Runner.built.Corpus.Bug.m in
+        let config = Pt.Config.default in
+        let bug_id = bug.Corpus.Bug.id in
+        List.iter
+          (fun (r : Report.failing_report) ->
+            let intact =
+              check_signature_matches_reference bug_id m ~config ~bug_id r
+            in
+            let tail_stop =
+              ( (Lir.Irmod.instr_by_iid m (Report.failing_anchor_iid r))
+                  .Lir.Instr.pc,
+                r.Report.failure_time_ns )
+            in
+            List.iter
+              (fun (tid, ring) ->
+                let steps =
+                  (Pt.Decoder.decode m ~config ~tail_stop ring).Pt.Decoder.steps
+                in
+                Alcotest.(check (list int))
+                  (Printf.sprintf "%s tid %d tailed walk" bug_id tid)
+                  (reference_block_stack m steps)
+                  (Fleet.Signature.block_stack_of_steps m steps))
+              r.Report.traces;
+            List.iter
+              (fun cls ->
+                for seed = 1 to 3 do
+                  let prng = Snorlax_util.Prng.create ~seed in
+                  let faults = ref 0 in
+                  let skew = Chaos.Inject.skew_offset prng ~faults cls in
+                  let damage = Chaos.Inject.damage cls prng ~faults ~skew in
+                  let k =
+                    check_signature_matches_reference
+                      (Printf.sprintf "%s %s seed %d" bug_id
+                         (Chaos.Fault.name cls) seed)
+                      m ~config ~bug_id
+                      (damage.Fleet.Endpoint.on_failing r)
+                  in
+                  if k <> intact then incr moved
+                done)
+              damaging)
+          c.Corpus.Runner.failing)
+    Corpus.Registry.all;
+  (* The damage reaches the signature, so the damaged cases test
+     something the intact ones do not. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "damage moved signatures (%d)" !moved)
+    true (!moved > 0)
+
 let tests =
   [
     ( "fleet.wire",
@@ -752,5 +866,10 @@ let tests =
         Alcotest.test_case "?tick hook: once per endpoint, monotone" `Quick
           test_deploy_tick_hook;
         qtest prop_wire_stream_preserves_provenance;
+      ] );
+    ( "fleet.signature",
+      [
+        Alcotest.test_case "bounded walk equals reference filter" `Quick
+          test_signature_walk_matches_reference;
       ] );
   ]

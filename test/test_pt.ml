@@ -625,6 +625,16 @@ let test_cache_key_sensitivity () =
   Alcotest.(check bool) "snapshot bytes in key" false
     (k = Cache.key m ~config flipped)
 
+(* One decode result shared by every op: the hammer exercises the
+   cache's locking and accounting, not the decoder. *)
+let hammer_fixture =
+  lazy
+    (let m, bytes = cache_fixture () in
+     Pt.Decoder.decode m ~config:Pt.Config.default bytes)
+
+(* A two-entry cache protects nothing, so it is exact LRU: the entry hit
+   before two later inserts is the victim, where a protected queue would
+   have kept it and evicted [2]. *)
 let test_cache_lru_eviction () =
   let m, bytes = cache_fixture () in
   let c = Cache.create ~capacity:2 () in
@@ -640,7 +650,180 @@ let test_cache_lru_eviction () =
   Alcotest.(check bool) "3 present" true (Cache.find c (key_n 3) <> None);
   let s = Cache.stats c in
   Alcotest.(check int) "one eviction" 1 s.Cache.evictions;
-  Alcotest.(check int) "entries at capacity" 2 s.Cache.entries
+  Alcotest.(check int) "entries at capacity" 2 s.Cache.entries;
+  (* 3 was hit last, 1 before it.  A protected queue would keep both;
+     plain LRU lets a fourth key take 1 and a fifth take 3. *)
+  Cache.add c (key_n 4) d;
+  Alcotest.(check bool) "hit-then-idle 1 evicted" true
+    (Cache.find c (key_n 1) = None);
+  Cache.add c (key_n 5) d;
+  Alcotest.(check bool) "3 evicted next" true (Cache.find c (key_n 3) = None);
+  let one = Cache.create ~capacity:1 () in
+  Cache.add one (key_n 1) d;
+  ignore (Cache.find one (key_n 1));
+  Cache.add one (key_n 2) d;
+  Alcotest.(check bool) "1-entry: newest wins" true
+    (Cache.find one (key_n 1) = None && Cache.find one (key_n 2) <> None)
+
+(* Run [f] under a private scope; return its result and the promotions
+   it counted. *)
+let with_promotions f =
+  let ctx = Obs.Scope.make () in
+  let r = Obs.Scope.using ctx f in
+  let n =
+    Option.value ~default:0
+      (Obs.Metrics.find_counter ctx.Obs.Scope.metrics "decode_cache/promotions")
+  in
+  (r, n)
+
+let resident c k = Cache.find c k <> None
+
+let test_cache_promotion () =
+  let d = Lazy.force hammer_fixture in
+  let c = Cache.create ~capacity:4 () in
+  let (), promoted =
+    with_promotions (fun () ->
+        Cache.add c "a" d;
+        Cache.add c "a" d;
+        (* a re-add is not a hit: still on probation *)
+        ignore (Cache.find c "a");
+        ignore (Cache.find c "a"))
+  in
+  Alcotest.(check int) "promoted once, on its first hit" 1 promoted;
+  (* [a] was hit before b, c, d arrived, so plain LRU would evict it for
+     [e]; protected, it outlives the three entries seen only once. *)
+  List.iter (fun k -> Cache.add c k d) [ "b"; "c"; "d"; "e" ];
+  Alcotest.(check bool) "promoted a survives" true (resident c "a");
+  Alcotest.(check bool) "probation LRU b evicted" false (resident c "b")
+
+let test_cache_probation_evicted_first () =
+  let d = Lazy.force hammer_fixture in
+  (* 10 slots: 8 protected.  Promote x and y, fill the rest with
+     once-seen keys, then keep inserting: evictions walk probation in
+     LRU order and never touch the protected pair. *)
+  let c = Cache.create ~capacity:10 () in
+  Cache.add c "x" d;
+  Cache.add c "y" d;
+  ignore (Cache.find c "x");
+  ignore (Cache.find c "y");
+  let once n = Printf.sprintf "once%d" n in
+  for n = 1 to 8 do
+    Cache.add c (once n) d
+  done;
+  Cache.add c (once 9) d;
+  Cache.add c (once 10) d;
+  let s = Cache.stats c in
+  Alcotest.(check int) "two evictions" 2 s.Cache.evictions;
+  Alcotest.(check int) "full" 10 s.Cache.entries;
+  Alcotest.(check bool) "oldest once-seen evicted first" false
+    (resident c (once 1) || resident c (once 2));
+  Alcotest.(check bool) "next once-seen still there" true (resident c (once 3));
+  Alcotest.(check bool) "protected pair kept" true
+    (resident c "x" && resident c "y")
+
+let test_cache_demotion () =
+  let d = Lazy.force hammer_fixture in
+  (* 6 slots: 4 protected.  Promoting a fifth entry demotes the protected
+     LRU [a] to probation; it stays resident (no eviction) but is now what
+     a scan of new keys reaches, while b..e stay protected. *)
+  let c = Cache.create ~capacity:6 () in
+  let keys = [ "a"; "b"; "c"; "d"; "e" ] in
+  List.iter (fun k -> Cache.add c k d) keys;
+  let (), promoted =
+    with_promotions (fun () -> List.iter (fun k -> ignore (Cache.find c k)) keys)
+  in
+  Alcotest.(check int) "five promotions" 5 promoted;
+  let s = Cache.stats c in
+  Alcotest.(check int) "demotion evicts nothing" 0 s.Cache.evictions;
+  Alcotest.(check int) "all five resident" 5 s.Cache.entries;
+  List.iter (fun k -> Cache.add c k d) [ "s1"; "s2"; "s3"; "s4" ];
+  Alcotest.(check bool) "demoted a scanned out" false (resident c "a");
+  Alcotest.(check bool) "protected b..e survive the scan" true
+    (List.for_all (resident c) [ "b"; "c"; "d"; "e" ])
+
+(* The stripe a key lands in, read off a fresh cache with the same
+   stripe count: the only segment holding an entry after one add. *)
+let stripe_of ~capacity k =
+  let probe = Cache.create ~capacity () in
+  Cache.add probe k (Lazy.force hammer_fixture);
+  let segs = Cache.segment_stats probe in
+  let rec find i = if segs.(i).Cache.entries > 0 then i else find (i + 1) in
+  find 0
+
+let keys_by_stripe ~capacity ~per_stripe =
+  let nsegs = Cache.segments (Cache.create ~capacity ()) in
+  let by = Array.make nsegs [] in
+  let n = ref 0 in
+  while Array.exists (fun ks -> List.length ks < per_stripe) by do
+    let k = Printf.sprintf "s%d" !n in
+    incr n;
+    let i = stripe_of ~capacity k in
+    if List.length by.(i) < per_stripe then by.(i) <- by.(i) @ [ k ]
+  done;
+  by
+
+let test_cache_tiny_stripes_stay_lru () =
+  (* [set_capacity] below the stripe count leaves 2-, 1- and 0-slot
+     stripes; each must still behave as LRU (or as disabled). *)
+  let d = Lazy.force hammer_fixture in
+  let by = keys_by_stripe ~capacity:1024 ~per_stripe:3 in
+  let nsegs = Array.length by in
+  List.iter
+    (fun cap ->
+      let c = Cache.create ~capacity:1024 () in
+      Cache.set_capacity c cap;
+      Array.iteri
+        (fun i ks ->
+          match ks with
+          | [ k1; k2; k3 ] ->
+            Cache.add c k1 d;
+            ignore (Cache.find c k1);
+            Cache.add c k2 d;
+            Cache.add c k3 d;
+            let slots = (Cache.segment_stats c).(i).Cache.entries in
+            let expect =
+              match slots with
+              | 0 -> [ false; false; false ]
+              | 1 -> [ false; false; true ]
+              | _ -> [ false; true; true ]
+            in
+            Alcotest.(check (list bool))
+              (Printf.sprintf "cap %d stripe %d (%d slots) is LRU" cap i slots)
+              expect
+              (List.map (resident c) [ k1; k2; k3 ])
+          | _ -> assert false)
+        by;
+      let s = Cache.stats c in
+      Alcotest.(check int)
+        (Printf.sprintf "cap %d: every slot used" cap)
+        cap s.Cache.entries)
+    [ nsegs / 2; nsegs; nsegs + (nsegs / 4) ]
+
+let test_cache_scan_resistance () =
+  (* The fleet's hot decodes are hit again and again; a fix sweep's are
+     probed once.  After 2x capacity one-hit keys, every twice-hit key
+     is still resident — in a single stripe and in the default striped
+     cache. *)
+  let d = Lazy.force hammer_fixture in
+  List.iter
+    (fun (capacity, hot) ->
+      let c = Cache.create ~capacity () in
+      let hot_keys = List.init hot (Printf.sprintf "hot%d") in
+      List.iter
+        (fun k ->
+          Cache.add c k d;
+          ignore (Cache.find c k);
+          ignore (Cache.find c k))
+        hot_keys;
+      for n = 1 to 2 * capacity do
+        let k = Printf.sprintf "scan%d" n in
+        if Cache.find c k = None then Cache.add c k d
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "cap %d: all %d hot keys resident" capacity hot)
+        true
+        (List.for_all (resident c) hot_keys))
+    [ (50, 30); (Cache.capacity Cache.shared, 352) ]
 
 let test_cache_capacity_zero_disabled () =
   let m, bytes = cache_fixture () in
@@ -684,9 +867,9 @@ let test_cache_hit_equals_fresh_decode () =
     cached.Pt.Decoder.desynced
 
 let test_cache_striping () =
-  (* Small caches keep one segment — the exact global LRU the eviction
-     unit tests above rely on; big caches stripe, and capacity spreads
-     across the segments with the summed stats still reconciling. *)
+  (* Small caches keep one segment — the exact eviction order the unit
+     tests above rely on; big caches stripe, and capacity spreads across
+     the segments with the summed stats still reconciling. *)
   let small = Cache.create ~capacity:8 () in
   Alcotest.(check int) "small cache single-segment" 1 (Cache.segments small);
   let big = Cache.create ~capacity:256 () in
@@ -708,12 +891,56 @@ let test_cache_striping () =
   Alcotest.(check int) "per-segment evictions sum" s.Cache.evictions
     (sum (fun x -> x.Cache.evictions))
 
-(* One decode result shared by every op: the hammer exercises the
-   cache's locking and accounting, not the decoder. *)
-let hammer_fixture =
-  lazy
-    (let m, bytes = cache_fixture () in
-     Pt.Decoder.decode m ~config:Pt.Config.default bytes)
+(* Every key the server derives from the corpus's shipped rings, folded
+   into one digest: each ring of every bug's collected failing and success
+   reports, keyed with and without its report's tail stop.  Key strings
+   are what a warm cache matches on, so a change to how the key is built
+   (e.g. where the module's instruction count comes from) must leave
+   every one of them byte-identical. *)
+let golden_key_digest = "4f0a0578234ca7a0abf32e093e638962"
+
+let golden_key_text () =
+  let buf = Buffer.create (1 lsl 16) in
+  let config = Pt.Config.default in
+  let add_ring m ~tail (tid, bytes) =
+    Printf.bprintf buf "%d %s %s\n" tid
+      (Digest.to_hex (Cache.key m ~config bytes))
+      (Digest.to_hex (Cache.key m ~config ~tail_stop:tail bytes))
+  in
+  List.iter
+    (fun (bug : Corpus.Bug.t) ->
+      Printf.bprintf buf "%s\n" bug.Corpus.Bug.id;
+      match Corpus.Runner.collect bug () with
+      | Error e -> Printf.bprintf buf "error %s\n" e
+      | Ok c ->
+        let m = c.Corpus.Runner.built.Corpus.Bug.m in
+        List.iter
+          (fun (f : Snorlax_core.Report.failing_report) ->
+            let pc =
+              (Lir.Irmod.instr_by_iid m
+                 (Snorlax_core.Report.failing_anchor_iid f)).Lir.Instr.pc
+            in
+            let tail = (pc, f.Snorlax_core.Report.failure_time_ns) in
+            List.iter (add_ring m ~tail) f.Snorlax_core.Report.traces)
+          c.Corpus.Runner.failing;
+        List.iter
+          (fun (s : Snorlax_core.Report.success_report) ->
+            let tail =
+              ( s.Snorlax_core.Report.trigger_pc,
+                s.Snorlax_core.Report.trigger_time_ns )
+            in
+            List.iter (add_ring m ~tail) s.Snorlax_core.Report.s_traces)
+          c.Corpus.Runner.successful)
+    Corpus.Registry.all;
+  Buffer.contents buf
+
+let test_cache_golden_keys () =
+  let text = golden_key_text () in
+  let lines = String.split_on_char '\n' text in
+  Alcotest.(check int) "every bug collects" 0
+    (List.length (List.filter (String.starts_with ~prefix:"error") lines));
+  Alcotest.(check string) "corpus key digest" golden_key_digest
+    (Digest.to_hex (Digest.string text))
 
 let prop_cache_multidomain_accounting =
   QCheck.Test.make
@@ -802,5 +1029,14 @@ let tests =
           test_cache_hit_equals_fresh_decode;
         Alcotest.test_case "striping" `Quick test_cache_striping;
         qtest prop_cache_multidomain_accounting;
+        Alcotest.test_case "promotion on a hit" `Quick test_cache_promotion;
+        Alcotest.test_case "probation evicted first" `Quick
+          test_cache_probation_evicted_first;
+        Alcotest.test_case "demotion when protected is full" `Quick
+          test_cache_demotion;
+        Alcotest.test_case "1- and 2-slot stripes stay LRU" `Quick
+          test_cache_tiny_stripes_stay_lru;
+        Alcotest.test_case "scan resistance" `Quick test_cache_scan_resistance;
+        Alcotest.test_case "golden corpus keys" `Slow test_cache_golden_keys;
       ] );
   ]

@@ -522,6 +522,40 @@ let test_prepare_lane_width_invisible () =
   Alcotest.(check int) "drained identical" seq.Deploy.drained
     par.Deploy.drained
 
+(* The streaming fleet's decodes are its working set: run the eval set
+   once, push twice the shared cache's capacity of one-shot decodes
+   through it (a fix sweep's diagnoses between ticks), and the same
+   stream again must decode nothing. *)
+let test_working_set_survives_scan () =
+  let bugs = Corpus.Registry.eval_set in
+  let baselines = Traffic.prepare ~jobs:1 bugs in
+  let cfg = { small_cfg with Deploy.endpoints = 12; duration_ticks = 12 } in
+  let cache = Pt.Decode_cache.shared in
+  let first = Deploy.run ~baselines cfg bugs in
+  check_clean "first run" first;
+  let one_shot =
+    {
+      Pt.Decoder.steps = [||];
+      lost_bytes = 0;
+      desynced = false;
+      thread_ended = false;
+    }
+  in
+  for n = 1 to 2 * Pt.Decode_cache.capacity cache do
+    let k = Digest.string (Printf.sprintf "one-shot decode %d" n) in
+    if Pt.Decode_cache.find cache k = None then
+      Pt.Decode_cache.add cache k one_shot
+  done;
+  let before = Pt.Decode_cache.stats cache in
+  let second = Deploy.run ~baselines cfg bugs in
+  let after = Pt.Decode_cache.stats cache in
+  check_clean "second run" second;
+  Alcotest.(check bool) "same buckets" true (first.Deploy.rows = second.Deploy.rows);
+  Alcotest.(check bool) "the second run probed the cache" true
+    (after.Pt.Decode_cache.hits > before.Pt.Decode_cache.hits);
+  Alcotest.(check int) "no decode misses on the second run" 0
+    (after.Pt.Decode_cache.misses - before.Pt.Decode_cache.misses)
+
 let test_stream_rejects_bad_config () =
   let bug, _ = Lazy.force fixture in
   Alcotest.check_raises "shards < 1"
@@ -588,5 +622,7 @@ let tests =
           `Quick test_stream_fault_classes_parallel_identical;
         Alcotest.test_case "bad config rejected" `Quick
           test_stream_rejects_bad_config;
+        Alcotest.test_case "working set survives a one-shot scan" `Quick
+          test_working_set_survives_scan;
       ] );
   ]
