@@ -1245,8 +1245,9 @@ let oracle_cmd =
          "Differential cross-check: replay each bug's failing interleaving \
           under a vector-clock happens-before oracle and verify every pair \
           the diagnosis pipeline blames (agree / diagnosis-miss / \
-          diagnosis-spurious / oracle-only); exits non-zero on any \
-          divergence")
+          diagnosis-spurious / oracle-only), and check every decoded ring \
+          against the path its replayed thread executed; exits non-zero on \
+          any divergence or decode mismatch")
     Term.(
       const oracle_run $ bug $ all $ out $ decode_jobs_arg $ decode_cache_arg
       $ obs_term)

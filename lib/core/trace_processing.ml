@@ -29,7 +29,7 @@ type t = {
    finished (helping the pool meanwhile), so the caller's input-order
    merge overlaps the in-flight decodes; [finish ()] joins the batch and
    folds worker telemetry back into the ambient scope. *)
-let decode_all m ~config ~tail_for ~engine ~jobs ~cache traces_a =
+let decode_all m ~config ~tail_for ~jobs ~cache traces_a =
   let n = Array.length traces_a in
   let use_cache = Pt.Decode_cache.enabled cache in
   let keys = Array.make n "" in
@@ -60,14 +60,10 @@ let decode_all m ~config ~tail_for ~engine ~jobs ~cache traces_a =
      add scheduler contention, so oversubscribed requests clamp to the
      core count.  [misses] caps further — no point waking idle workers. *)
   let eff_jobs = Pool.lanes ~jobs (Array.length misses) in
-  let decode_fn =
-    match engine with
-    | `Cursor -> Pt.Decoder.decode_raw
-    | `Reference -> Pt.Decoder.decode_reference
-  in
   let decode_one i =
     let tid, snapshot = traces_a.(i) in
-    results.(i) <- Some (decode_fn m ~config ?tail_stop:(tail_for tid) snapshot)
+    results.(i) <-
+      Some (Pt.Decoder.decode_raw m ~config ?tail_stop:(tail_for tid) snapshot)
   in
   let pool_gauge () =
     if telemetry then
@@ -77,11 +73,9 @@ let decode_all m ~config ~tail_for ~engine ~jobs ~cache traces_a =
     (* Chunked batch submission: misses group into at most [jobs * 2]
        chunks, cost-balanced by snapshot size, so one oversized trace
        does not serialize behind a pile of small ones and per-item pool
-       round-trips disappear.  The walk table (or layout) is built here,
-       on the submitting domain, so workers only ever read it. *)
-    (match engine with
-    | `Cursor -> Pt.Decoder.prepare m
-    | `Reference -> Lir.Irmod.layout m);
+       round-trips disappear.  The walk table is built here, on the
+       submitting domain, so workers only ever read it. *)
+    Pt.Decoder.prepare m;
     let weights =
       Array.map (fun k -> Bytes.length (snd traces_a.(k))) misses
     in
@@ -163,8 +157,7 @@ let decode_all m ~config ~tail_for ~engine ~jobs ~cache traces_a =
     (ready, pool_gauge)
   end
 
-let process m ~config ?(fail_tails = []) ?jobs ?cache ?(engine = `Cursor) traces
-    =
+let process m ~config ?(fail_tails = []) ?jobs ?cache traces =
   (* Lay out before any fan-out so worker domains only ever read the
      module's (idempotent) layout tables. *)
   Lir.Irmod.layout m;
@@ -180,7 +173,7 @@ let process m ~config ?(fail_tails = []) ?jobs ?cache ?(engine = `Cursor) traces
   let tail_for tid = Hashtbl.find_opt tails tid in
   let traces_a = Array.of_list traces in
   let ready, finish =
-    decode_all m ~config ~tail_for ~engine ~jobs ~cache traces_a
+    decode_all m ~config ~tail_for ~jobs ~cache traces_a
   in
   (* Merge in input order, overlapping the in-flight decodes: output is
      identical whatever the pool size. *)

@@ -33,7 +33,6 @@ val process :
   ?fail_tails:(int * int * int) list ->
   ?jobs:int ->
   ?cache:Pt.Decode_cache.t ->
-  ?engine:[ `Cursor | `Reference ] ->
   (int * bytes) list ->
   t
 (** [?fail_tails] is a list of [(tid, stop_pc, t_hi)]: each named thread's
@@ -53,12 +52,7 @@ val process :
     memoized through [?cache] (default {!Pt.Decode_cache.shared}; a
     zero-capacity cache disables memoization); cache and telemetry
     writes stay on the submitting domain (workers fill private
-    registries, folded back after the batch).
-
-    [?engine] picks the decoder implementation: [`Cursor] (default) is
-    the production {!Pt.Decoder.decode_raw}; [`Reference] routes every
-    decode through the frozen v1 {!Pt.Decoder.decode_reference} — the
-    benchmark's sequential baseline and the differential-test oracle. *)
+    registries, folded back after the batch). *)
 
 val executes_before : event -> event -> bool
 (** The partial order of §4.1: true when the coarse intervals are disjoint

@@ -9,7 +9,6 @@ type t = {
   mutable generation : int;  (* bumped by every layout rebuild *)
   mutable n_instrs : int;  (* instructions counted by the last layout *)
   by_iid : (int, Instr.t) Hashtbl.t;
-  by_pc : (int, Instr.t) Hashtbl.t;
   block_pcs : (string * string, int) Hashtbl.t;
   pc_blocks : (int, Func.t * Block.t) Hashtbl.t;
   iid_locs : (int, Func.t * Block.t) Hashtbl.t;
@@ -27,7 +26,6 @@ let create mname =
     generation = 0;
     n_instrs = 0;
     by_iid = Hashtbl.create 256;
-    by_pc = Hashtbl.create 256;
     block_pcs = Hashtbl.create 64;
     pc_blocks = Hashtbl.create 64;
     iid_locs = Hashtbl.create 256;
@@ -79,7 +77,6 @@ let fresh_reg t ~name ~ty =
 let layout t =
   if not t.laid_out then begin
     Hashtbl.reset t.by_iid;
-    Hashtbl.reset t.by_pc;
     Hashtbl.reset t.block_pcs;
     Hashtbl.reset t.pc_blocks;
     Hashtbl.reset t.iid_locs;
@@ -93,7 +90,6 @@ let layout t =
         let visit_instr i =
           i.Instr.pc <- !pc;
           Hashtbl.replace t.by_iid i.Instr.iid i;
-          Hashtbl.replace t.by_pc !pc i;
           Hashtbl.replace t.iid_locs i.Instr.iid (f, b);
           incr n;
           pc := !pc + 4
@@ -117,10 +113,6 @@ let ensure_layout t = if not t.laid_out then layout t
 let instr_by_iid t iid =
   ensure_layout t;
   Hashtbl.find t.by_iid iid
-
-let instr_at_pc t pc =
-  ensure_layout t;
-  Hashtbl.find t.by_pc pc
 
 let block_start_pc t ~fname ~label =
   ensure_layout t;

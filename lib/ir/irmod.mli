@@ -61,7 +61,6 @@ val invalidate_layout : t -> unit
     pick up spliced instructions. *)
 
 val instr_by_iid : t -> int -> Instr.t
-val instr_at_pc : t -> int -> Instr.t
 val block_start_pc : t -> fname:string -> label:string -> int
 val block_at_pc : t -> int -> Func.t * Block.t
 (** Resolve a block-entry pc (as carried by TIP packets). *)

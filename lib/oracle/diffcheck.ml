@@ -29,10 +29,13 @@ type bug_result = {
   missed : Hb.race list;
   extra_races : int;
   decoder_mismatches : int;
+  wrapped_rings : int;
   notes : string list;
 }
 
 let diverged r =
+  r.decoder_mismatches > 0
+  ||
   match r.classification with
   | Agree -> false
   | Diagnosis_miss | Diagnosis_spurious | Oracle_only -> true
@@ -179,32 +182,91 @@ let classify ~(res : Core.Diagnosis.result) ~engine ~races ~bug_kind =
   in
   (classification, checked, spurious, missed, extra_races, List.rev !notes)
 
+(* 128 B rings with a PSB every 32 B wrap on about a third of the
+   corpus's failing-seed threads, whose decodes then start at a
+   mid-stream sync point. *)
+let small_ring =
+  { Pt.Config.default with Pt.Config.buffer_size = 128; psb_period_bytes = 32 }
+
+(* Replay [seed] with an {!Executed} recorder (plus [hooks]), snapshot
+   its rings the way the report was made — at the watchpoint hit, else
+   at the failure with the report's tail stops, else at the end — and
+   judge each ring's decode against the path its thread ran.  Returns
+   the run's result, its rings, and one note per disagreement plus one
+   when the rings are not the collected report's ([expect]). *)
+let replay_judge ~what (c : Corpus.Runner.collected) ~entry ~seed
+    ?(config = Pt.Config.default) ?(watch_pcs = []) ?(hooks = Sim.Hooks.none)
+    ?expect () =
+  let m = c.Corpus.Runner.built.Corpus.Bug.m in
+  let executed = Executed.create () in
+  let r =
+    Corpus.Runner.run_traced ~built:c.Corpus.Runner.built ~entry ~seed
+      ~pt_config:config ~watch_pcs
+      ~extra_hooks:(Sim.Hooks.combine hooks (Executed.hooks executed)) ()
+  in
+  let result = r.Corpus.Runner.result in
+  let driver = r.Corpus.Runner.driver in
+  let at t = (Pt.Driver.snapshot_now driver ~at_time_ns:t).Pt.Driver.traces in
+  let traces, tails =
+    match Pt.Driver.watch_snapshot driver, result.Sim.Interp.outcome with
+    | Some s, _ ->
+      ( s.Pt.Driver.traces,
+        [
+          ( Option.get s.Pt.Driver.trigger_tid,
+            Option.get s.Pt.Driver.trigger_pc,
+            int_of_float s.Pt.Driver.at_time_ns );
+        ] )
+    | None, Sim.Interp.Failed { failure; time_ns } ->
+      let traces = at time_ns in
+      ( traces,
+        Core.Diagnosis.tails_of m
+          (Core.Report.of_sim_failure failure ~time_ns ~traces) )
+    | None, _ -> (at result.Sim.Interp.final_time_ns, [])
+  in
+  let note e = Printf.sprintf "decode mismatch (%s): %s" what e in
+  let judge (tid, ring) =
+    let tail_stop =
+      List.find_map
+        (fun (t, pc, ns) -> if t = tid then Some (pc, ns) else None)
+        tails
+    in
+    let d = Pt.Decoder.decode_raw m ~config ?tail_stop ring in
+    Result.fold ~ok:(fun () -> None) ~error:(fun e -> Some (note e))
+      (Executed.check executed ~tid ?tail_stop d)
+  in
+  ( result,
+    traces,
+    (if Option.fold ~none:false ~some:(( <> ) traces) expect then
+       [ note "replayed rings differ from the report's" ]
+     else [])
+    @ List.filter_map judge traces )
+
 let check_bug ?jobs ?cache (bug : Corpus.Bug.t) =
   match Corpus.Runner.collect bug () with
   | Error e -> Error e
   | Ok c ->
+    let m = c.Corpus.Runner.built.Corpus.Bug.m in
+    let entry = bug.Corpus.Bug.entry in
     let res =
-      Core.Diagnosis.diagnose ?jobs ?cache c.Corpus.Runner.built.Corpus.Bug.m
-        ~config:Pt.Config.default ~failing:c.Corpus.Runner.failing
-        ~successful:c.Corpus.Runner.successful
+      Core.Diagnosis.diagnose ?jobs ?cache m ~config:Pt.Config.default
+        ~failing:c.Corpus.Runner.failing ~successful:c.Corpus.Runner.successful
     in
     (* Replay the first failing seed with the oracle attached.  [collect]
        ran that seed with no watchpoints and the default PT config; the
-       observer costs zero virtual time, so the same seed re-takes the
+       observers cost zero virtual time, so the same seed re-takes the
        identical interleaving the diagnosis decoded. *)
-    let seed =
-      match c.Corpus.Runner.failing_seeds with
-      | s :: _ -> s
-      | [] -> invalid_arg "Diffcheck.check_bug: no failing seed"
+    let seed, first =
+      match c.Corpus.Runner.failing_seeds, c.Corpus.Runner.failing with
+      | s :: _, r :: _ -> (s, r)
+      | _ -> invalid_arg "Diffcheck.check_bug: no failing seed"
     in
     let engine = Hb.create () in
-    let replay =
-      Corpus.Runner.run_traced ~built:c.Corpus.Runner.built ~entry:bug.Corpus.Bug.entry
-        ~seed ~pt_config:Pt.Config.default ~watch_pcs:[]
-        ~extra_hooks:(Observe.hooks engine) ()
+    let replay, _, failing_notes =
+      replay_judge ~what:"failing" c ~entry ~seed ~hooks:(Observe.hooks engine)
+        ~expect:first.Core.Report.traces ()
     in
     let replay_notes =
-      match replay.Corpus.Runner.result.Sim.Interp.outcome with
+      match replay.Sim.Interp.outcome with
       | Sim.Interp.Failed _ | Sim.Interp.Stuck -> []
       | Sim.Interp.Completed | Sim.Interp.Fuel_exhausted ->
         [ "WARNING: oracle replay did not reproduce the failure" ]
@@ -213,42 +275,25 @@ let check_bug ?jobs ?cache (bug : Corpus.Bug.t) =
     let classification, checked, spurious, missed, extra_races, notes =
       classify ~res ~engine ~races ~bug_kind:bug.Corpus.Bug.kind
     in
-    (* Decoder engine differential: the production cursor walker and the
-       frozen v1 reference pipeline must agree bit-for-bit on every
-       report of every corpus bug — events, lost bytes and desyncs
-       alike.  Decoding is cheap next to reproduction, so this rides the
-       registry-wide cross-check for free (cache disabled: both engines
-       must actually decode). *)
-    let decoder_mismatches =
-      let nocache = Pt.Decode_cache.create ~capacity:0 () in
-      let m = c.Corpus.Runner.built.Corpus.Bug.m in
-      let tp_equal (a : Core.Trace_processing.t) (b : Core.Trace_processing.t)
-          =
-        a.Core.Trace_processing.events = b.Core.Trace_processing.events
-        && a.Core.Trace_processing.lost_bytes
-           = b.Core.Trace_processing.lost_bytes
-        && a.Core.Trace_processing.desynced_tids
-           = b.Core.Trace_processing.desynced_tids
-      in
-      let bad = ref 0 in
-      List.iter
-        (fun r ->
-          let go engine =
-            Core.Diagnosis.process_failing m ~config:Pt.Config.default ~jobs:1
-              ~cache:nocache ~engine r
-          in
-          if not (tp_equal (go `Cursor) (go `Reference)) then incr bad)
-        c.Corpus.Runner.failing;
-      List.iter
-        (fun s ->
-          let go engine =
-            Core.Diagnosis.process_successful m ~config:Pt.Config.default
-              ~jobs:1 ~cache:nocache ~engine s
-          in
-          if not (tp_equal (go `Cursor) (go `Reference)) then incr bad)
-        c.Corpus.Runner.successful;
-      !bad
+    (* The decoder against the execution: besides the failing replay,
+       each successful report replayed at its seed, and the failing seed
+       once more under small wrapping rings. *)
+    let watch_pcs = Corpus.Runner.watch_pcs_for m first in
+    let success_notes =
+      List.concat
+        (List.map2
+           (fun seed (s : Core.Report.success_report) ->
+             let _, _, notes =
+               replay_judge ~what:"success" c ~entry ~seed ~watch_pcs
+                 ~expect:s.Core.Report.s_traces ()
+             in
+             notes)
+           c.Corpus.Runner.success_seeds c.Corpus.Runner.successful)
     in
+    let _, small_traces, small_notes =
+      replay_judge ~what:"small ring" c ~entry ~seed ~config:small_ring ()
+    in
+    let decode_notes = failing_notes @ success_notes @ small_notes in
     let r =
       {
         bug_id = bug.Corpus.Bug.id;
@@ -265,8 +310,13 @@ let check_bug ?jobs ?cache (bug : Corpus.Bug.t) =
         spurious;
         missed;
         extra_races;
-        decoder_mismatches;
-        notes = replay_notes @ notes;
+        decoder_mismatches = List.length decode_notes;
+        wrapped_rings =
+          List.length
+            (List.filter
+               (fun (_, ring) -> Bytes.length ring >= small_ring.buffer_size)
+               small_traces);
+        notes = replay_notes @ notes @ decode_notes;
       }
     in
     Obs.Scope.count "oracle/races" r.oracle_races;
@@ -333,6 +383,7 @@ let result_json (r : bug_result) =
              r.missed) );
       ("extra_races", Obs.Json.Int r.extra_races);
       ("decoder_mismatches", Obs.Json.Int r.decoder_mismatches);
+      ("wrapped_rings", Obs.Json.Int r.wrapped_rings);
       ("notes", Obs.Json.List (List.map (fun s -> Obs.Json.String s) r.notes));
     ]
 

@@ -22,7 +22,12 @@
     informational only — benign races (stats counters, racy flags read
     far from the failure) must not turn an agreement into a divergence.
     Only races involving the diagnosis anchor can demote a result to
-    [Diagnosis_miss]. *)
+    [Diagnosis_miss].
+
+    Replays of the report seeds also check the trace decoder against
+    ground truth: an {!Executed} recorder rides along, and each ring's
+    decode must follow the path its thread really executed (see
+    [decoder_mismatches]). *)
 
 type classification =
   | Agree
@@ -60,9 +65,12 @@ type bug_result = {
   missed : Analysis.Hb.race list;  (** uncovered anchor races *)
   extra_races : int;  (** racy pairs unrelated to the diagnosis *)
   decoder_mismatches : int;
-      (** reports whose trace processing differed between the production
-          cursor decoder and the frozen v1 reference — must be 0: the two
-          engines are bit-identical by contract *)
+      (** decodes the execution contradicts ({!Executed.check}) plus
+          replays whose rings differ from the report's — must be 0.
+          Covers the failing report, each successful report replayed at
+          its seed, and the failing seed under 128 B rings; each one is
+          described in [notes]. *)
+  wrapped_rings : int;  (** full (wrapped) rings of the 128 B pass *)
   notes : string list;
 }
 
@@ -70,7 +78,8 @@ val check_bug :
   ?jobs:int -> ?cache:Pt.Decode_cache.t -> Corpus.Bug.t ->
   (bug_result, string) result
 (** Full differential check of one bug: reproduce (via
-    {!Corpus.Runner.collect}), diagnose, oracle-replay, classify.
+    {!Corpus.Runner.collect}), diagnose, oracle-replay, classify, and
+    judge every decode against its replayed execution.
     [Error _] when the bug cannot be reproduced.  Emits [oracle/races],
     [oracle/agree] and [oracle/diverge] counters into the ambient
     {!Obs.Scope} when one is enabled. *)
@@ -88,7 +97,8 @@ val check_all :
     result list is the same at any width. *)
 
 val diverged : bug_result -> bool
-(** True for [Diagnosis_miss], [Diagnosis_spurious] and [Oracle_only]. *)
+(** True for [Diagnosis_miss], [Diagnosis_spurious] and [Oracle_only],
+    and whenever [decoder_mismatches > 0]. *)
 
 val to_json : (string * (bug_result, string) result) list -> Obs.Json.t
 (** The [BENCH_oracle.json] document: per-bug classification, counters

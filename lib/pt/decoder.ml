@@ -4,15 +4,13 @@
    sentinel) makes window arithmetic such as [t_hi - t_lo] total for
    consumers.
 
-   Two implementations live here.  [decode_raw] is the production path:
-   a zero-allocation byte cursor feeds a CFG walker that resolves every
+   A zero-allocation byte cursor feeds a CFG walker that resolves every
    branch target through a pc-indexed table (built once per module
    layout) and accumulates steps in a per-domain integer arena reused
-   across decodes.  [decode_reference] is the frozen v1 pipeline —
-   packet list, two-pass timestamping, hashtable lookups — kept as the
-   differential baseline: the two must produce bit-identical results on
-   any input, corrupt rings included, and the benchmark's sequential
-   baseline times the reference. *)
+   across decodes.  Its reference is the execution itself: the oracle
+   replays each corpus report with a recorder and checks every decoded
+   step's iid and interval against what the thread ran
+   ([Oracle.Executed]). *)
 module Dynbuf = Snorlax_util.Dynbuf
 
 type step = { pc : int; iid : int; t_lo : int; t_hi : int option }
@@ -37,12 +35,10 @@ let max_replay_steps = 5_000_000
 
 (* --- walk table ----------------------------------------------------------
 
-   The v1 walker resolved control flow through [Irmod] hashtables on
-   every step: [instr_at_pc] per instruction, plus [location_of_iid] +
-   [block_start_pc] (a string-pair key allocation) per direct branch and
-   a linear [find_func] scan per call.  All of that is a pure function
-   of the module layout, so it is precomputed here into flat arrays
-   indexed by [pc / 4]: one load per step, no hashing, no allocation. *)
+   Resolving control flow is a pure function of the module layout: the
+   successor of every instruction, each branch's targets and each call's
+   callee entry are precomputed here into flat arrays indexed by
+   [pc / 4] — one load per step, no hashing, no allocation. *)
 
 let op_straight = 0 (* fallthrough to pc + 4 *)
 let op_br = 1 (* unconditional; [a] = target pc *)
@@ -143,6 +139,8 @@ type cwalker = {
   tab : walk_table;
   mutable cur_pc : int;
   mutable t_lo : int;
+  mutable sync_at_branch : bool;
+      (* synced on a FUP naming a conditional branch that already ran *)
   acc : int Dynbuf.t;
 }
 
@@ -180,12 +178,13 @@ let rec walk_until_control_c w ~hi =
   else raise (Desync "walked into unreachable")
 
 (* Consume one TNT bit: walk to the pending control point, which must be
-   a conditional branch. *)
+   a conditional branch.  The branch a sync FUP named only resolves: its
+   step ran before the sync's timestamp, which cannot stamp it. *)
 let consume_tnt_c w ~taken ~t_lo_ev ~hi =
   let idx = walk_until_control_c w ~hi in
   if Char.code (Bytes.unsafe_get w.tab.ops idx) <> op_cond then
     raise (Desync "control mismatch: TNT at a non-conditional");
-  emit_c w idx ~hi;
+  if w.sync_at_branch then w.sync_at_branch <- false else emit_c w idx ~hi;
   w.cur_pc <-
     (if taken then Array.unsafe_get w.tab.a idx
      else Array.unsafe_get w.tab.b idx);
@@ -194,8 +193,8 @@ let consume_tnt_c w ~taken ~t_lo_ev ~hi =
 (* Consume a TIP (target pc) or TIP.END ([is_end]): the control point
    must be a return or an intrinsic call.  [is_end] is the packet kind,
    not the sign of [target] — a corrupt TIP can carry a varint that
-   overflowed negative, and that garbage target must be stored as-is
-   (desyncing only if dereferenced), exactly like the reference. *)
+   overflowed negative, and that garbage target must be stored as-is,
+   desyncing only if dereferenced. *)
 let consume_tip_c w ~target ~is_end ~t_lo_ev ~hi =
   let idx = walk_until_control_c w ~hi in
   let op = Char.code (Bytes.unsafe_get w.tab.ops idx) in
@@ -252,7 +251,7 @@ let decode_raw m ~config ?tail_stop snapshot =
     let period = mtc_period config in
     let acc = Domain.DLS.get arena_key in
     Dynbuf.clear acc;
-    let w = { tab; cur_pc = -1; t_lo = 0; acc } in
+    let w = { tab; cur_pc = -1; t_lo = 0; sync_at_branch = false; acc } in
     let cur = Packet.Cursor.make snapshot ~pos:sync_pos in
     let time = ref 0 in
     let abs_ctc = ref 0 in
@@ -278,6 +277,33 @@ let decode_raw m ~config ?tail_stop snapshot =
     let mark_pending () =
       if !pending_from < 0 then pending_from := Dynbuf.length acc
     in
+    (* A timing packet at the cursor advances the clock and backfills;
+       other packets leave both alone. *)
+    let timing () =
+      let v = cur.Packet.Cursor.value in
+      match cur.Packet.Cursor.kind with
+      | Packet.Cursor.Psb | Packet.Cursor.Tma ->
+        time := v;
+        if period > 0 then abs_ctc := v / period;
+        backfill ()
+      | Packet.Cursor.Cyc ->
+        time := !time + v;
+        backfill ()
+      | Packet.Cursor.Mtc ->
+        if period > 0 then begin
+          (* Smallest absolute counter >= current with this low byte. *)
+          let base = !abs_ctc land lnot 0xff in
+          let candidate = base lor v in
+          let abs =
+            if candidate >= !abs_ctc then candidate else candidate + 0x100
+          in
+          abs_ctc := abs;
+          time := max !time (abs * period)
+        end;
+        backfill ()
+      | Packet.Cursor.Eof | Packet.Cursor.Fup | Packet.Cursor.Tnt
+      | Packet.Cursor.Tip | Packet.Cursor.Tip_end -> ()
+    in
     let desynced = ref false in
     let ended = ref false in
     (try
@@ -286,32 +312,26 @@ let decode_raw m ~config ?tail_stop snapshot =
          Packet.Cursor.advance cur;
          match cur.Packet.Cursor.kind with
          | Packet.Cursor.Eof -> continue := false
-         | Packet.Cursor.Psb | Packet.Cursor.Tma ->
-           time := cur.Packet.Cursor.value;
-           if period > 0 then abs_ctc := !time / period;
-           backfill ();
-           prev_exact := true
-         | Packet.Cursor.Cyc ->
-           time := !time + cur.Packet.Cursor.value;
-           backfill ();
+         | Packet.Cursor.Psb | Packet.Cursor.Tma | Packet.Cursor.Cyc ->
+           timing ();
            prev_exact := true
          | Packet.Cursor.Mtc ->
-           if period > 0 then begin
-             (* Smallest absolute counter >= current with this low byte. *)
-             let base = !abs_ctc land lnot 0xff in
-             let candidate = base lor cur.Packet.Cursor.value in
-             let abs =
-               if candidate >= !abs_ctc then candidate else candidate + 0x100
-             in
-             abs_ctc := abs;
-             time := max !time (abs * period)
-           end;
-           backfill ();
+           timing ();
            prev_exact := false
          | Packet.Cursor.Fup ->
            if w.cur_pc = -1 then begin
-             w.cur_pc <- cur.Packet.Cursor.value;
-             w.t_lo <- !time
+             let pc = cur.Packet.Cursor.value in
+             w.cur_pc <- pc;
+             w.t_lo <- !time;
+             (* A thread-start FUP binds the entry pc before it runs.  The
+                tracer emits a mid-stream PSB only at a conditional
+                branch's control event, which fires after the branch ran:
+                the walk starts at the branch's resolved target, whose
+                time really is >= tsc. *)
+             w.sync_at_branch <-
+               pc land 3 = 0
+               && pc lsr 2 < Bytes.length tab.ops
+               && Char.code (Bytes.get tab.ops (pc lsr 2)) = op_cond
            end;
            prev_exact := false
          | Packet.Cursor.Tnt ->
@@ -355,37 +375,15 @@ let decode_raw m ~config ?tail_stop snapshot =
     | Desync _ -> desynced := true
     | Thread_end -> ended := true);
     (* A desync or thread end stops the walk, but hi timestamps come
-       from the whole packet stream (the reference pipeline stamps all
-       packets before walking): keep scanning timing packets so steps
-       already emitted get the same backfill. *)
-    if !pending_from >= 0 then begin
-      let continue = ref true in
-      while !continue && !pending_from >= 0 do
-        Packet.Cursor.advance cur;
-        match cur.Packet.Cursor.kind with
-        | Packet.Cursor.Eof -> continue := false
-        | Packet.Cursor.Psb | Packet.Cursor.Tma ->
-          time := cur.Packet.Cursor.value;
-          if period > 0 then abs_ctc := !time / period;
-          backfill ()
-        | Packet.Cursor.Cyc ->
-          time := !time + cur.Packet.Cursor.value;
-          backfill ()
-        | Packet.Cursor.Mtc ->
-          if period > 0 then begin
-            let base = !abs_ctc land lnot 0xff in
-            let candidate = base lor cur.Packet.Cursor.value in
-            let abs =
-              if candidate >= !abs_ctc then candidate else candidate + 0x100
-            in
-            abs_ctc := abs;
-            time := max !time (abs * period)
-          end;
-          backfill ()
-        | Packet.Cursor.Fup | Packet.Cursor.Tnt | Packet.Cursor.Tip
-        | Packet.Cursor.Tip_end -> ()
-      done
-    end;
+       from the whole packet stream: keep reading timing packets until
+       the steps already emitted have their backfill. *)
+    while
+      !pending_from >= 0
+      && (Packet.Cursor.advance cur;
+          cur.Packet.Cursor.kind <> Packet.Cursor.Eof)
+    do
+      timing ()
+    done;
     let n = Dynbuf.length acc / 4 in
     (* Consecutive steps usually share the same backfilled hi bound, so
        one [Some] box serves the whole run. *)
@@ -411,229 +409,6 @@ let decode_raw m ~config ?tail_stop snapshot =
           })
     in
     { steps; lost_bytes = sync_pos; desynced = !desynced; thread_ended = !ended }
-
-(* --- frozen v1 reference pipeline ---------------------------------------- *)
-
-(* Pair every packet with the time interval the decoder can assign to it:
-   [lo] is the clock after the last timing packet at or before it; [hi] is
-   the first clock value known after it (the next timing packet), so an
-   event stamped [lo, hi] genuinely happened inside that window even when
-   timing packets are sparse (Mtc_only mode).  When an exact timing packet
-   (CYC/TMA/PSB) directly precedes a control packet — the tracer emits
-   them at the event itself — the event time is exact and hi = lo. *)
-let timestamp_packets config packets =
-  let period = mtc_period config in
-  let arr = Array.of_list packets in
-  let n = Array.length arr in
-  let lo = Array.make n 0 in
-  let exact = Array.make n false in
-  let time = ref 0 in
-  let abs_ctc = ref 0 in
-  Array.iteri
-    (fun i (p, _) ->
-      (match p with
-      | Packet.Psb { tsc } | Packet.Tma { tsc } ->
-        time := tsc;
-        if period > 0 then abs_ctc := tsc / period;
-        exact.(i) <- true
-      | Packet.Mtc { ctc } ->
-        if period > 0 then begin
-          (* Smallest absolute counter >= current with the given low byte. *)
-          let base = !abs_ctc land lnot 0xff in
-          let candidate = base lor ctc in
-          let abs =
-            if candidate >= !abs_ctc then candidate else candidate + 0x100
-          in
-          abs_ctc := abs;
-          time := max !time (abs * period)
-        end
-      | Packet.Cyc { delta } ->
-        time := !time + delta;
-        exact.(i) <- true
-      | Packet.Fup _ | Packet.Tip _ | Packet.Tip_end | Packet.Tnt _
-      | Packet.Tnt_packed _ -> ());
-      lo.(i) <- !time)
-    arr;
-  let is_timing i =
-    match fst arr.(i) with
-    | Packet.Psb _ | Packet.Tma _ | Packet.Mtc _ | Packet.Cyc _ -> true
-    | Packet.Fup _ | Packet.Tip _ | Packet.Tip_end | Packet.Tnt _
-    | Packet.Tnt_packed _ -> false
-  in
-  let hi = Array.make n None in
-  let next_known = ref None in
-  for i = n - 1 downto 0 do
-    hi.(i) <-
-      (if i > 0 && is_timing (i - 1) && exact.(i - 1) then Some lo.(i)
-       else !next_known);
-    if is_timing i then next_known := Some lo.(i)
-  done;
-  List.init n (fun i -> (fst arr.(i), lo.(i), hi.(i)))
-
-type walker = {
-  m : Lir.Irmod.t;
-  mutable cur_pc : int;
-  mutable t_lo : int;
-  acc : step Dynbuf.t;
-}
-
-let emit w ~t_hi =
-  let i = Lir.Irmod.instr_at_pc w.m w.cur_pc in
-  Dynbuf.push w.acc { pc = w.cur_pc; iid = i.Lir.Instr.iid; t_lo = w.t_lo; t_hi };
-  if Dynbuf.length w.acc > max_replay_steps then
-    raise (Desync "replay step limit")
-
-let block_entry_pc w (f : Lir.Func.t) label =
-  Lir.Irmod.block_start_pc w.m ~fname:f.Lir.Func.fname ~label
-
-(* Advance through branch-free instructions, emitting each with the current
-   interval, until an instruction that needs a control packet to resolve. *)
-let rec walk_until_control w ~t_hi =
-  let i = Lir.Irmod.instr_at_pc w.m w.cur_pc in
-  match i.Lir.Instr.kind with
-  | Lir.Instr.Cond_br _ | Lir.Instr.Ret _ -> ()
-  | Lir.Instr.Call { callee; _ } when Lir.Intrinsics.is_intrinsic callee ->
-    (* Library calls return via a traced indirect branch (TIP). *)
-    ()
-  | Lir.Instr.Br label ->
-    emit w ~t_hi;
-    let f, _ = Lir.Irmod.location_of_iid w.m i.Lir.Instr.iid in
-    w.cur_pc <- block_entry_pc w f label;
-    walk_until_control w ~t_hi
-  | Lir.Instr.Call { callee; _ } ->
-    emit w ~t_hi;
-    let target = Lir.Irmod.find_func w.m callee in
-    w.cur_pc <-
-      block_entry_pc w target (Lir.Func.entry target).Lir.Block.label;
-    walk_until_control w ~t_hi
-  | Lir.Instr.Unreachable -> raise (Desync "walked into unreachable")
-  | Lir.Instr.Alloca _ | Lir.Instr.Load _ | Lir.Instr.Store _
-  | Lir.Instr.Binop _ | Lir.Instr.Icmp _ | Lir.Instr.Gep _ | Lir.Instr.Index _
-  | Lir.Instr.Cast _ ->
-    emit w ~t_hi;
-    w.cur_pc <- w.cur_pc + 4;
-    walk_until_control w ~t_hi
-
-let consume_control w packet ~t_lo_ev ~t_hi_ev =
-  walk_until_control w ~t_hi:t_hi_ev;
-  let i = Lir.Irmod.instr_at_pc w.m w.cur_pc in
-  match i.Lir.Instr.kind, packet with
-  | Lir.Instr.Call { callee; _ }, Packet.Tip { pc }
-    when Lir.Intrinsics.is_intrinsic callee ->
-    emit w ~t_hi:t_hi_ev;
-    w.cur_pc <- pc;
-    w.t_lo <- t_lo_ev
-  | Lir.Instr.Cond_br { then_; else_; _ }, Packet.Tnt taken ->
-    emit w ~t_hi:t_hi_ev;
-    let f, _ = Lir.Irmod.location_of_iid w.m i.Lir.Instr.iid in
-    w.cur_pc <- block_entry_pc w f (if taken then then_ else else_);
-    w.t_lo <- t_lo_ev
-  | Lir.Instr.Ret _, Packet.Tip { pc } ->
-    emit w ~t_hi:t_hi_ev;
-    w.cur_pc <- pc;
-    w.t_lo <- t_lo_ev
-  | Lir.Instr.Ret _, Packet.Tip_end ->
-    emit w ~t_hi:t_hi_ev;
-    w.t_lo <- t_lo_ev;
-    raise Thread_end
-  | _, _ ->
-    raise
-      (Desync
-         (Printf.sprintf "control mismatch at pc 0x%x for %s" w.cur_pc
-            (Packet.to_string packet)))
-
-(* After the last packet, replay branch-free code up to the failing pc. *)
-let walk_tail w ~stop_pc ~t_hi =
-  let rec go () =
-    if w.cur_pc = stop_pc then emit w ~t_hi
-    else
-      let i = Lir.Irmod.instr_at_pc w.m w.cur_pc in
-      match i.Lir.Instr.kind with
-      | Lir.Instr.Cond_br _ | Lir.Instr.Ret _ | Lir.Instr.Unreachable -> ()
-      | Lir.Instr.Br label ->
-        emit w ~t_hi;
-        let f, _ = Lir.Irmod.location_of_iid w.m i.Lir.Instr.iid in
-        w.cur_pc <- block_entry_pc w f label;
-        go ()
-      | Lir.Instr.Call { callee; _ }
-        when not (Lir.Intrinsics.is_intrinsic callee) ->
-        emit w ~t_hi;
-        let target = Lir.Irmod.find_func w.m callee in
-        w.cur_pc <-
-          block_entry_pc w target (Lir.Func.entry target).Lir.Block.label;
-        go ()
-      | Lir.Instr.Alloca _ | Lir.Instr.Load _ | Lir.Instr.Store _
-      | Lir.Instr.Binop _ | Lir.Instr.Icmp _ | Lir.Instr.Gep _
-      | Lir.Instr.Index _ | Lir.Instr.Cast _ | Lir.Instr.Call _ ->
-        emit w ~t_hi;
-        w.cur_pc <- w.cur_pc + 4;
-        go ()
-  in
-  go ()
-
-(* The packed multi-bit TNT decodes as if it were the per-bit run it
-   compresses: same stream position for every bit, so the first bit (and
-   only the first) can inherit an exactly-stamped window from a directly
-   preceding timing packet — exactly what consecutive v1 TNT packets got. *)
-let expand_packed packets =
-  List.concat_map
-    (fun (p, pos) ->
-      match p with
-      | Packet.Tnt_packed { bits; count } ->
-        List.init count (fun j -> (Packet.Tnt ((bits lsr j) land 1 = 1), pos))
-      | _ -> [ (p, pos) ])
-    packets
-
-let decode_reference m ~config ?tail_stop snapshot =
-  Lir.Irmod.layout m;
-  match Packet.scan_psb snapshot ~pos:0 with
-  | None ->
-    {
-      steps = [||];
-      lost_bytes = Bytes.length snapshot;
-      desynced = false;
-      thread_ended = false;
-    }
-  | Some sync_pos ->
-    let packets =
-      timestamp_packets config
-        (expand_packed (Packet.decode_stream snapshot ~pos:sync_pos))
-    in
-    let w = { m; cur_pc = -1; t_lo = 0; acc = Dynbuf.create () } in
-    let desynced = ref false in
-    let ended = ref false in
-    (try
-       let feed (p, t_lo_ev, t_hi_ev) =
-         match p with
-         | Packet.Fup { pc } ->
-           if w.cur_pc = -1 then begin
-             w.cur_pc <- pc;
-             w.t_lo <- t_lo_ev
-           end
-         | Packet.Psb _ | Packet.Tma _ | Packet.Mtc _ | Packet.Cyc _
-         | Packet.Tnt_packed _ -> ()
-         | Packet.Tnt _ | Packet.Tip _ | Packet.Tip_end ->
-           if w.cur_pc <> -1 then consume_control w p ~t_lo_ev ~t_hi_ev
-       in
-       List.iter feed packets;
-       match tail_stop with
-       | Some (stop_pc, t_hi) when w.cur_pc <> -1 ->
-         (* The tail ends at the failure, whose time is known. *)
-         walk_tail w ~stop_pc ~t_hi:(Some t_hi)
-       | Some _ | None -> ()
-     with
-    | Desync _ -> desynced := true
-    | Thread_end -> ended := true
-    (* A corrupted TIP/FUP packet can carry a pc that maps to no
-       instruction; Irmod lookups raise Not_found.  Untrusted ring
-       bytes must degrade to a desync, not an escape. *)
-    | Not_found -> desynced := true);
-    {
-      steps = Dynbuf.to_array w.acc;
-      lost_bytes = sync_pos;
-      desynced = !desynced;
-      thread_ended = !ended;
-    }
 
 let record_metrics ?into r ~snapshot_bytes =
   let record count observe =

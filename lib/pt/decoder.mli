@@ -8,15 +8,15 @@
     time interval [t_lo, t_hi] bounded by the timing packets around it.
     Those intervals are exactly the partial order of §4.1 (step 3).
 
-    Two interchangeable implementations share the {!result} contract.
-    {!decode_raw} is the production path: an allocation-free
-    {!Packet.Cursor} feeds a walker that resolves control flow through a
-    pc-indexed table precomputed per module layout, accumulating steps in
-    a per-domain arena reused across the decodes of a batch.
-    {!decode_reference} is the frozen v1 list pipeline, kept as the
-    benchmark's sequential baseline and the differential-testing oracle:
-    on any input — the full corpus, corrupt rings — the two must return
-    bit-identical results. *)
+    An allocation-free {!Packet.Cursor} feeds a walker that resolves
+    control flow through a pc-indexed table precomputed per module
+    layout, accumulating steps in a per-domain arena reused across the
+    decodes of a batch.  A ring that wrapped syncs at a mid-stream PSB,
+    which the tracer emits only at a conditional branch that has already
+    run: that branch is resolved without a step, and the walk starts at
+    its target.  Correctness is judged against the execution itself:
+    [Oracle.Executed] checks every decoded step's iid and interval
+    against the path the traced thread really ran. *)
 
 type step = {
   pc : int;
@@ -55,14 +55,6 @@ val decode_raw :
     domain-safe, so parallel decode fans this across a
     {!Snorlax_util.Pool} and the submitting domain records metrics per
     result afterwards with {!record_metrics}. *)
-
-val decode_reference :
-  Lir.Irmod.t -> config:Config.t -> ?tail_stop:int * int -> bytes -> result
-(** The frozen v1 pipeline ([Packet.decode_stream] → two-pass
-    timestamping → hashtable-lookup walker), extended only to expand
-    {!Packet.Tnt_packed} runs into per-bit TNT before timestamping.
-    Same contract as {!decode_raw}; exists for benchmarking (the
-    sequential cold baseline) and differential tests. *)
 
 val prepare : Lir.Irmod.t -> unit
 (** Lay the module out and build the decoder's pc-indexed walk table

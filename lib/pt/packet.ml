@@ -63,58 +63,6 @@ let encode buf p =
     byte hdr_cyc;
     Varint.write_unsigned buf delta
 
-let decode_one b pos =
-  let len = Bytes.length b in
-  let u8 p = Char.code (Bytes.get b p) in
-  if pos >= len then None
-  else
-    let hdr = u8 pos in
-    (* A varint or raw payload that runs past the end of the snapshot means
-       the packet was cut by the snapshot boundary; drop it. *)
-    let varint p =
-      match Varint.read_unsigned b ~pos:p with
-      | v -> Some v
-      | exception Invalid_argument _ -> None
-    in
-    if hdr = hdr_psb then
-      if pos + 1 >= len then None
-      else if u8 (pos + 1) <> psb_magic then
-        invalid_arg "Packet.decode: bad PSB magic"
-      else
-        match varint (pos + 2) with
-        | None -> None
-        | Some (tsc, next) -> Some (Psb { tsc }, next)
-    else if hdr = hdr_fup then
-      match varint (pos + 1) with
-      | None -> None
-      | Some (pc, next) -> Some (Fup { pc }, next)
-    else if hdr = hdr_tip then
-      match varint (pos + 1) with
-      | None -> None
-      | Some (pc, next) -> Some (Tip { pc }, next)
-    else if hdr = hdr_tip_end then Some (Tip_end, pos + 1)
-    else if hdr = hdr_tnt then
-      if pos + 1 >= len then None else Some (Tnt (u8 (pos + 1) <> 0), pos + 2)
-    else if hdr = hdr_tnt_packed then
-      match varint (pos + 1) with
-      | None -> None
-      | Some (v, next) ->
-        (* Corrupt payloads can carry any 6-bit count; the walker simply
-           consumes that many bits (zeros past bit 57), so decoding stays
-           total and both decoder implementations agree. *)
-        Some (Tnt_packed { bits = v lsr 6; count = (v land 0x3f) + 1 }, next)
-    else if hdr = hdr_mtc then
-      if pos + 1 >= len then None else Some (Mtc { ctc = u8 (pos + 1) }, pos + 2)
-    else if hdr = hdr_tma then
-      match varint (pos + 1) with
-      | None -> None
-      | Some (tsc, next) -> Some (Tma { tsc }, next)
-    else if hdr = hdr_cyc then
-      match varint (pos + 1) with
-      | None -> None
-      | Some (delta, next) -> Some (Cyc { delta }, next)
-    else invalid_arg (Printf.sprintf "Packet.decode: bad header 0x%x" hdr)
-
 let scan_psb_from b pos =
   let len = Bytes.length b in
   let rec go p =
@@ -128,21 +76,6 @@ let scan_psb_from b pos =
   go pos
 
 let scan_psb b ~pos = scan_psb_from b pos
-
-let decode_stream b ~pos =
-  let rec go pos acc =
-    match decode_one b pos with
-    | None -> List.rev acc
-    | Some (p, next) -> go next ((p, pos) :: acc)
-    | exception Invalid_argument _ -> (
-      (* Corrupted byte where a header should be.  Ring bytes are
-         untrusted in-production input, so skip forward to the next PSB
-         and resume there rather than raising. *)
-      match scan_psb_from b (pos + 1) with
-      | Some next -> go next acc
-      | None -> List.rev acc)
-  in
-  go pos []
 
 (* --- zero-allocation cursor ---------------------------------------------- *)
 
@@ -195,8 +128,9 @@ module Cursor = struct
       c.kind <- k;
       c.pos <- next
 
-  (* Same per-packet semantics as {!decode_stream}: a truncated packet
-     ends the stream, a corrupt header resynchronizes at the next PSB. *)
+  (* A truncated packet ends the stream; a corrupt header (or PSB magic)
+     resynchronizes at the next PSB, since ring bytes are untrusted
+     in-production input. *)
   let rec advance c =
     if c.pos >= c.len then c.kind <- Eof
     else begin
@@ -249,19 +183,3 @@ module Cursor = struct
       advance c
     | None -> c.kind <- Eof
 end
-
-let to_string = function
-  | Psb { tsc } -> Printf.sprintf "PSB tsc=%d" tsc
-  | Fup { pc } -> Printf.sprintf "FUP pc=0x%x" pc
-  | Tip { pc } -> Printf.sprintf "TIP pc=0x%x" pc
-  | Tip_end -> "TIP.END"
-  | Tnt taken -> Printf.sprintf "TNT %c" (if taken then 'T' else 'N')
-  | Tnt_packed { bits; count } ->
-    let s =
-      String.init count (fun i ->
-          if (bits lsr i) land 1 = 1 then 'T' else 'N')
-    in
-    Printf.sprintf "TNT.P %s" s
-  | Mtc { ctc } -> Printf.sprintf "MTC ctc=%d" ctc
-  | Tma { tsc } -> Printf.sprintf "TMA tsc=%d" tsc
-  | Cyc { delta } -> Printf.sprintf "CYC +%d" delta

@@ -32,22 +32,15 @@ val encode : Buffer.t -> t -> unit
 (** Raises [Invalid_argument] for a {!Tnt_packed} whose [count] is
     outside [1, tnt_max_bits]; bits above [count] are masked off. *)
 
-val decode_stream : bytes -> pos:int -> (t * int) list
-(** Parse consecutive packets starting at [pos] (which must be a packet
-    boundary) until the end of the buffer; each packet is paired with its
-    start offset.  A truncated final packet is dropped.  A malformed
-    header at a supposed boundary resynchronizes at the next PSB (the
-    bytes in between are lost); decoding never raises. *)
-
 val scan_psb : bytes -> pos:int -> int option
 (** Offset of the first PSB at or after [pos], or [None]. *)
 
-(** Allocation-free packet reader: the hot-path alternative to
-    {!decode_stream}.  A cursor steps through the byte stream mutating
-    its own fields — no packet values, tuples or list nodes are built —
-    with the same totality contract: truncated final packet ends the
-    stream, a corrupt header resynchronizes at the next PSB.  The two
-    readers are differentially tested against each other. *)
+(** The packet reader.  A cursor steps through the byte stream mutating
+    its own fields — no packet values, tuples or list nodes are built.
+    Reading never raises: a truncated final packet ends the stream, and
+    a malformed header at a supposed boundary resynchronizes at the next
+    PSB (the bytes in between are lost).  Tests check it against the
+    encoder's input over random packet lists. *)
 module Cursor : sig
   type kind =
     | Eof  (** end of stream (incl. a truncated final packet) *)
@@ -76,5 +69,3 @@ module Cursor : sig
   val advance : t -> unit
   (** Step to the next packet, filling [kind]/[value]/[count]. *)
 end
-
-val to_string : t -> string

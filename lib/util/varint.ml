@@ -19,20 +19,6 @@ let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
 let write_signed buf v = write_raw buf (zigzag v)
 
-let read_unsigned b ~pos =
-  let len = Bytes.length b in
-  let rec go pos shift acc =
-    if pos >= len then invalid_arg "Varint.read_unsigned: truncated";
-    let c = Char.code (Bytes.get b pos) in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
-
-let read_signed b ~pos =
-  let v, next = read_unsigned b ~pos in
-  (unzigzag v, next)
-
 let try_read_unsigned b ~pos =
   let len = Bytes.length b in
   let rec go pos shift acc =

@@ -11,20 +11,14 @@ val write_unsigned : Buffer.t -> int -> unit
 val write_signed : Buffer.t -> int -> unit
 (** Zig-zag encode a possibly negative integer. *)
 
-val read_unsigned : bytes -> pos:int -> int * int
-(** [read_unsigned b ~pos] decodes at [pos] and returns [(value, next_pos)].
-    Raises [Invalid_argument] on truncated input. *)
-
-val read_signed : bytes -> pos:int -> int * int
-(** Zig-zag decode; same contract as {!read_unsigned}. *)
-
 val try_read_unsigned : bytes -> pos:int -> (int * int) option
-(** Total variant of {!read_unsigned}: [None] on truncated input or an
-    out-of-range [pos] instead of raising.  Wire-format decoders that must
-    never raise on corrupt network bytes build on this. *)
+(** [try_read_unsigned b ~pos] decodes at [pos] and returns
+    [Some (value, next_pos)]; [None] on truncated input or an
+    out-of-range [pos].  Never raises: decoders of corrupt network bytes
+    build on this. *)
 
 val try_read_signed : bytes -> pos:int -> (int * int) option
-(** Total variant of {!read_signed}. *)
+(** Zig-zag decode; same contract as {!try_read_unsigned}. *)
 
 val encoded_size : int -> int
 (** Bytes {!write_unsigned} would use for this value. *)

@@ -314,6 +314,101 @@ let test_golden_determinism () =
   Alcotest.(check string) "corpus run digest" golden_digest
     (Digest.to_hex (Digest.string text))
 
+(* --- golden decode digest ------------------------------------------------ *)
+
+(* Every [Pt.Decoder.decode] result over every ring [Runner.collect]
+   returns for the whole corpus: failing rings with and without their
+   tail stop (the failing or blocked pc at the failure time), success
+   rings with and without the trigger tail, and each ring under the
+   [Test_pt.corrupt_ring] generator at seeds 1-20.  Decoder changes must
+   leave every result bit-identical unless they fix a decode that the
+   execution oracle ([Oracle.Executed]) rejects; the digest after the
+   "/" covers the damaged rings, whose decodes may then move only by
+   what the fix changes. *)
+let golden_decode_digest =
+  "3b8213522e0353f9b5327db37d0652e4/061ae3c8e2ee70ffe9fbb640cac96af1"
+
+let step_text buf (d : Pt.Decoder.result) =
+  Printf.bprintf buf "n=%d lost=%d desync=%b ended=%b\n"
+    (Array.length d.Pt.Decoder.steps) d.Pt.Decoder.lost_bytes
+    d.Pt.Decoder.desynced d.Pt.Decoder.thread_ended;
+  Array.iter
+    (fun (s : Pt.Decoder.step) ->
+      Printf.bprintf buf "%d %d %d %s\n" s.Pt.Decoder.pc s.Pt.Decoder.iid
+        s.Pt.Decoder.t_lo
+        (match s.Pt.Decoder.t_hi with Some h -> string_of_int h | None -> "-"))
+    d.Pt.Decoder.steps
+
+let decode_digests () =
+  let module R = Snorlax_core.Report in
+  let config = Pt.Config.default in
+  let clean = Buffer.create (1 lsl 16) in
+  let corrupt = Buffer.create (1 lsl 16) in
+  let rings = ref [] in
+  let one m ?tail_stop ring =
+    let buf = Buffer.create 4096 in
+    step_text buf (Pt.Decoder.decode m ~config ?tail_stop ring);
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  List.iter
+    (fun (bug : Corpus.Bug.t) ->
+      match Corpus.Runner.collect bug () with
+      | Error e -> Printf.bprintf clean "%s error %s\n" bug.Corpus.Bug.id e
+      | Ok c ->
+        let m = c.Corpus.Runner.built.Corpus.Bug.m in
+        let pc_of iid = (Lir.Irmod.instr_by_iid m iid).Lir.Instr.pc in
+        let decode_all ~tails traces =
+          List.iter
+            (fun (tid, ring) ->
+              rings := (m, ring) :: !rings;
+              Printf.bprintf clean "%s %d %s" bug.Corpus.Bug.id tid (one m ring);
+              (match List.assoc_opt tid tails with
+              | Some tail_stop ->
+                Printf.bprintf clean " tail %s" (one m ~tail_stop ring)
+              | None -> ());
+              Buffer.add_char clean '\n')
+            traces
+        in
+        List.iter
+          (fun (r : R.failing_report) ->
+            let tails =
+              match r.R.info with
+              | R.Crash_info { failing_iid; _ } ->
+                [ (r.R.failing_tid, (pc_of failing_iid, r.R.failure_time_ns)) ]
+              | R.Deadlock_info { blocked } ->
+                List.map
+                  (fun (tid, iid) -> (tid, (pc_of iid, r.R.failure_time_ns)))
+                  blocked
+            in
+            decode_all ~tails r.R.traces)
+          c.Corpus.Runner.failing;
+        List.iter
+          (fun (s : R.success_report) ->
+            decode_all
+              ~tails:
+                [ (s.R.trigger_tid, (s.R.trigger_pc, s.R.trigger_time_ns)) ]
+              s.R.s_traces)
+          c.Corpus.Runner.successful)
+    all;
+  let rings = List.rev !rings in
+  for seed = 1 to 20 do
+    let prng = Snorlax_util.Prng.create ~seed in
+    List.iter
+      (fun (m, ring) ->
+        Buffer.add_string corrupt (one m (Test_pt.corrupt_ring prng ring));
+        Buffer.add_char corrupt '\n')
+      rings
+  done;
+  ( List.length rings,
+    Digest.to_hex (Digest.string (Buffer.contents clean)),
+    Digest.to_hex (Digest.string (Buffer.contents corrupt)) )
+
+let test_golden_decode_digest () =
+  let n, clean, corrupt = decode_digests () in
+  Alcotest.(check int) "corpus rings" 1760 n;
+  Alcotest.(check string) "decode digest" golden_decode_digest
+    (clean ^ "/" ^ corrupt)
+
 let tests =
   [
     ( "corpus.registry",
@@ -339,5 +434,6 @@ let tests =
         Alcotest.test_case "collect shape" `Quick test_runner_collect_shape;
         Alcotest.test_case "watch pcs" `Quick test_watch_pcs_start_with_failure_pc;
         Alcotest.test_case "golden run digest" `Quick test_golden_determinism;
+        Alcotest.test_case "golden decode digest" `Quick test_golden_decode_digest;
       ] );
   ]

@@ -2,7 +2,7 @@
    builds arbitrary (but verifiable) multithreaded LIR modules, and we
    check end-to-end invariants — the verifier accepts them, execution is
    deterministic per seed, and the PT decode of every thread is a timed
-   prefix of what the interpreter actually executed. *)
+   run of what the interpreter actually executed. *)
 
 module B = Lir.Builder
 module V = Lir.Value
@@ -129,94 +129,60 @@ let prop_run_deterministic =
       in
       run () = run ())
 
-(* Decoder fidelity against the execution oracle, over random programs. *)
-let decode_matches_oracle mseed rseed =
+(* Decoder fidelity against the execution oracle, over random programs:
+   every thread's decode must be a run of the path it executed, with
+   every executed time inside its step's interval ([Oracle.Executed]).
+   The 64 B ring wraps on about a third of these threads, so those
+   decodes start at a mid-stream PSB. *)
+let small_ring =
+  { Pt.Config.default with Pt.Config.buffer_size = 64; psb_period_bytes = 16 }
+
+let decode_matches_execution ~config mseed rseed =
   let m = gen_module mseed in
   Lir.Irmod.layout m;
-  let driver = Pt.Driver.create () in
-  let actual : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  let oracle ~tid ~time:_ (i : Lir.Instr.t) =
-    (match Hashtbl.find_opt actual tid with
-    | Some l -> l := i.Lir.Instr.iid :: !l
-    | None -> Hashtbl.add actual tid (ref [ i.Lir.Instr.iid ]));
-    0.0
-  in
+  let driver = Pt.Driver.create ~config () in
+  let executed = Oracle.Executed.create () in
   let hooks =
-    Sim.Hooks.combine (Pt.Driver.hooks driver)
-      { Sim.Hooks.none with on_instr = Some oracle }
+    Sim.Hooks.combine (Pt.Driver.hooks driver) (Oracle.Executed.hooks executed)
   in
-  let config = { Sim.Interp.default_config with seed = rseed; hooks } in
-  let r = Sim.Interp.run ~config m ~entry:"main" in
+  let r =
+    Sim.Interp.run
+      ~config:{ Sim.Interp.default_config with seed = rseed; hooks }
+      m ~entry:"main"
+  in
   r.Sim.Interp.outcome = Sim.Interp.Completed
   && List.for_all
        (fun (tid, bytes) ->
-         let d = Pt.Decoder.decode m ~config:Pt.Config.default bytes in
-         if d.Pt.Decoder.desynced then false
-         else
-           let decoded = List.map (fun s -> s.Pt.Decoder.iid) (Array.to_list d.Pt.Decoder.steps) in
-           let actual_iids =
-             match Hashtbl.find_opt actual tid with
-             | Some l -> List.rev !l
-             | None -> []
-           in
-           let rec is_prefix a b =
-             match a, b with
-             | [], _ -> true
-             | x :: a', y :: b' -> x = y && is_prefix a' b'
-             | _ :: _, [] -> false
-           in
-           is_prefix decoded actual_iids)
+         Oracle.Executed.check executed ~tid (Pt.Decoder.decode m ~config bytes)
+         = Ok ())
        (Pt.Driver.snapshot_now driver ~at_time_ns:r.Sim.Interp.final_time_ns)
          .Pt.Driver.traces
 
 let prop_decode_prefix =
   QCheck.Test.make
-    ~name:"fuzz: decoded trace is an execution prefix (random programs)"
+    ~name:"fuzz: decoded trace is a run of the execution (random programs)"
     ~count:30
     QCheck.(pair (int_range 1 5_000) (int_range 1 20))
-    (fun (mseed, rseed) -> decode_matches_oracle mseed rseed)
+    (fun (mseed, rseed) ->
+      decode_matches_execution ~config:Pt.Config.default mseed rseed
+      && decode_matches_execution ~config:small_ring mseed rseed)
 
-(* Time-interval soundness on random programs. *)
+(* Time-interval soundness on random programs, under each timing mode. *)
 let prop_decode_time_bounds =
   QCheck.Test.make
     ~name:"fuzz: decoded intervals contain true execution times" ~count:15
     QCheck.(int_range 1 5_000)
     (fun mseed ->
-      let m = gen_module mseed in
-      Lir.Irmod.layout m;
-      let driver = Pt.Driver.create () in
-      let actual : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
-      let oracle ~tid ~time (_ : Lir.Instr.t) =
-        (match Hashtbl.find_opt actual tid with
-        | Some l -> l := time :: !l
-        | None -> Hashtbl.add actual tid (ref [ time ]));
-        0.0
-      in
-      let hooks =
-        Sim.Hooks.combine (Pt.Driver.hooks driver)
-          { Sim.Hooks.none with on_instr = Some oracle }
-      in
-      let config = { Sim.Interp.default_config with seed = 5; hooks } in
-      let r = Sim.Interp.run ~config m ~entry:"main" in
-      r.Sim.Interp.outcome = Sim.Interp.Completed
-      && List.for_all
-           (fun (tid, bytes) ->
-             let d = Pt.Decoder.decode m ~config:Pt.Config.default bytes in
-             let times =
-               match Hashtbl.find_opt actual tid with
-               | Some l -> Array.of_list (List.rev !l)
-               | None -> [||]
-             in
-             List.for_all
-               (fun (k, (s : Pt.Decoder.step)) ->
-                 k < Array.length times
-                 && float_of_int s.Pt.Decoder.t_lo <= times.(k) +. 1.0
-                 && (match s.Pt.Decoder.t_hi with
-                    | None -> true
-                    | Some hi -> times.(k) <= float_of_int hi +. 1.0))
-               (List.mapi (fun k s -> (k, s)) (Array.to_list d.Pt.Decoder.steps)))
-           (Pt.Driver.snapshot_now driver ~at_time_ns:r.Sim.Interp.final_time_ns)
-             .Pt.Driver.traces)
+      List.for_all
+        (fun config -> decode_matches_execution ~config mseed 5)
+        [
+          Pt.Config.default;
+          small_ring;
+          {
+            Pt.Config.default with
+            Pt.Config.timing = Pt.Config.Mtc_only { mtc_period_ns = 4096 };
+          };
+        ])
 
 (* The points-to analysis is sound on random programs in one useful
    sense: scope-restricting to the executed set never *adds* objects. *)

@@ -78,8 +78,6 @@ let test_layout_lookup () =
   Lir.Irmod.layout m;
   Lir.Irmod.iter_instrs m (fun _ _ i ->
       Alcotest.(check bool) "pc assigned" true (i.Lir.Instr.pc >= 0x1000);
-      let found = Lir.Irmod.instr_at_pc m i.Lir.Instr.pc in
-      Alcotest.(check int) "pc lookup" i.Lir.Instr.iid found.Lir.Instr.iid;
       let by_iid = Lir.Irmod.instr_by_iid m i.Lir.Instr.iid in
       Alcotest.(check int) "iid lookup" i.Lir.Instr.pc by_iid.Lir.Instr.pc)
 

@@ -1,16 +1,19 @@
 (* End-to-end differential checks: the happens-before oracle must agree
-   with the diagnosis pipeline on every corpus bug, and the diagnosis
-   must be bit-identical across decode parallelism levels. *)
+   with the diagnosis pipeline on every corpus bug, every decode must
+   follow the path its replayed thread executed, and the diagnosis must
+   be bit-identical across decode parallelism levels. *)
 
 module Core = Snorlax_core
 
 let test_full_registry_agreement () =
+  let wrapped = ref 0 in
   List.iter
     (fun (bug : Corpus.Bug.t) ->
       match Oracle.Diffcheck.check_bug bug with
       | Error e ->
         Alcotest.failf "%s failed to reproduce: %s" bug.Corpus.Bug.id e
       | Ok r ->
+        wrapped := !wrapped + r.Oracle.Diffcheck.wrapped_rings;
         Alcotest.(check string)
           (bug.Corpus.Bug.id ^ " classification")
           "agree"
@@ -20,10 +23,56 @@ let test_full_registry_agreement () =
           (bug.Corpus.Bug.id ^ " spurious pairs")
           true
           (r.Oracle.Diffcheck.spurious = []);
+        Alcotest.(check (list string))
+          (bug.Corpus.Bug.id ^ " decoded path matches execution")
+          []
+          (List.filter
+             (fun n -> String.starts_with ~prefix:"decode mismatch" n)
+             r.Oracle.Diffcheck.notes);
         Alcotest.(check int)
-          (bug.Corpus.Bug.id ^ " decoder engines agree")
+          (bug.Corpus.Bug.id ^ " decoder mismatches")
           0 r.Oracle.Diffcheck.decoder_mismatches)
-    Corpus.Registry.all
+    Corpus.Registry.all;
+  (* The small-ring pass is only a check of mid-stream sync if some
+     ring actually wrapped. *)
+  Alcotest.(check bool) "small-ring pass wrapped a ring" true (!wrapped > 0)
+
+(* Regression: a wrapped ring syncs at a mid-stream PSB, which the
+   tracer emits at a conditional branch's control event, after the
+   branch ran.  The decoder used to stamp that branch's step with the
+   PSB's tsc, 1-2 ns after it executed (pbzip2-1's failing seed at 512 B
+   rings read one such step). *)
+let test_wrapped_sync_stamp () =
+  let bug = Corpus.Registry.find_exn "pbzip2-1" in
+  match Corpus.Runner.collect bug () with
+  | Error e -> Alcotest.failf "pbzip2-1 failed to reproduce: %s" e
+  | Ok c ->
+    let built = c.Corpus.Runner.built in
+    let m = built.Corpus.Bug.m in
+    let config =
+      { Pt.Config.default with Pt.Config.buffer_size = 512; psb_period_bytes = 128 }
+    in
+    let executed = Oracle.Executed.create () in
+    let r =
+      Corpus.Runner.run_traced ~built ~entry:bug.Corpus.Bug.entry
+        ~seed:(List.hd c.Corpus.Runner.failing_seeds) ~pt_config:config
+        ~extra_hooks:(Oracle.Executed.hooks executed) ()
+    in
+    let traces =
+      (Pt.Driver.snapshot_now r.Corpus.Runner.driver
+         ~at_time_ns:r.Corpus.Runner.result.Sim.Interp.final_time_ns)
+        .Pt.Driver.traces
+    in
+    Alcotest.(check bool) "a ring wrapped" true
+      (List.exists (fun (_, ring) -> Bytes.length ring >= 512) traces);
+    List.iter
+      (fun (tid, ring) ->
+        let d = Pt.Decoder.decode m ~config ring in
+        Alcotest.(check (result unit string))
+          (Printf.sprintf "tid %d matches execution" tid)
+          (Ok ())
+          (Oracle.Executed.check executed ~tid d))
+      traces
 
 (* The scored pattern list — order included, since statistics tie-breaks
    depend on it — must not vary with how many domains decoded the
@@ -89,6 +138,8 @@ let tests =
       [
         Alcotest.test_case "all 54 corpus bugs agree" `Quick
           test_full_registry_agreement;
+        Alcotest.test_case "wrapped ring sync stamp" `Quick
+          test_wrapped_sync_stamp;
         Alcotest.test_case "decode-jobs 1/2/4 determinism" `Quick
           test_decode_jobs_determinism;
         Alcotest.test_case "sweep-jobs 1/4 determinism" `Quick

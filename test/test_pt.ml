@@ -34,16 +34,78 @@ let arbitrary_packet =
         map (fun delta -> Packet.Cyc { delta }) (int_range 0 100_000);
       ])
 
+(* Read a stream through the cursor as packet values.  The cursor
+   reports a per-bit TNT and a packed run alike, as a run of bits, so
+   runs come back expanded to per-bit [Tnt]; [expand_tnt] brings an
+   encoder input list to the same form. *)
+let cursor_packets ?(pos = 0) bytes =
+  let c = Packet.Cursor.make bytes ~pos in
+  let rec collect acc =
+    Packet.Cursor.advance c;
+    let v = c.Packet.Cursor.value in
+    match c.Packet.Cursor.kind with
+    | Packet.Cursor.Eof -> List.rev acc
+    | Packet.Cursor.Psb -> collect (Packet.Psb { tsc = v } :: acc)
+    | Packet.Cursor.Fup -> collect (Packet.Fup { pc = v } :: acc)
+    | Packet.Cursor.Tip -> collect (Packet.Tip { pc = v } :: acc)
+    | Packet.Cursor.Tip_end -> collect (Packet.Tip_end :: acc)
+    | Packet.Cursor.Tnt ->
+      let run =
+        List.init c.Packet.Cursor.count (fun j -> Packet.Tnt ((v lsr j) land 1 = 1))
+      in
+      collect (List.rev_append run acc)
+    | Packet.Cursor.Mtc -> collect (Packet.Mtc { ctc = v } :: acc)
+    | Packet.Cursor.Tma -> collect (Packet.Tma { tsc = v } :: acc)
+    | Packet.Cursor.Cyc -> collect (Packet.Cyc { delta = v } :: acc)
+  in
+  collect []
+
+let expand_tnt packets =
+  List.concat_map
+    (function
+      | Packet.Tnt_packed { bits; count } ->
+        List.init count (fun j -> Packet.Tnt ((bits lsr j) land 1 = 1))
+      | p -> [ p ])
+    packets
+
 let prop_packet_roundtrip =
   QCheck.Test.make ~name:"packet stream round-trips" ~count:300
     (QCheck.make QCheck.Gen.(list_size (int_range 1 40) arbitrary_packet))
     (fun packets ->
-      (* Streams start at a PSB so decode_stream can begin at 0. *)
       let packets = Packet.Psb { tsc = 0 } :: packets in
       let buf = Buffer.create 256 in
       List.iter (Packet.encode buf) packets;
-      let decoded = List.map fst (Packet.decode_stream (Buffer.to_bytes buf) ~pos:0) in
-      decoded = packets)
+      cursor_packets (Buffer.to_bytes buf) = expand_tnt packets)
+
+let prop_cursor_agrees_from_every_psb =
+  (* A wrapped ring is read from a PSB in mid-stream, not from byte 0: a
+     cursor started at any PSB boundary must read exactly the packets the
+     encoder wrote from that PSB on, i.e. the matching suffix of the
+     whole-stream read. *)
+  QCheck.Test.make ~name:"Cursor agrees with decode from every PSB" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 40) arbitrary_packet))
+    (fun packets ->
+      let packets = Packet.Psb { tsc = 0 } :: packets in
+      let buf = Buffer.create 256 in
+      let starts =
+        List.fold_left
+          (fun (starts, rest) p ->
+            let starts =
+              match p with
+              | Packet.Psb _ -> (Buffer.length buf, rest) :: starts
+              | _ -> starts
+            in
+            Packet.encode buf p;
+            (starts, List.tl rest))
+          ([], packets) packets
+        |> fst
+      in
+      let bytes = Buffer.to_bytes buf in
+      List.for_all
+        (fun (pos, from_psb) ->
+          Packet.scan_psb bytes ~pos = Some pos
+          && cursor_packets ~pos bytes = expand_tnt from_psb)
+        starts)
 
 let prop_psb_unique =
   QCheck.Test.make
@@ -60,8 +122,8 @@ let prop_psb_unique =
 
 let prop_packed_tnt_equals_per_bit =
   (* The packed multi-bit TNT is pure wire compression: encoding a branch
-     run as one Tnt_packed and decoding — through the list decoder or the
-     cursor — must yield exactly the per-bit v1 run, first branch first. *)
+     run as one Tnt_packed and reading it back must yield exactly the
+     per-bit v1 run, first branch first. *)
   QCheck.Test.make ~name:"packed TNT encode/decode equals per-bit v1"
     ~count:500
     (QCheck.make QCheck.Gen.(list_size (int_range 1 Packet.tnt_max_bits) bool))
@@ -76,65 +138,8 @@ let prop_packed_tnt_equals_per_bit =
       let buf = Buffer.create 16 in
       Packet.encode buf (Packet.Psb { tsc = 0 });
       Packet.encode buf (Packet.Tnt_packed { bits; count });
-      let bytes = Buffer.to_bytes buf in
-      let per_bit =
-        match List.map fst (Packet.decode_stream bytes ~pos:0) with
-        | [ Packet.Psb _; Packet.Tnt_packed { bits = b'; count = c' } ] ->
-          List.init c' (fun j -> (b' lsr j) land 1 = 1)
-        | _ -> []
-      in
-      let cursor_bits =
-        let c = Packet.Cursor.make bytes ~pos:0 in
-        Packet.Cursor.advance c;
-        (* skip the PSB *)
-        Packet.Cursor.advance c;
-        if c.Packet.Cursor.kind = Packet.Cursor.Tnt then
-          List.init c.Packet.Cursor.count (fun j ->
-              (c.Packet.Cursor.value lsr j) land 1 = 1)
-        else []
-      in
-      per_bit = branches && cursor_bits = branches)
-
-let prop_cursor_matches_decode_stream =
-  (* The zero-allocation cursor and the list decoder are two readers of
-     one format: over any well-formed stream they must see the same
-     packet sequence (with packed TNT runs viewed bit-expanded). *)
-  QCheck.Test.make ~name:"Cursor agrees with decode_stream" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 1 40) arbitrary_packet))
-    (fun packets ->
-      let packets = Packet.Psb { tsc = 0 } :: packets in
-      let buf = Buffer.create 256 in
-      List.iter (Packet.encode buf) packets;
-      let bytes = Buffer.to_bytes buf in
-      let expand = function
-        | Packet.Tnt_packed { bits; count } ->
-          List.init count (fun j ->
-              Packet.Tnt ((bits lsr j) land 1 = 1))
-        | p -> [ p ]
-      in
-      let expected =
-        List.concat_map expand (List.map fst (Packet.decode_stream bytes ~pos:0))
-      in
-      let c = Packet.Cursor.make bytes ~pos:0 in
-      let rec collect acc =
-        Packet.Cursor.advance c;
-        match c.Packet.Cursor.kind with
-        | Packet.Cursor.Eof -> List.rev acc
-        | Packet.Cursor.Psb -> collect (Packet.Psb { tsc = c.Packet.Cursor.value } :: acc)
-        | Packet.Cursor.Fup -> collect (Packet.Fup { pc = c.Packet.Cursor.value } :: acc)
-        | Packet.Cursor.Tip -> collect (Packet.Tip { pc = c.Packet.Cursor.value } :: acc)
-        | Packet.Cursor.Tip_end -> collect (Packet.Tip_end :: acc)
-        | Packet.Cursor.Tnt ->
-          let bits = c.Packet.Cursor.value and n = c.Packet.Cursor.count in
-          let run =
-            List.init n (fun j -> Packet.Tnt ((bits lsr j) land 1 = 1))
-          in
-          collect (List.rev_append run acc)
-        | Packet.Cursor.Mtc -> collect (Packet.Mtc { ctc = c.Packet.Cursor.value } :: acc)
-        | Packet.Cursor.Tma -> collect (Packet.Tma { tsc = c.Packet.Cursor.value } :: acc)
-        | Packet.Cursor.Cyc -> collect (Packet.Cyc { delta = c.Packet.Cursor.value } :: acc)
-      in
-      collect [] = expected)
+      cursor_packets (Buffer.to_bytes buf)
+      = Packet.Psb { tsc = 0 } :: List.map (fun b -> Packet.Tnt b) branches)
 
 let test_psb_found_after_garbage () =
   let buf = Buffer.create 64 in
@@ -152,8 +157,8 @@ let test_truncated_packet_dropped () =
   Packet.encode buf (Packet.Tip { pc = 0x12345 });
   let whole = Buffer.to_bytes buf in
   let cut = Bytes.sub whole 0 (Bytes.length whole - 1) in
-  let decoded = Packet.decode_stream cut ~pos:0 in
-  Alcotest.(check int) "only the PSB survives" 1 (List.length decoded)
+  Alcotest.(check bool) "only the PSB survives" true
+    (cursor_packets cut = [ Packet.Psb { tsc = 1 } ])
 
 (* --- tracer + decoder fidelity ------------------------------------------ *)
 
@@ -468,6 +473,26 @@ let test_decoder_empty_and_garbage () =
   Alcotest.(check int) "garbage, no steps" 0 (List.length (steps_list d));
   Alcotest.(check int) "all bytes lost" 64 d.Pt.Decoder.lost_bytes
 
+(* One random ring corruption: overwrite a span with garbage, flip a
+   bit, maybe cut.  Returns a fresh copy; [ring] is untouched. *)
+let corrupt_ring prng ring =
+  let ring = Bytes.copy ring in
+  let len = Bytes.length ring in
+  if len = 0 then ring
+  else begin
+    let start = Snorlax_util.Prng.int prng ~bound:len in
+    let span = 1 + Snorlax_util.Prng.int prng ~bound:(min 24 (len - start)) in
+    for i = start to start + span - 1 do
+      Bytes.set ring i (Char.chr (Snorlax_util.Prng.int prng ~bound:256))
+    done;
+    let p = Snorlax_util.Prng.int prng ~bound:len in
+    let bit = Snorlax_util.Prng.int prng ~bound:8 in
+    Bytes.set ring p (Char.chr (Char.code (Bytes.get ring p) lxor (1 lsl bit)));
+    if Snorlax_util.Prng.bool prng then
+      Bytes.sub ring 0 (Snorlax_util.Prng.int prng ~bound:len)
+    else ring
+  end
+
 let prop_decoder_total_on_corrupt_rings =
   (* Found by the chaos harness: a corrupted ring snapshot used to escape
      the decoder as Invalid_argument ("Packet.decode: bad header ...") or
@@ -481,45 +506,27 @@ let prop_decoder_total_on_corrupt_rings =
     (Pt.Driver.snapshot_now driver ~at_time_ns:result.Sim.Interp.final_time_ns)
       .Pt.Driver.traces
   in
+  let iid_at = Hashtbl.create 64 in
+  Lir.Irmod.iter_instrs m (fun _ _ i ->
+      Hashtbl.replace iid_at i.Lir.Instr.pc i.Lir.Instr.iid);
   QCheck.Test.make
-    ~name:"decoder is total and matches the reference on corrupted rings"
+    ~name:"decoder is total and matches the module's iids on corrupted rings"
     ~count:200
     QCheck.(int_bound 100_000)
     (fun seed ->
       let prng = Snorlax_util.Prng.create ~seed in
       List.for_all
         (fun (_tid, ring) ->
-          let ring = Bytes.copy ring in
-          let len = Bytes.length ring in
-          let ring =
-            if len = 0 then ring
-            else begin
-              (* Overwrite a span with garbage, flip a bit, maybe cut. *)
-              let start = Snorlax_util.Prng.int prng ~bound:len in
-              let span =
-                1 + Snorlax_util.Prng.int prng ~bound:(min 24 (len - start))
-              in
-              for i = start to start + span - 1 do
-                Bytes.set ring i
-                  (Char.chr (Snorlax_util.Prng.int prng ~bound:256))
-              done;
-              let p = Snorlax_util.Prng.int prng ~bound:len in
-              let bit = Snorlax_util.Prng.int prng ~bound:8 in
-              Bytes.set ring p
-                (Char.chr (Char.code (Bytes.get ring p) lxor (1 lsl bit)));
-              if Snorlax_util.Prng.bool prng then
-                Bytes.sub ring 0 (Snorlax_util.Prng.int prng ~bound:len)
-              else ring
-            end
-          in
-          (* Totality, and bit-identical agreement between the cursor
-             walker and the frozen v1 reference pipeline — corrupt bytes
-             must degrade identically in both. *)
-          match
-            ( Pt.Decoder.decode m ~config:Pt.Config.default ring,
-              Pt.Decoder.decode_reference m ~config:Pt.Config.default ring )
-          with
-          | a, b -> a = b
+          let ring = corrupt_ring prng ring in
+          (* Totality, and no step invented from garbage: whatever the
+             walk emits names the instruction the module has at that
+             step's pc. *)
+          match Pt.Decoder.decode m ~config:Pt.Config.default ring with
+          | d ->
+            Array.for_all
+              (fun (s : Pt.Decoder.step) ->
+                Hashtbl.find_opt iid_at s.Pt.Decoder.pc = Some s.Pt.Decoder.iid)
+              d.Pt.Decoder.steps
           | exception _ -> false)
         traces)
 
@@ -548,15 +555,7 @@ let test_thread_ended_surfaced () =
   let cut = Bytes.sub ring 0 (Bytes.length ring - 1) in
   let d = Pt.Decoder.decode m ~config cut in
   Alcotest.(check bool) "truncated trace is not ended" false
-    d.Pt.Decoder.thread_ended;
-  (* Both engines agree on the flag. *)
-  List.iter
-    (fun (_, ring) ->
-      Alcotest.(check bool)
-        "engines agree on thread_ended"
-        (Pt.Decoder.decode_raw m ~config ring).Pt.Decoder.thread_ended
-        (Pt.Decoder.decode_reference m ~config ring).Pt.Decoder.thread_ended)
-    traces
+    d.Pt.Decoder.thread_ended
 
 let test_decoder_mismatched_stream_desyncs () =
   let m = fixture_module () in
@@ -987,9 +986,9 @@ let tests =
     ( "pt.packets",
       [
         qtest prop_packet_roundtrip;
+        qtest prop_cursor_agrees_from_every_psb;
         qtest prop_psb_unique;
         qtest prop_packed_tnt_equals_per_bit;
-        qtest prop_cursor_matches_decode_stream;
         Alcotest.test_case "psb after garbage" `Quick test_psb_found_after_garbage;
         Alcotest.test_case "truncated dropped" `Quick test_truncated_packet_dropped;
       ] );
