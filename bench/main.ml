@@ -8,8 +8,8 @@
    Part 2 — the full reproduction: prints every table and figure the
    paper's evaluation contains, with the paper's own numbers quoted for
    comparison.  `dune exec bench/main.exe` runs both; pass `--quick` to
-   reduce the hypothesis sample count, `--decode-only` or `--fleet-only`
-   to emit just that one BENCH artifact. *)
+   reduce the hypothesis sample count, `--decode-only`, `--fleet-only` or
+   `--stream-only` to emit just that one BENCH artifact. *)
 
 open Bechamel
 open Toolkit
@@ -159,17 +159,7 @@ let run_benchmarks () =
 
 let run_reproduction ~samples =
   print_endline "\n=== Paper reproduction: every table and figure ===";
-  let t1 = Experiments.Report.print_table1 ~samples () in
-  let t2 = Experiments.Report.print_table2 ~samples () in
-  let t3 = Experiments.Report.print_table3 ~samples () in
-  Experiments.Report.print_hypothesis_summary [ t1; t2; t3 ];
-  ignore (Experiments.Report.print_accuracy ());
-  ignore (Experiments.Report.print_figure7 ());
-  ignore (Experiments.Report.print_table4 ());
-  ignore (Experiments.Report.print_figure8 ());
-  ignore (Experiments.Report.print_figure9 ());
-  ignore (Experiments.Report.print_latency ());
-  Experiments.Ablations.print_all ()
+  Experiments.Report.print_all ~samples ()
 
 (* --- BENCH artifacts ------------------------------------------------------ *)
 
@@ -441,45 +431,14 @@ let emit_stream_bench () =
          (par.Deploy.stream_ns /. 1e6)
          speedup cores gate)
 
-(* The fix sweep as a benchmark: corpus-wide fix rate per bug class and
-   validation throughput (seeds/sec), written to BENCH_fix.json.  The
-   sweep runs one bug per lane; the verdict table is deterministic
-   (asserted parallel == sequential in the test suite), so the numbers
-   here are throughput only. *)
-let emit_fix_bench () =
-  let bugs = Corpus.Registry.all in
-  let t0 = Obs.Span.wall_clock_ns () in
-  let results =
-    Fix.Validate.fix_all ~sweep_jobs:(Snorlax_util.Pool.default_jobs ())
-      ~seeds:5 bugs
-  in
-  let wall_secs = (Obs.Span.wall_clock_ns () -. t0) /. 1e9 in
-  let s = Fix.Validate.summarize ~wall_secs results in
-  if s.Fix.Validate.fix_rate < 0.6 then begin
-    Printf.eprintf "fix bench: fix rate %.2f below the 0.6 floor\n"
-      s.Fix.Validate.fix_rate;
-    exit 1
-  end;
-  write_artifact ~what:"Fix bench" "BENCH_fix.json"
-    (Fix.Validate.to_json ~wall_secs results)
-    ~detail:
-      (Printf.sprintf
-         " (%d/%d fixed, %.0f%% rate, %.1f validation seeds/sec wall-clock, \
-          %.1f per lane)"
-         s.Fix.Validate.fixed s.Fix.Validate.bugs
-         (100.0 *. s.Fix.Validate.fix_rate)
-         s.Fix.Validate.seeds_per_sec s.Fix.Validate.lane_seeds_per_sec)
-
 let () =
   let quick = Array.exists (String.equal "--quick") Sys.argv in
   let decode_only = Array.exists (String.equal "--decode-only") Sys.argv in
   let fleet_only = Array.exists (String.equal "--fleet-only") Sys.argv in
   let stream_only = Array.exists (String.equal "--stream-only") Sys.argv in
-  let fix_only = Array.exists (String.equal "--fix-only") Sys.argv in
   if decode_only then emit_decode_bench ()
   else if fleet_only then emit_fleet_bench ()
   else if stream_only then emit_stream_bench ()
-  else if fix_only then emit_fix_bench ()
   else begin
     emit_pipeline_trace ();
     emit_fleet_bench ();

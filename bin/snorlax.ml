@@ -592,10 +592,7 @@ let dump_bug id =
 let experiment name samples =
   match name with
   | "hypothesis" | "tables" ->
-    let t1 = Experiments.Report.print_table1 ?samples () in
-    let t2 = Experiments.Report.print_table2 ?samples () in
-    let t3 = Experiments.Report.print_table3 ?samples () in
-    Experiments.Report.print_hypothesis_summary [ t1; t2; t3 ];
+    Experiments.Report.print_hypothesis ?samples ();
     0
   | "accuracy" ->
     ignore (Experiments.Report.print_accuracy ());
@@ -619,17 +616,7 @@ let experiment name samples =
     Experiments.Ablations.print_all ();
     0
   | "all" ->
-    let t1 = Experiments.Report.print_table1 ?samples () in
-    let t2 = Experiments.Report.print_table2 ?samples () in
-    let t3 = Experiments.Report.print_table3 ?samples () in
-    Experiments.Report.print_hypothesis_summary [ t1; t2; t3 ];
-    ignore (Experiments.Report.print_accuracy ());
-    ignore (Experiments.Report.print_figure7 ());
-    ignore (Experiments.Report.print_table4 ());
-    ignore (Experiments.Report.print_figure8 ());
-    ignore (Experiments.Report.print_figure9 ());
-    ignore (Experiments.Report.print_latency ());
-    Experiments.Ablations.print_all ();
+    Experiments.Report.print_all ?samples ();
     0
   | other ->
     Printf.eprintf

@@ -137,6 +137,70 @@ let process_successful m ~config ?jobs ?cache (s : Report.success_report) =
       [ (s.Report.trigger_tid, s.Report.trigger_pc, s.Report.trigger_time_ns) ]
     ?jobs ?cache s.Report.s_traces
 
+type derived = {
+  points_to : Analysis.Pointsto.t;
+  anchor_iid : int;
+  candidates : Type_ranking.candidate list;
+  patterns : Patterns.t list;
+}
+
+(* How each derivation step runs: the batch wraps it in its stage span,
+   [derive] runs it bare. *)
+type stage = { run : 'a. string -> (unit -> 'a) -> 'a }
+
+let derive_in stage m ~executed ~(first : Report.failing_report) ~first_tp =
+  (* Stage 3: hybrid points-to restricted to executed code. *)
+  let points_to =
+    stage.run "diagnosis/points_to" (fun () ->
+        Analysis.Pointsto.analyze m ~scope:(fun iid -> Tp.Iset.mem iid executed))
+  in
+  (* Stage 4: resolve the memory-access anchor. *)
+  let anchor_iid =
+    stage.run "diagnosis/anchor" (fun () -> resolve_anchor m first_tp first)
+  in
+  (* Stage 5: candidates ranked by type. *)
+  let candidates =
+    stage.run "diagnosis/type_ranking" (fun () ->
+        let prefer_free =
+          match first.Report.info with
+          | Report.Crash_info { crash_kind = Report.Use_after_free; _ } -> true
+          | Report.Crash_info _ | Report.Deadlock_info _ -> false
+        in
+        Type_ranking.candidates m ~points_to ~executed ~anchor_iid ~prefer_free
+          ())
+  in
+  (* Stage 6: bug patterns from the first failing trace. *)
+  let patterns =
+    stage.run "diagnosis/patterns" (fun () ->
+        let info =
+          match first.Report.info with
+          | Report.Crash_info { crash_kind; _ } ->
+            Report.Crash_info { failing_iid = anchor_iid; crash_kind }
+          | Report.Deadlock_info _ as d -> d
+        in
+        Patterns.generate m ~points_to ~tp:first_tp ~info
+          ~failing_tid:first.Report.failing_tid ~candidates)
+  in
+  { points_to; anchor_iid; candidates; patterns }
+
+let derive m ~executed ~first ~first_tp =
+  derive_in { run = (fun _ f -> f ()) } m ~executed ~first ~first_tp
+
+let tally m d counts tp =
+  List.iteri
+    (fun i p ->
+      if Patterns.present_in m ~points_to:d.points_to p tp then
+        counts.(i) <- counts.(i) + 1)
+    d.patterns
+
+let rank d ~first_tp ~n_failing ~in_failing ~in_successful =
+  Statistics.rank ~proximity_tp:first_tp
+    (List.mapi
+       (fun i p ->
+         Statistics.of_counts p ~present_in_failing:in_failing.(i)
+           ~present_in_successful:in_successful.(i) ~n_failing)
+       d.patterns)
+
 let diagnose ?jobs ?cache m ~config ~failing ~successful =
   let first =
     match failing with
@@ -185,66 +249,37 @@ let diagnose ?jobs ?cache m ~config ~failing ~successful =
         (failing_tps, success_tps, executed))
   in
   let first_tp = List.hd failing_tps in
-  (* Stage 3: hybrid points-to restricted to executed code. *)
-  let points_to, pta_span =
-    stage "diagnosis/points_to" (fun sp ->
-        ( Analysis.Pointsto.analyze m ~scope:(fun iid ->
-              Tp.Iset.mem iid executed),
-          sp ))
-  in
-  (* Stage 4: resolve the memory-access anchor. *)
-  let anchor_iid =
-    stage "diagnosis/anchor" (fun sp ->
-        let anchor_iid = resolve_anchor m first_tp first in
-        set_count sp 1;
-        Obs.Span.set_arg sp "anchor_iid" (Obs.Span.Int anchor_iid);
-        anchor_iid)
-  in
-  (* Stage 5: candidates ranked by type. *)
-  let candidates, type_ranking_span =
-    stage "diagnosis/type_ranking" (fun sp ->
-        let prefer_free =
-          match first.Report.info with
-          | Report.Crash_info { crash_kind = Report.Use_after_free; _ } -> true
-          | Report.Crash_info _ | Report.Deadlock_info _ -> false
-        in
-        ( Type_ranking.candidates m ~points_to ~executed ~anchor_iid
-            ~prefer_free (),
-          sp ))
-  in
-  (* Stage 6: bug patterns from the first failing trace. *)
-  let patterns, patterns_span =
-    stage "diagnosis/patterns" (fun sp ->
-        let info =
-          match first.Report.info with
-          | Report.Crash_info { crash_kind; _ } ->
-            Report.Crash_info { failing_iid = anchor_iid; crash_kind }
-          | Report.Deadlock_info _ as d -> d
-        in
-        ( Patterns.generate m ~points_to ~tp:first_tp ~info
-            ~failing_tid:first.Report.failing_tid ~candidates,
-          sp ))
+  (* Stages 3-6, each in its own span. *)
+  let spanned = { run = (fun name f -> stage name (fun _ -> f ())) } in
+  let d = derive_in spanned m ~executed ~first ~first_tp in
+  let span name =
+    List.find (fun (sp : Obs.Span.span) -> sp.Obs.Span.name = name) !recorded
   in
   (* Stage 7: statistical diagnosis over all runs. *)
-  let scored, top, statistics_span =
-    stage "diagnosis/statistics" (fun sp ->
+  let scored, top =
+    stage "diagnosis/statistics" (fun _ ->
+        let n = List.length d.patterns in
+        let in_failing = Array.make n 0 and in_successful = Array.make n 0 in
+        List.iter (tally m d in_failing) failing_tps;
+        List.iter (tally m d in_successful) success_tps;
         let scored =
-          Statistics.score m ~points_to ~patterns ~failing:failing_tps
-            ~successful:success_tps
+          rank d ~first_tp ~n_failing:(List.length failing_tps) ~in_failing
+            ~in_successful
         in
-        (scored, Statistics.top scored, sp))
+        (scored, Statistics.top scored))
   in
-  let distinct_iids ps =
-    List.sort_uniq compare (List.concat_map Patterns.ordered_iids ps)
-  in
-  let rank1 = Type_ranking.rank1_count candidates in
+  let rank1 = Type_ranking.rank1_count d.candidates in
   let stage_counts =
     {
       total_instrs = Lir.Irmod.instr_count m;
       after_trace_processing = Tp.Iset.cardinal executed;
-      after_points_to = List.length candidates;
-      after_type_ranking = (if rank1 > 0 then rank1 else List.length candidates);
-      after_patterns = List.length (distinct_iids patterns);
+      after_points_to = List.length d.candidates;
+      after_type_ranking =
+        (if rank1 > 0 then rank1 else List.length d.candidates);
+      after_patterns =
+        List.length
+          (List.sort_uniq compare
+             (List.concat_map Patterns.ordered_iids d.patterns));
       after_statistics =
         (match top with
         | Some s -> List.length (Patterns.ordered_iids s.Statistics.pattern)
@@ -252,14 +287,18 @@ let diagnose ?jobs ?cache m ~config ~failing ~successful =
     }
   in
   (* Funnel counts only known now; span args stay writable after finish. *)
-  set_count pta_span stage_counts.after_points_to;
-  set_count type_ranking_span stage_counts.after_type_ranking;
-  set_count patterns_span stage_counts.after_patterns;
-  set_count statistics_span stage_counts.after_statistics;
+  set_count (span "diagnosis/anchor") 1;
+  Obs.Span.set_arg (span "diagnosis/anchor") "anchor_iid"
+    (Obs.Span.Int d.anchor_iid);
+  set_count (span "diagnosis/points_to") stage_counts.after_points_to;
+  set_count (span "diagnosis/type_ranking") stage_counts.after_type_ranking;
+  set_count (span "diagnosis/patterns") stage_counts.after_patterns;
+  set_count (span "diagnosis/statistics") stage_counts.after_statistics;
   (* The legacy timing shim, derived from the spans (wall-clock seconds). *)
   let timings =
     {
-      hybrid_analysis_s = Obs.Span.duration_ns pta_span /. 1e9;
+      hybrid_analysis_s =
+        Obs.Span.duration_ns (span "diagnosis/points_to") /. 1e9;
       pipeline_s = Obs.Span.elapsed_ns trace root /. 1e9;
     }
   in
@@ -269,7 +308,7 @@ let diagnose ?jobs ?cache m ~config ~failing ~successful =
     unique_top = Statistics.is_unique_top scored;
     stage_counts;
     timings;
-    anchor_iid;
+    anchor_iid = d.anchor_iid;
     executed_count = Tp.Iset.cardinal executed;
     desynced =
       List.exists (fun (tp : Tp.t) -> tp.Tp.desynced_tids <> []) failing_tps;

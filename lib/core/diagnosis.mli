@@ -61,6 +61,45 @@ val diagnose :
     {!Snorlax_util.Pool.default_jobs} and decode memoization to
     {!Pt.Decode_cache.shared}. *)
 
+(** {2 Stages 3–7}
+
+    {!diagnose} and [Stream.Incremental] are both drivers over {!derive},
+    {!tally} and {!rank}: a batch and a streaming diagnosis of the same
+    reports agree by construction, and the derivation changes in one place. *)
+
+type derived = {
+  points_to : Analysis.Pointsto.t;  (** hybrid, over the executed scope *)
+  anchor_iid : int;  (** {!resolve_anchor} of the first failing report *)
+  candidates : Type_ranking.candidate list;
+  patterns : Patterns.t list;  (** in {!Patterns.generate}'s canonical order *)
+}
+
+val derive :
+  Lir.Irmod.t ->
+  executed:Trace_processing.Iset.t ->
+  first:Report.failing_report ->
+  first_tp:Trace_processing.t ->
+  derived
+(** Stages 3–6: points-to over [executed], the anchor resolved in
+    [first_tp], type-ranked candidates (frees first for a use-after-free)
+    and the first failing trace's patterns around the resolved anchor.
+    Valid until some report executes code outside [executed]. *)
+
+val tally : Lir.Irmod.t -> derived -> int array -> Trace_processing.t -> unit
+(** Stage 7's counting: add one to [counts.(i)] for every pattern [i] of
+    [derived.patterns] present in the trace.  Order-independent. *)
+
+val rank :
+  derived ->
+  first_tp:Trace_processing.t ->
+  n_failing:int ->
+  in_failing:int array ->
+  in_successful:int array ->
+  Statistics.scored list
+(** Stage 7's scoring: {!Statistics.of_counts} per pattern from the
+    tallied counts, then {!Statistics.rank} with [first_tp] (the first
+    failing trace) as the proximity tie-breaker. *)
+
 val process_failing :
   Lir.Irmod.t ->
   config:Pt.Config.t ->

@@ -43,6 +43,14 @@ let ordered_iids = function
   | Deadlock_cycle { sides } ->
     List.concat_map (fun (h, a) -> [ h; a ]) sides
 
+let claimed_pairs = function
+  | Order { remote_iid; anchor_iid; _ } -> [ (remote_iid, anchor_iid) ]
+  | Atomicity { local_iid; remote_iid; anchor_iid; _ } ->
+    [ (local_iid, remote_iid); (remote_iid, anchor_iid) ]
+  | Deadlock_cycle _ -> []
+
+let norm_pair (a, b) = if a <= b then (a, b) else (b, a)
+
 let describe m p =
   let at iid = Lir.Printer.instr_with_location m iid in
   match p with

@@ -33,6 +33,19 @@ val ordered_iids : t -> int list
 (** The target instructions in diagnosed execution order, comparable to a
     bug's ground truth for the A_O metric. *)
 
+val claimed_pairs : t -> (int * int) list
+(** The instruction pairs a pattern claims can interleave the wrong way,
+    which a happens-before check of the diagnosis (the oracle) or of a
+    patch (fix validation) looks up.  An order violation claims
+    (remote, anchor); an atomicity violation claims the remote lands
+    between the two local accesses, so both (local, remote) and
+    (remote, anchor) can flip.  A deadlock cycle claims lock-order facts,
+    not access pairs: [[]]. *)
+
+val norm_pair : int * int -> int * int
+(** A pair with the smaller iid first, so pairs compare regardless of
+    which side a race report or a claim names first. *)
+
 val describe : Lir.Irmod.t -> t -> string
 
 val generate :

@@ -32,26 +32,19 @@ let class_rank = function
   | Patterns.Order _ | Patterns.Deadlock_cycle _ -> 0
   | Patterns.Atomicity _ -> 1
 
-let rank ?proximity_tp scored =
+let rank ~proximity_tp scored =
   (* Same-class ties are broken by proximate cause: among remote accesses
      that all perfectly separate failing from successful runs, the one
      that executed *last* before the failure is the one the failing read
      actually observed (e.g. the free racing a reader outranks the store
      that preceded that free). *)
-  let proximity =
-    match proximity_tp with
-    | None -> fun _ -> 0
-    | Some tp -> (
-      fun pattern ->
-        match pattern with
-        | Patterns.Order { remote_iid; _ }
-        | Patterns.Atomicity { remote_iid; _ } ->
-          List.fold_left
-            (fun acc (e : Trace_processing.event) ->
-              max acc e.Trace_processing.seq)
-            (-1)
-            (Trace_processing.instances tp ~iid:remote_iid)
-        | Patterns.Deadlock_cycle _ -> 0)
+  let proximity = function
+    | Patterns.Order { remote_iid; _ } | Patterns.Atomicity { remote_iid; _ } ->
+      List.fold_left
+        (fun acc (e : Trace_processing.event) -> max acc e.Trace_processing.seq)
+        (-1)
+        (Trace_processing.instances proximity_tp ~iid:remote_iid)
+    | Patterns.Deadlock_cycle _ -> 0
   in
   let cmp a b =
     match compare b.f1 a.f1 with
@@ -62,19 +55,6 @@ let rank ?proximity_tp scored =
     | c -> c
   in
   List.stable_sort cmp scored
-
-let score m ~points_to ~patterns ~failing ~successful =
-  let n_failing = List.length failing in
-  let score_one pattern =
-    let count tps =
-      List.length
-        (List.filter (fun tp -> Patterns.present_in m ~points_to pattern tp) tps)
-    in
-    of_counts pattern ~present_in_failing:(count failing)
-      ~present_in_successful:(count successful) ~n_failing
-  in
-  let proximity_tp = match failing with [] -> None | tp :: _ -> Some tp in
-  rank ?proximity_tp (List.map score_one patterns)
 
 let top = function [] -> None | s :: _ -> Some s
 

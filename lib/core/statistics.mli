@@ -19,26 +19,16 @@ val of_counts :
   present_in_successful:int ->
   n_failing:int ->
   scored
-(** Build one scored entry from presence counts alone — the form an
-    incremental collector maintains per pattern without re-walking old
-    traces.  [score] is [of_counts] over freshly counted presences. *)
+(** Build one scored entry from presence counts alone.  The counts come
+    from {!Diagnosis.tally}, which the batch pipeline runs over every
+    trace and the streaming engine as each trace arrives. *)
 
-val rank : ?proximity_tp:Trace_processing.t -> scored list -> scored list
-(** The exact ordering [score] applies: descending F1, ties prefer
-    order/deadlock over atomicity, same-class ties prefer the remote
-    access whose last instance in [proximity_tp] (the first failing
-    trace) executed latest; stable beyond that. *)
-
-val score :
-  Lir.Irmod.t ->
-  points_to:Analysis.Pointsto.t ->
-  patterns:Patterns.t list ->
-  failing:Trace_processing.t list ->
-  successful:Trace_processing.t list ->
-  scored list
-(** Sorted by descending F1; ties prefer order/deadlock patterns over
-    atomicity ones (the simpler explanation), then generation order
-    (which is type-rank order). *)
+val rank : proximity_tp:Trace_processing.t -> scored list -> scored list
+(** The diagnosis order ({!Diagnosis.rank} applies it): descending F1,
+    ties prefer order/deadlock over atomicity (the simpler explanation),
+    same-class ties prefer the remote access whose last instance in
+    [proximity_tp] (the first failing trace) executed latest; stable
+    beyond that, i.e. {!Patterns.generate}'s canonical order. *)
 
 val top : scored list -> scored option
 (** Highest-F1 pattern, if any. *)

@@ -208,3 +208,19 @@ let print_latency () =
     avg
     (Latency.chromium_scenario ~avg_recurrences:avg ~tracked_bugs:684);
   rows
+
+let print_hypothesis ?samples () =
+  let t1 = print_table1 ?samples () in
+  let t2 = print_table2 ?samples () in
+  let t3 = print_table3 ?samples () in
+  print_hypothesis_summary [ t1; t2; t3 ]
+
+let print_all ?samples () =
+  print_hypothesis ?samples ();
+  ignore (print_accuracy ());
+  ignore (print_figure7 ());
+  ignore (print_table4 ());
+  ignore (print_figure8 ());
+  ignore (print_figure9 ());
+  ignore (print_latency ());
+  Ablations.print_all ()

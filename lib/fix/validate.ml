@@ -91,18 +91,10 @@ let signature f =
   let r = Core.Report.of_sim_failure f ~time_ns:0. ~traces:[] in
   (Core.Report.kind_label r, Core.Report.failing_anchor_iid r)
 
-let norm (a, b) = if a <= b then (a, b) else (b, a)
-
 let race_pairs engine =
-  List.map (fun (r : Hb.race) -> norm (r.Hb.a_iid, r.Hb.b_iid)) (Hb.races engine)
-
-let claimed_pairs (p : Core.Patterns.t) =
-  match p with
-  | Core.Patterns.Order { remote_iid; anchor_iid; _ } ->
-    [ (remote_iid, anchor_iid) ]
-  | Core.Patterns.Atomicity { local_iid; remote_iid; anchor_iid; _ } ->
-    [ (local_iid, remote_iid); (remote_iid, anchor_iid) ]
-  | Core.Patterns.Deadlock_cycle _ -> []
+  List.map
+    (fun (r : Hb.race) -> Core.Patterns.norm_pair (r.Hb.a_iid, r.Hb.b_iid))
+    (Hb.races engine)
 
 (* Crossed hold-while-acquiring facts from two threads with no common
    gate: thread [t1] held [la] wanting [lb] while [t2] held [lb] wanting
@@ -246,7 +238,7 @@ let judge_patch ~(bug : Corpus.Bug.t) ~(collected : Corpus.Runner.collected)
       | Some (Not_fixed _), Regressed _ -> verdict := Some v
       | Some _, _ -> ()
     in
-    let pairs = claimed_pairs pattern in
+    let pairs = Core.Patterns.claimed_pairs pattern in
     List.iter
       (fun seed ->
         let o = plain_run m_patched ~entry ~seed in

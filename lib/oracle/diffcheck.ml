@@ -40,26 +40,11 @@ let diverged r =
   | Agree -> false
   | Diagnosis_miss | Diagnosis_spurious | Oracle_only -> true
 
-(* The instruction pairs a pattern asserts can interleave the wrong way.
-   An order violation claims remote-vs-anchor; an atomicity violation
-   claims the remote lands between the two local accesses, i.e. both the
-   local-remote and remote-anchor pairs can flip.  Deadlock cycles claim
-   lock-order facts, checked separately against [Hb.lock_edges]. *)
-let claimed_pairs (p : Core.Patterns.t) =
-  match p with
-  | Core.Patterns.Order { remote_iid; anchor_iid; _ } ->
-    [ (remote_iid, anchor_iid) ]
-  | Core.Patterns.Atomicity { local_iid; remote_iid; anchor_iid; _ } ->
-    [ (local_iid, remote_iid); (remote_iid, anchor_iid) ]
-  | Core.Patterns.Deadlock_cycle _ -> []
-
 let confirmed = function
   | Hb.Conflict { ordering = Hb.Racy; _ }
   | Hb.Conflict { ordering = Hb.Lock_ordered; _ } ->
     true
   | Hb.Conflict { ordering = Hb.Enforced; _ } | Hb.No_conflict -> false
-
-let norm (a, b) = if a <= b then (a, b) else (b, a)
 
 (* A two-thread lock cycle among the hold-while-acquiring facts: thread
    t1 held [la] wanting [lb] while some other thread held [lb] wanting
@@ -127,7 +112,7 @@ let classify ~(res : Core.Diagnosis.result) ~engine ~races ~bug_kind =
         List.map
           (fun (a, b) ->
             { a_iid = a; b_iid = b; verdict = Hb.pair_verdict engine a b })
-          (claimed_pairs p)
+          (Core.Patterns.claimed_pairs p)
       in
       let bad =
         List.filter_map
@@ -145,7 +130,8 @@ let classify ~(res : Core.Diagnosis.result) ~engine ~races ~bug_kind =
     match top with
     | None | Some (Core.Patterns.Deadlock_cycle _) -> []
     | Some p ->
-      let claimed = List.map norm (claimed_pairs p) in
+      let norm = Core.Patterns.norm_pair in
+      let claimed = List.map norm (Core.Patterns.claimed_pairs p) in
       List.filter
         (fun (r : Hb.race) -> List.mem (norm (r.a_iid, r.b_iid)) claimed)
         anchor_races

@@ -102,9 +102,9 @@ let build_walk_table m =
 (* One-entry cache keyed on module identity + layout generation, held in
    domain-local storage: decodes of one batch all target the same module,
    and giving each domain its own slot removes the lookup mutex the old
-   shared cache needed — a worker builds the table once per (domain,
-   module) from the read-only post-layout module and then hits every
-   time.  [prepare] still warms the submitting domain's slot. *)
+   shared cache needed — each domain builds the table lazily on its first
+   decode of a (post-layout, read-only) module and then hits every
+   time. *)
 let table_cache : (Lir.Irmod.t * int * walk_table) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -116,10 +116,6 @@ let walk_table m =
     let t = build_walk_table m in
     slot := Some (m, Lir.Irmod.generation m, t);
     t
-
-let prepare m =
-  Lir.Irmod.layout m;
-  ignore (walk_table m : walk_table)
 
 (* --- cursor walker --------------------------------------------------------
 

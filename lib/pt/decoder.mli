@@ -56,11 +56,6 @@ val decode_raw :
     {!Snorlax_util.Pool} and the submitting domain records metrics per
     result afterwards with {!record_metrics}. *)
 
-val prepare : Lir.Irmod.t -> unit
-(** Lay the module out and build the decoder's pc-indexed walk table
-    eagerly.  Called from the submitting domain before fanning a batch
-    across a pool so worker domains only read the shared cache. *)
-
 val record_metrics : ?into:Obs.Metrics.t -> result -> snapshot_bytes:int -> unit
 (** Record one decode's pt/* counters (calls, steps, lost bytes, desyncs,
     thread exits, snapshot size).  Without [into], records into the

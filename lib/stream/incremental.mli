@@ -1,30 +1,30 @@
 (** Incremental per-bucket diagnosis: the resident form of the batch
     pipeline ({!Snorlax_core.Diagnosis.diagnose}) for a mothership that
-    never stops receiving reports.
+    never stops receiving reports: a second driver over the batch's own
+    stages 3–7 ({!Snorlax_core.Diagnosis.derive}, [tally], [rank]) that
+    differs only in when it calls them.
 
     The engine caches one trace processing per report it has seen (so a
     trace is decoded exactly once, and even that through the shared
-    {!Pt.Decode_cache}) and maintains per-pattern presence counts.  Two
+    {!Pt.Decode_cache}) and keeps the per-pattern presence counts.  Two
     update regimes:
 
     - {b Fast path} — the new report's executed-instruction set is a
       subset of what the bucket has already seen (the common fleet case:
       another endpoint hitting the same schedule).  Nothing derived from
-      the executed union can change, so the update is one
-      {!Snorlax_core.Patterns.present_in} sweep over the candidate
-      patterns — no points-to, no pattern generation, no re-walk of old
+      the executed union can change, so the update is one [tally] of the
+      new trace — no points-to, no pattern generation, no re-walk of old
       traces.
-    - {b Re-derive} — the report executed new code.  The points-to
-      scope, candidate set and patterns are recomputed (batch stages
-      3–6) and presences recounted over the {e cached} trace
-      processings; deferred until the next {!results} call so a burst of
+    - {b Re-derive} — the report executed new code.  [derive] runs again
+      over the grown union and every {e cached} trace processing is
+      re-tallied; deferred until the next {!results} call so a burst of
       novel reports costs one re-derivation.
 
-    Both regimes produce byte-for-byte the scored list a from-scratch
+    Either way {!results} returns the scored list a from-scratch
     {!Snorlax_core.Diagnosis.diagnose} over the same reports would:
-    presence counts are order-independent, and {!results} ranks through
-    the exact {!Snorlax_core.Statistics.rank} comparator with the first
-    failing trace as the proximity tie-breaker, just like the batch. *)
+    presence counts are order-independent and [rank] breaks ties on the
+    first failing trace, as in the batch.  Only the fast path's counts
+    are not shared with the batch; tests recount them from scratch. *)
 
 type t
 

@@ -273,8 +273,23 @@ let test_deadlock_presence_needs_distinct_threads () =
 
 (* --- statistics ---------------------------------------------------------- *)
 
-let test_f1_scoring () =
+(* Stage 7 as the batch pipeline runs it: tally every trace, then rank
+   with the first failing trace (an empty one when there is none) as the
+   proximity tie-breaker. *)
+let score patterns ~failing ~successful =
   let m, pta = dummy_pta in
+  let d =
+    { Core.Diagnosis.points_to = pta; anchor_iid = 0; candidates = []; patterns }
+  in
+  let n = List.length patterns in
+  let in_failing = Array.make n 0 and in_successful = Array.make n 0 in
+  List.iter (Core.Diagnosis.tally m d in_failing) failing;
+  List.iter (Core.Diagnosis.tally m d in_successful) successful;
+  let first_tp = match failing with tp :: _ -> tp | [] -> tp_of_events [] in
+  Core.Diagnosis.rank d ~first_tp ~n_failing:(List.length failing) ~in_failing
+    ~in_successful
+
+let test_f1_scoring () =
   let failing = [ tp_of_events [ ev 1 0 1 100 110; ev 2 0 2 200 210 ] ] in
   let successful =
     [
@@ -282,10 +297,7 @@ let test_f1_scoring () =
       tp_of_events [ ev 2 0 2 100 110 ];
     ]
   in
-  let scored =
-    Core.Statistics.score m ~points_to:pta ~patterns:[ order_pattern ]
-      ~failing ~successful
-  in
+  let scored = score [ order_pattern ] ~failing ~successful in
   match scored with
   | [ s ] ->
     Alcotest.(check (float 1e-9)) "perfect F1" 1.0 s.Core.Statistics.f1;
@@ -295,7 +307,6 @@ let test_f1_scoring () =
   | _ -> Alcotest.fail "expected one scored pattern"
 
 let test_f1_tie_break_prefers_order () =
-  let m, pta = dummy_pta in
   let failing =
     [ tp_of_events [ ev 1 0 1 100 110; ev 2 0 2 200 210; ev 1 1 3 300 310 ] ]
   in
@@ -306,9 +317,7 @@ let test_f1_tie_break_prefers_order () =
         { remote_iid = 2; anchor_iid = 3; shape = Core.Patterns.WR };
     ]
   in
-  let scored =
-    Core.Statistics.score m ~points_to:pta ~patterns ~failing ~successful:[]
-  in
+  let scored = score patterns ~failing ~successful:[] in
   (match Core.Statistics.top scored with
   | Some top -> (
     match top.Core.Statistics.pattern with
@@ -320,10 +329,8 @@ let test_f1_tie_break_prefers_order () =
 (* Degenerate populations: no failing runs, no patterns, no traces at
    all.  Scoring must stay total — 0s and [] — never raise or emit NaN. *)
 let test_scoring_degenerate_inputs () =
-  let m, pta = dummy_pta in
   let no_failing =
-    Core.Statistics.score m ~points_to:pta ~patterns:[ order_pattern ]
-      ~failing:[]
+    score [ order_pattern ] ~failing:[]
       ~successful:[ tp_of_events [ ev 1 0 1 100 110 ] ]
   in
   (match no_failing with
@@ -334,9 +341,7 @@ let test_scoring_degenerate_inputs () =
       (Float.is_nan s.Core.Statistics.f1)
   | _ -> Alcotest.fail "expected one scored pattern");
   Alcotest.(check bool) "no patterns -> empty" true
-    (Core.Statistics.score m ~points_to:pta ~patterns:[] ~failing:[]
-       ~successful:[]
-    = []);
+    (score [] ~failing:[] ~successful:[] = []);
   Alcotest.(check bool) "top of empty" true
     (Core.Statistics.top [] = None);
   Alcotest.(check bool) "empty list is trivially unique" true
@@ -346,7 +351,6 @@ let test_scoring_degenerate_inputs () =
    remote access that executed last before the failure), not whichever
    pattern the generator happened to emit first. *)
 let test_tie_break_prefers_proximate_remote () =
-  let m, pta = dummy_pta in
   let failing =
     [
       tp_of_events
@@ -360,10 +364,7 @@ let test_tie_break_prefers_proximate_remote () =
   in
   List.iter
     (fun patterns ->
-      let scored =
-        Core.Statistics.score m ~points_to:pta ~patterns ~failing
-          ~successful:[]
-      in
+      let scored = score patterns ~failing ~successful:[] in
       Alcotest.(check bool) "scores tie" false
         (Core.Statistics.is_unique_top scored);
       match Core.Statistics.top scored with

@@ -339,6 +339,11 @@ let step_text buf (d : Pt.Decoder.result) =
         (match s.Pt.Decoder.t_hi with Some h -> string_of_int h | None -> "-"))
     d.Pt.Decoder.steps
 
+(* One default [Runner.collect] of every corpus bug, shared by the golden
+   decode and diagnosis digests and the streaming equivalence sweep. *)
+let collected =
+  lazy (List.map (fun (bug : Corpus.Bug.t) -> (bug, Corpus.Runner.collect bug ())) all)
+
 let decode_digests () =
   let module R = Snorlax_core.Report in
   let config = Pt.Config.default in
@@ -351,8 +356,8 @@ let decode_digests () =
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
   List.iter
-    (fun (bug : Corpus.Bug.t) ->
-      match Corpus.Runner.collect bug () with
+    (fun ((bug : Corpus.Bug.t), collected) ->
+      match collected with
       | Error e -> Printf.bprintf clean "%s error %s\n" bug.Corpus.Bug.id e
       | Ok c ->
         let m = c.Corpus.Runner.built.Corpus.Bug.m in
@@ -389,7 +394,7 @@ let decode_digests () =
                 [ (s.R.trigger_tid, (s.R.trigger_pc, s.R.trigger_time_ns)) ]
               s.R.s_traces)
           c.Corpus.Runner.successful)
-    all;
+    (Lazy.force collected);
   let rings = List.rev !rings in
   for seed = 1 to 20 do
     let prng = Snorlax_util.Prng.create ~seed in
@@ -408,6 +413,84 @@ let test_golden_decode_digest () =
   Alcotest.(check int) "corpus rings" 1760 n;
   Alcotest.(check string) "decode digest" golden_decode_digest
     (clean ^ "/" ^ corrupt)
+
+(* --- golden diagnosis digest --------------------------------------------- *)
+
+(* Everything [Diagnosis.diagnose] answers for every corpus bug's default
+   collection: the full scored list (pattern id, F1/precision/recall as
+   IEEE bits, presence counts), the resolved anchor, the stage funnel and
+   each span's name with its [candidates] arg; plus the type-ranked
+   candidates (iid, rank, access) [Diagnosis.derive] returns, which the
+   scored list cannot show (patterns are generated in canonical order, so
+   candidate ranks never reach it).  Refactors of stages 3-7 (points-to,
+   anchor, type ranking, patterns, statistics) must leave it
+   bit-identical. *)
+let golden_diagnosis_digest = "a3ac738e77d1d723031f00e8fd67fea0"
+
+let diagnosis_text () =
+  let module D = Snorlax_core.Diagnosis in
+  let module S = Snorlax_core.Statistics in
+  let buf = Buffer.create (1 lsl 16) in
+  let add fmt = Printf.bprintf buf fmt in
+  let bits f = Int64.bits_of_float f in
+  List.iter
+    (fun ((bug : Corpus.Bug.t), collected) ->
+      add "%s\n" bug.Corpus.Bug.id;
+      match collected with
+      | Error e -> add "error %s\n" e
+      | Ok c ->
+        let m = c.Corpus.Runner.built.Corpus.Bug.m in
+        let r =
+          D.diagnose m ~config:Pt.Config.default ~failing:c.Corpus.Runner.failing
+            ~successful:c.Corpus.Runner.successful
+        in
+        List.iter
+          (fun (s : S.scored) ->
+            add "%s %Ld %Ld %Ld %d %d\n"
+              (Snorlax_core.Patterns.id s.S.pattern)
+              (bits s.S.f1) (bits s.S.precision) (bits s.S.recall)
+              s.S.present_in_failing s.S.present_in_successful)
+          r.D.scored;
+        let k = r.D.stage_counts in
+        add "anchor %d stages %d %d %d %d %d %d\n" r.D.anchor_iid
+          k.D.total_instrs k.D.after_trace_processing k.D.after_points_to
+          k.D.after_type_ranking k.D.after_patterns k.D.after_statistics;
+        List.iter
+          (fun (sp : Obs.Span.span) ->
+            add "span %s %s\n" sp.Obs.Span.name
+              (match Obs.Span.find_arg sp "candidates" with
+              | Some (Obs.Span.Int n) -> string_of_int n
+              | Some _ | None -> "-"))
+          r.D.spans;
+        let config = Pt.Config.default in
+        let tps =
+          List.map (D.process_failing m ~config) c.Corpus.Runner.failing
+          @ List.map (D.process_successful m ~config) c.Corpus.Runner.successful
+        in
+        let executed =
+          List.fold_left
+            (fun acc (tp : Snorlax_core.Trace_processing.t) ->
+              Snorlax_core.Trace_processing.(Iset.union acc tp.executed))
+            Snorlax_core.Trace_processing.Iset.empty tps
+        in
+        let d =
+          D.derive m ~executed ~first:(List.hd c.Corpus.Runner.failing)
+            ~first_tp:(List.hd tps)
+        in
+        List.iter
+          (fun (k : Snorlax_core.Type_ranking.candidate) ->
+            add "cand %d %d %s\n" k.iid k.rank
+              (match k.access with
+              | `Read -> "r"
+              | `Write -> "w"
+              | `Lock -> "l"))
+          d.D.candidates)
+    (Lazy.force collected);
+  Buffer.contents buf
+
+let test_golden_diagnosis_digest () =
+  Alcotest.(check string) "diagnosis digest" golden_diagnosis_digest
+    (Digest.to_hex (Digest.string (diagnosis_text ())))
 
 let tests =
   [
@@ -435,5 +518,7 @@ let tests =
         Alcotest.test_case "watch pcs" `Quick test_watch_pcs_start_with_failure_pc;
         Alcotest.test_case "golden run digest" `Quick test_golden_determinism;
         Alcotest.test_case "golden decode digest" `Quick test_golden_decode_digest;
+        Alcotest.test_case "golden diagnosis digest" `Quick
+          test_golden_diagnosis_digest;
       ] );
   ]

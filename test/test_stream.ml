@@ -57,8 +57,16 @@ let check_snapshot_equals_batch name (snap : Incremental.snapshot)
         b.Core.Statistics.precision;
       Alcotest.(check (float 1e-9))
         (name ^ ": same recall") a.Core.Statistics.recall
-        b.Core.Statistics.recall)
+        b.Core.Statistics.recall;
+      Alcotest.(check (pair int int))
+        (name ^ ": same presence counts")
+        (a.Core.Statistics.present_in_failing,
+         a.Core.Statistics.present_in_successful)
+        (b.Core.Statistics.present_in_failing,
+         b.Core.Statistics.present_in_successful))
     batch.Core.Diagnosis.scored snap.Incremental.scored;
+  Alcotest.(check int) (name ^ ": same anchor") batch.Core.Diagnosis.anchor_iid
+    snap.Incremental.anchor_iid;
   Alcotest.(check (option string))
     (name ^ ": same top")
     (Option.map
@@ -139,6 +147,51 @@ let test_incremental_none_before_failing () =
     c.Corpus.Runner.successful;
   Alcotest.(check bool) "successes alone anchor nothing" true
     (Incremental.results eng = None)
+
+(* Every corpus bug's default collection, fed in a seeded shuffled
+   arrival order with a [results] call after every third report: early
+   derivations, deferred re-derives and fast-path updates all happen,
+   and the final snapshot must still be the batch answer over the same
+   reports in the same arrival order (the first failing report to arrive
+   anchors both). *)
+let test_incremental_equals_batch_every_bug () =
+  let fast = ref 0 in
+  List.iteri
+    (fun i ((bug : Corpus.Bug.t), collected) ->
+      match collected with
+      | Error e -> Alcotest.failf "%s: %s" bug.Corpus.Bug.id e
+      | Ok c ->
+        let m = c.Corpus.Runner.built.Corpus.Bug.m in
+        let arrivals =
+          Array.of_list
+            (List.map Either.left c.Corpus.Runner.failing
+            @ List.map Either.right c.Corpus.Runner.successful)
+        in
+        Snorlax_util.Prng.shuffle
+          (Snorlax_util.Prng.create ~seed:(i + 1))
+          arrivals;
+        let arrivals = Array.to_list arrivals in
+        let eng = Incremental.create m ~config:Pt.Config.default in
+        List.iteri
+          (fun k a ->
+            (match a with
+            | Either.Left r -> Incremental.add_failing eng r
+            | Either.Right s -> Incremental.add_successful eng s);
+            if k mod 3 = 2 then ignore (Incremental.results eng))
+          arrivals;
+        let batch =
+          Core.Diagnosis.diagnose m ~config:Pt.Config.default
+            ~failing:(List.filter_map Either.find_left arrivals)
+            ~successful:(List.filter_map Either.find_right arrivals)
+        in
+        (match Incremental.results eng with
+        | None -> Alcotest.failf "%s: no snapshot" bug.Corpus.Bug.id
+        | Some snap -> check_snapshot_equals_batch bug.Corpus.Bug.id snap batch);
+        fast := !fast + Incremental.fast_updates eng)
+    (Lazy.force Test_corpus.collected);
+  Alcotest.(check bool)
+    (Printf.sprintf "some bug took the fast path (%d updates)" !fast)
+    true (!fast > 0)
 
 (* --- shard backpressure -------------------------------------------------- *)
 
@@ -576,6 +629,8 @@ let tests =
           test_incremental_equals_batch;
         Alcotest.test_case "equals batch, interleaved snapshots" `Quick
           test_incremental_equals_batch_interleaved;
+        Alcotest.test_case "incremental == batch, every bug shuffled" `Quick
+          test_incremental_equals_batch_every_bug;
         Alcotest.test_case "no diagnosis before a failing report" `Quick
           test_incremental_none_before_failing;
       ] );
