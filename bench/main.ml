@@ -337,10 +337,10 @@ let emit_decode_bench () =
 
 (* The streaming fleet under the shard-per-domain service: the same
    seeded scenario serviced inline (shard_domains = 1) and with one
-   worker domain per shard (shard_domains = 4), sharing one baseline
+   domain per shard (shard_domains = 4), sharing one baseline
    reproduction and starting each timed run from a cold shared decode
-   cache.  The SPSC handoff replays each shard's exact inline operation
-   sequence, so the two bucket tables must compare equal — the runs may
+   cache.  Each shard sees the same offers and drains at any width, so
+   the two bucket tables must compare equal — the runs may
    differ only in wall clock.  The >= 2x speedup assertion is a
    multicore claim; on hosts with fewer than 4 cores the ratio is still
    measured and reported, but the gate records itself as skipped (extra

@@ -424,8 +424,11 @@ let stream_run n_endpoints ticks n_shards shard_domains churn fault_name
         (if List.length bugs = 1 then "" else "s")
         ticks n_shards
         (if n_shards = 1 then "" else "s")
-        (if shard_domains <= 1 then "inline"
-         else Printf.sprintf "%d worker domains" shard_domains);
+        (let width = min shard_domains n_shards in
+         if shard_domains <= 1 then "inline"
+         else
+           Printf.sprintf "%d service domain%s" width
+             (if width = 1 then "" else "s"));
       let tick =
         if watch then
           Some
@@ -1086,9 +1089,9 @@ let stream_cmd =
       value & opt int 1
       & info [ "shard-domains" ] ~docv:"D"
           ~doc:
-            "Worker domains for the shard service plane; 1 services \
-             inline on the submitting domain.  Results are \
-             byte-identical whatever the value.")
+            "Domains for the shard service plane, at most one per \
+             shard; 1 services inline on the submitting domain.  \
+             Results are byte-identical whatever the value.")
   in
   let churn =
     Arg.(

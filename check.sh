@@ -7,6 +7,17 @@ cd "$(dirname "$0")"
 echo "== build =="
 dune build @all
 
+echo "== one domain spawner =="
+# Util.Pool is the only code that spawns a domain: decode fan-out,
+# corpus sweeps and the shard service plane all run as its batches, so
+# its barrier and fail-fast rules are the only ones to reason about.
+spawns=$(grep -rn "Domain.spawn" lib bin bench | grep -v "^lib/util/pool.ml:" || true)
+if [ -n "$spawns" ]; then
+  echo "$spawns"
+  echo "one domain spawner: Domain.spawn outside lib/util/pool.ml"
+  exit 1
+fi
+
 echo "== test =="
 dune runtest
 
@@ -92,11 +103,11 @@ awk 'BEGIN { RS="," } /"parallel_gate"/ {
   BENCH_decode.json
 
 echo "== stream smoke =="
-# Continuous streaming path, serviced by the shard-per-domain plane: the
+# Continuous streaming path, serviced on two pool domains: the
 # exit status gates "incremental diagnosis equals a from-scratch batch
 # on every bucket", "backpressure accounting reconciles (offered = shed
 # + drained + leftover, per shard)" and "the final drain left nothing
-# queued" — all with the SPSC handoff in the loop.  Writes to /tmp: the
+# queued" — all with pool batches in the loop.  Writes to /tmp: the
 # canonical BENCH_stream.json comes from the bench gate below.
 dune exec bin/snorlax.exe -- stream --bug pbzip2-1 --endpoints 6 \
   --duration-ticks 8 --shards 2 --churn --shard-domains 4 \
@@ -105,7 +116,7 @@ rm -f /tmp/snorlax_stream_smoke.json
 
 echo "== stream bench gate =="
 # Emit the streaming artifact: the same seeded scenario run inline
-# (1 domain) and with one worker domain per shard (4), sharing one
+# (1 domain) and with one domain per shard (4), sharing one
 # baseline reproduction.  The bench itself asserts the two bucket
 # tables compare equal and that incremental == batch with accounting
 # reconciled in both modes; the awk gate holds the service plane to its

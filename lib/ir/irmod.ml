@@ -108,6 +108,21 @@ let generation t = t.generation
 
 let invalidate_layout t = t.laid_out <- false
 
+(* One entry per domain: the runs that dominate (collection, validation
+   sweeps, a shard's decodes) use one module many times in a row, and a
+   domain-local slot needs no lock. *)
+let memo f =
+  let key = Domain.DLS.new_key (fun () -> ref None) in
+  fun t ->
+    layout t;
+    let slot = Domain.DLS.get key in
+    match !slot with
+    | Some (t', gen, v) when t' == t && gen = t.generation -> v
+    | Some _ | None ->
+      let v = f t in
+      slot := Some (t, t.generation, v);
+      v
+
 let ensure_layout t = if not t.laid_out then layout t
 
 let instr_by_iid t iid =

@@ -49,9 +49,9 @@ val layout : t -> unit
 
 val generation : t -> int
 (** Incremented by every actual layout rebuild (not by idempotent
-    re-calls).  Derived structures keyed on a module — e.g. the decoder's
-    pc-indexed walk table — pair the module's physical identity with this
-    counter to detect stale caches after [add_func] + re-layout. *)
+    re-calls).  Structures derived from a module ({!memo}) pair the
+    module's physical identity with this counter to detect stale caches
+    after [add_func] + re-layout. *)
 
 val invalidate_layout : t -> unit
 (** Mark the current layout stale so the next lookup (or explicit
@@ -59,6 +59,13 @@ val invalidate_layout : t -> unit
     implicitly; in-place rewrites of existing blocks (see {!Rewrite})
     must call it explicitly — the pcs shift and the iid/pc tables must
     pick up spliced instructions. *)
+
+val memo : (t -> 'a) -> t -> 'a
+(** [memo f] is [f] memoised per domain on the last module seen: it lays
+    the module out, then reuses the previous result while the module is
+    physically the same and its {!generation} unchanged.  [f] must be a
+    pure function of the laid-out module.  Each [memo] call owns its own
+    domain-local slot, so apply it once, at module initialisation. *)
 
 val instr_by_iid : t -> int -> Instr.t
 val block_start_pc : t -> fname:string -> label:string -> int

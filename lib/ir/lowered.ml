@@ -226,22 +226,7 @@ let build m =
   Array.iteri (fun i g -> Hashtbl.replace global_index g i) globals;
   { m; funcs; globals; global_index; by_name; by_entry_pc }
 
-(* One-entry cache keyed on module identity + layout generation, held in
-   domain-local storage like the decoder's walk table: the runs that
-   dominate (collection, validation sweeps) execute one module many times
-   in a row, and a per-domain slot needs no lock. *)
-let cache : (Irmod.t * int * t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let of_module m =
-  Irmod.layout m;
-  let slot = Domain.DLS.get cache in
-  match !slot with
-  | Some (m', gen, t) when m' == m && gen = Irmod.generation m -> t
-  | _ ->
-    let t = build m in
-    slot := Some (m, Irmod.generation m, t);
-    t
+let of_module = Irmod.memo build
 
 let funcs t = t.funcs
 let globals t = t.globals

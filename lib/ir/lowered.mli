@@ -86,8 +86,8 @@ type t
 val of_module : Irmod.t -> t
 (** The module's image, laying it out first if needed.  Built once per
     (module identity, layout generation) and kept in a domain-local
-    one-entry cache, so repeated runs of one module share it; an image
-    must not cross domains.  The module must not be mutated without
+    one-entry cache ({!Irmod.memo}), so repeated runs of one module
+    share it; an image must not cross domains.  The module must not be mutated without
     {!Irmod.invalidate_layout}. *)
 
 val funcs : t -> func array

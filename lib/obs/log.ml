@@ -130,9 +130,9 @@ module Recorder = struct
 end
 
 (* Each domain owns its always-on ring: workers that log never race on
-   a shared array, and a shard worker's events stay in rings that shard
-   owns (its flight recorder via [with_recorder], plus the worker
-   domain's private default ring). *)
+   a shared array, and a shard's events while it services stay in rings
+   that shard owns (its flight recorder via [with_recorder], plus the
+   servicing domain's private default ring). *)
 let default_key : Recorder.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Recorder.create ~capacity:128 ())
 

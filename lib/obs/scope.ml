@@ -11,8 +11,8 @@ type ctx = {
 (* Domain-local: each domain sees its own (usually absent) context, so a
    worker domain's recording calls are no-ops unless the worker installed
    a private context with [using].  This is what makes the ambient calls
-   sprinkled through the decoder/collector safe to run on pool and shard
-   domains — they never touch another domain's registry. *)
+   sprinkled through the decoder/collector safe to run on pool domains —
+   they never touch another domain's registry. *)
 let state : ctx option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -117,29 +117,31 @@ let merge_worker m =
    pool or reaches for the shared one from a worker domain; lane
    registries merge only after the barrier because the ambient context
    is not domain-safe. *)
-let sweep ~jobs f items =
-  let lanes = Pool.lanes ~jobs (List.length items) in
-  if lanes <= 1 then List.map f items
+let map_lanes pool f arr =
+  if Pool.jobs pool <= 1 then Array.mapi f arr
   else begin
     let telemetry = enabled () in
-    let arr = Array.of_list items in
     let regs = Array.make (Array.length arr) None in
     let out =
-      Pool.with_pool ~jobs:lanes (fun pool ->
-          Pool.map pool
-            (fun i x ->
-              Pool.with_default_jobs 1 @@ fun () ->
-              if telemetry then begin
-                let c = make () in
-                regs.(i) <- Some c.metrics;
-                using c (fun () -> f x)
-              end
-              else f x)
-            arr)
+      Pool.map pool
+        (fun i x ->
+          Pool.with_default_jobs 1 @@ fun () ->
+          if telemetry then begin
+            let c = make () in
+            regs.(i) <- Some c.metrics;
+            using c (fun () -> f i x)
+          end
+          else f i x)
+        arr
     in
     Array.iter (Option.iter merge_worker) regs;
-    Array.to_list out
+    out
   end
+
+let sweep ~jobs f items =
+  let arr = Array.of_list items in
+  Pool.with_pool ~jobs:(Pool.lanes ~jobs (Array.length arr)) (fun pool ->
+      Array.to_list (map_lanes pool (fun _ x -> f x) arr))
 
 let export_chrome () =
   match !(Domain.DLS.get state) with

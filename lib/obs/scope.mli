@@ -9,8 +9,8 @@
 
     The context slot is domain-local ([Domain.DLS]): a freshly spawned
     domain always starts with no scope, so ambient recording calls on
-    pool or shard worker domains are no-ops unless the worker installs
-    a private context with {!using}.  Cross-domain telemetry therefore
+    pool domains are no-ops unless the lane installs a private context
+    with {!using} (as {!map_lanes} does).  Cross-domain telemetry therefore
     flows one way only — workers record into contexts they own, and the
     submitting domain folds those registries back in with
     {!merge_worker} after a barrier. *)
@@ -69,26 +69,35 @@ val merge_worker : Metrics.t -> unit
     telemetry rejoins the main registry — workers must never touch the
     ambient context directly. *)
 
+val map_lanes :
+  Snorlax_util.Pool.t -> (int -> 'a -> 'b) -> 'a array -> 'b array
+(** [map_lanes pool f arr] is [Array.mapi f arr] run as one batch on a
+    caller-owned pool, one item per lane — the lane body shared by
+    {!sweep} and the stream's shard service plane.
+
+    - On a one-job pool: exactly [Array.mapi f arr] on the calling
+      domain — no private scope, {!Snorlax_util.Pool.default_jobs}
+      untouched.
+    - Otherwise: each lane runs under [Pool.with_default_jobs 1], so
+      nested decode that resolves its width from the default stays
+      sequential, and — when a scope is enabled — under a private
+      context ({!make}/{!using}) whose metrics are merged into the
+      ambient registry ({!merge_worker}) in input order after the
+      batch's barrier.  Lane spans are not kept.
+
+    Results come back in input order; an exception raised by a lane
+    cancels the lanes not yet started and is re-raised to the caller
+    (nothing is merged then).  [f] must touch no domain-unsafe shared
+    state. *)
+
 val sweep : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [sweep ~jobs f items] is [List.map f items] fanned one item per lane —
     the lane function behind every corpus-wide sweep (the oracle
     cross-check, fix validation, the chaos sweep, the stream's baseline
-    reproductions).  The width is {!Snorlax_util.Pool.lanes}[ ~jobs
-    (List.length items)].
-
-    - Width [<= 1]: exactly [List.map f items] on the calling domain — no
-      pool, no private scope, {!Snorlax_util.Pool.default_jobs} untouched.
-    - Otherwise: the items run on a dedicated
-      {!Snorlax_util.Pool.with_pool}.  Each lane runs under
-      [Pool.with_default_jobs 1], so nested decode that resolves its width
-      from the default stays sequential, and — when a scope is enabled —
-      under a private context ({!make}/{!using}) whose metrics are merged
-      into the ambient registry ({!merge_worker}) in input order after
-      every lane has finished.  Lane spans are not kept.
-
-    Results come back in input order; an exception raised by a lane
-    cancels the lanes not yet started and is re-raised to the caller.
-    [f] must touch no domain-unsafe shared state. *)
+    reproductions).  It runs {!map_lanes} on a dedicated
+    {!Snorlax_util.Pool.with_pool} of width
+    {!Snorlax_util.Pool.lanes}[ ~jobs (List.length items)], so width
+    [<= 1] is the plain in-order map on the calling domain. *)
 
 val export_chrome : unit -> Json.t option
 (** The current context as a Chrome trace-event document, including the

@@ -99,23 +99,9 @@ let build_walk_table m =
         set op_straight);
   t
 
-(* One-entry cache keyed on module identity + layout generation, held in
-   domain-local storage: decodes of one batch all target the same module,
-   and giving each domain its own slot removes the lookup mutex the old
-   shared cache needed — each domain builds the table lazily on its first
-   decode of a (post-layout, read-only) module and then hits every
-   time. *)
-let table_cache : (Lir.Irmod.t * int * walk_table) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let walk_table m =
-  let slot = Domain.DLS.get table_cache in
-  match !slot with
-  | Some (m', gen, t) when m' == m && gen = Lir.Irmod.generation m -> t
-  | _ ->
-    let t = build_walk_table m in
-    slot := Some (m, Lir.Irmod.generation m, t);
-    t
+(* Each domain builds the table lazily on its first decode of a module
+   and then hits every time — no lookup mutex. *)
+let walk_table = Lir.Irmod.memo build_walk_table
 
 (* --- cursor walker --------------------------------------------------------
 

@@ -98,7 +98,7 @@ type summary = {
   shard_latency : (float * float) array;
       (** per-shard (p50, p99) report->diagnosis latency, queue wait
           included *)
-  domains_used : int;  (** worker domains actually spawned; 0 = inline *)
+  domains_used : int;  (** domains that serviced shards; 0 = inline *)
   agree : bool;  (** every bucket's [batch_agrees] *)
   accounted : bool;  (** offered = shed + drained + leftover, per shard *)
   stream_ns : float;  (** the streaming phase (generator setup excluded) *)
@@ -184,7 +184,7 @@ let run ?tick ?baselines cfg bugs =
   in
   (* Same private-registry trick as the batch fleet: the summary's
      latency percentiles exist with telemetry off.  One registry per
-     shard so each worker domain writes only its own histogram; the
+     shard so each service lane writes only its own histogram; the
      fleet-wide percentiles come from a merge at the end. *)
   let latency_regs = Array.init cfg.shards (fun _ -> Obs.Metrics.create ()) in
   let latency_hists =
@@ -193,7 +193,7 @@ let run ?tick ?baselines cfg bugs =
   let svc =
     Service.create ~shards ~latency:latency_hists ~domains:cfg.shard_domains
   in
-  (* [stop] is idempotent: the happy path retires the workers inside the
+  (* [stop] is idempotent: the happy path joins the pool inside the
      timed region below; this protect only covers exceptional exits. *)
   Fun.protect ~finally:(fun () -> Service.stop svc) @@ fun () ->
   let router = Router.create ~offer:(Service.offer svc) shards modules in
@@ -242,8 +242,8 @@ let run ?tick ?baselines cfg bugs =
     Service.service_all svc ~budget:(max 1 cfg.drain_per_tick);
     decr guard
   done;
-  (* Retire the workers before timing ends: the join is part of the
-     service's cost, and after [stop] every shard is plain data again. *)
+  (* Join the pool before timing ends: the join is part of the service's
+     cost. *)
   let domains_used = Service.domains svc in
   Service.stop svc;
   let t_streamed = now () in

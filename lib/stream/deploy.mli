@@ -8,8 +8,8 @@ type config = {
   duration_ticks : int;
   shards : int;
   shard_domains : int;
-      (** worker domains for the {!Service} plane; 1 = inline
-          single-domain servicing (the historical behaviour).  Results
+      (** domains for the {!Service} plane (capped at [shards]); 1 =
+          inline single-domain servicing (the historical behaviour).  Results
           are byte-identical whatever the value — only wall-clock
           changes. *)
   churn : bool;  (** per-tick join/leave/crash events *)
@@ -97,8 +97,8 @@ type summary = {
           — the tail of a hot shard is visible even when the fleet-wide
           percentile looks healthy *)
   domains_used : int;
-      (** worker domains the service plane actually spawned (0 when
-          running inline) *)
+      (** domains that serviced shards: [min shard_domains shards], or
+          0 when running inline *)
   agree : bool;  (** every bucket's [batch_agrees] *)
   accounted : bool;
       (** offered = shed + drained + depth held per shard — the

@@ -25,9 +25,8 @@ val create :
 (** [pending_cap] (default 64) bounds the held-success pool per bug.
     The modules table must be the one the shards share.  [offer]
     overrides how a routed packet reaches shard [idx] (default: direct
-    {!Shard.offer}) — the shard-per-domain {!Service} passes its channel
-    enqueue here so routing decisions stay on this domain while queue
-    mutations move to the owning worker.  Raises [Invalid_argument] on
+    {!Shard.offer}) — {!Stream.Deploy} passes {!Service.offer}, and
+    benchmarks wrap it to time each report.  Raises [Invalid_argument] on
     an empty shard array or negative cap. *)
 
 val route : t -> bytes -> unit

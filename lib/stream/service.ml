@@ -1,222 +1,30 @@
 module Pool = Snorlax_util.Pool
 
-(* Commands flow one way, router domain -> worker domain, through a
-   bounded SPSC channel (one producer: the deploy loop; one consumer:
-   the owning worker).  FIFO order is the whole correctness story: all
-   of a tick's [Packet]s for a shard precede its [Service], so the
-   worker replays exactly the per-shard operation sequence the inline
-   path would have run — shed decisions, drain order and therefore
-   bucket tables are byte-identical whatever the domain count. *)
-type cmd =
-  | Packets of (int * float * bytes) list
-      (* (shard, arrival, packet) offers in arrival order — a tick's
-         worth batched into one channel item so the handoff costs one
-         lock round-trip per flush, not one per packet *)
-  | Service of { shard : int; budget : int }
-  | Stop
-
-type chan = {
-  m : Mutex.t;
-  nonempty : Condition.t;
-  nonfull : Condition.t;
-  acked : Condition.t;
-  q : cmd Queue.t;
-  cap : int;
-  mutable issued : int;  (* Service cmds pushed (producer side) *)
-  mutable serviced : int;  (* Service cmds completed (consumer side) *)
-  mutable failed : exn option;  (* worker death, re-raised on the producer *)
-}
-
-type worker = {
-  w_chan : chan;
-  w_ctx : Obs.Scope.ctx option;  (* private telemetry, merged at [stop] *)
-  w_domain : unit Domain.t;
-}
-
 type t = {
   shards : Shard.t array;
   latency : Obs.Metrics.histogram array;
-  workers : worker array;  (* [||] = inline (single-domain) mode *)
-  chan_of : int array;  (* shard index -> worker index *)
-  pending : (int * float * bytes) list ref array;
-      (* per-worker offer buffer (newest first), owned by the submitting
-         domain; flushed as one [Packets] item before each barrier *)
-  mutable stopped : bool;
+  pool : Pool.t;  (* one job = inline: batches run on the caller *)
+  domains : int;
 }
-
-(* Deep enough that a burst tick rarely blocks the router; blocking is
-   still correct (the consumer always drains), it just serializes. *)
-let chan_capacity = 1024
-
-let make_chan () =
-  {
-    m = Mutex.create ();
-    nonempty = Condition.create ();
-    nonfull = Condition.create ();
-    acked = Condition.create ();
-    q = Queue.create ();
-    cap = chan_capacity;
-    issued = 0;
-    serviced = 0;
-    failed = None;
-  }
-
-let take c =
-  Mutex.lock c.m;
-  while Queue.is_empty c.q do
-    Condition.wait c.nonempty c.m
-  done;
-  let cmd = Queue.pop c.q in
-  Condition.signal c.nonfull;
-  Mutex.unlock c.m;
-  cmd
-
-let put c cmd =
-  Mutex.lock c.m;
-  while Queue.length c.q >= c.cap && c.failed = None do
-    Condition.wait c.nonfull c.m
-  done;
-  match c.failed with
-  | Some e ->
-    Mutex.unlock c.m;
-    raise e
-  | None ->
-    (match cmd with Service _ -> c.issued <- c.issued + 1 | _ -> ());
-    Queue.push cmd c.q;
-    Condition.signal c.nonempty;
-    Mutex.unlock c.m
-
-let ack c =
-  Mutex.lock c.m;
-  c.serviced <- c.serviced + 1;
-  Condition.broadcast c.acked;
-  Mutex.unlock c.m
-
-let fail c e =
-  Mutex.lock c.m;
-  if c.failed = None then c.failed <- Some e;
-  Condition.broadcast c.acked;
-  Condition.broadcast c.nonfull;
-  Mutex.unlock c.m
-
-(* The worker owns its assigned shards outright: every offer, drain,
-   collector ingest and incremental-engine update for those shards runs
-   here and only here.  Nested decode stays sequential
-   ([with_default_jobs 1]) so worker lanes never contend for the shared
-   pool, and each shard's events are captured into that shard's flight
-   recorder exactly as the inline path does during [Shard.service]. *)
-let worker_loop shards latency chan ctx =
-  let body () =
-    Pool.with_default_jobs 1 @@ fun () ->
-    let running = ref true in
-    while !running do
-      match take chan with
-      | Packets offers ->
-        List.iter
-          (fun (shard, arrival, packet) ->
-            Obs.Log.with_recorder
-              (Shard.recorder shards.(shard))
-              (fun () -> Shard.offer shards.(shard) ~arrival packet))
-          offers
-      | Service { shard; budget } ->
-        ignore (Shard.service shards.(shard) ~budget latency.(shard));
-        ack chan
-      | Stop -> running := false
-    done
-  in
-  let run () = match ctx with Some c -> Obs.Scope.using c body | None -> body () in
-  try run () with e -> fail chan e
 
 let create ~shards ~latency ~domains =
   let n = Array.length shards in
   if Array.length latency <> n then
     invalid_arg "Service.create: latency/shards length mismatch";
-  if domains <= 1 || n = 0 then
-    {
-      shards;
-      latency;
-      workers = [||];
-      chan_of = [||];
-      pending = [||];
-      stopped = false;
-    }
-  else begin
-    let eff = min domains n in
-    let telemetry = Obs.Scope.enabled () in
-    let workers =
-      Array.init eff (fun _ ->
-          let chan = make_chan () in
-          let ctx = if telemetry then Some (Obs.Scope.make ()) else None in
-          {
-            w_chan = chan;
-            w_ctx = ctx;
-            w_domain =
-              Domain.spawn (fun () -> worker_loop shards latency chan ctx);
-          })
-    in
-    let chan_of = Array.init n (fun s -> s mod eff) in
-    let pending = Array.init eff (fun _ -> ref []) in
-    { shards; latency; workers; chan_of; pending; stopped = false }
-  end
+  let domains = if domains <= 1 then 0 else min domains n in
+  { shards; latency; pool = Pool.create ~jobs:domains; domains }
 
-let domains t = Array.length t.workers
+let domains t = t.domains
 
-let inline t = Array.length t.workers = 0
+let offer t idx ~arrival packet = Shard.offer t.shards.(idx) ~arrival packet
 
-let offer t idx ~arrival packet =
-  if inline t then Shard.offer t.shards.(idx) ~arrival packet
-  else begin
-    let buf = t.pending.(t.chan_of.(idx)) in
-    buf := (idx, arrival, packet) :: !buf
-  end
-
-let flush t w =
-  let buf = t.pending.(w) in
-  match !buf with
-  | [] -> ()
-  | offers ->
-    buf := [];
-    put t.workers.(w).w_chan (Packets (List.rev offers))
-
-(* Issue one budgeted drain per shard, then barrier on every worker's
-   service ack.  On return all workers are quiescent (their queues are
-   empty and no command is in flight), so the caller may read shard
-   state directly — the ack travels through the channel mutex, which
-   establishes the happens-before edge for those reads. *)
+(* One pool batch per call: each lane services one shard, and the batch
+   barrier is the edge that publishes every shard's state back to the
+   caller. *)
 let service_all t ~budget =
-  if inline t then
-    Array.iteri
-      (fun i s -> ignore (Shard.service s ~budget t.latency.(i)))
-      t.shards
-  else begin
-    Array.iteri (fun w _ -> flush t w) t.workers;
-    Array.iteri
-      (fun s _ ->
-        put t.workers.(t.chan_of.(s)).w_chan (Service { shard = s; budget }))
-      t.shards;
-    Array.iter
-      (fun w ->
-        let c = w.w_chan in
-        Mutex.lock c.m;
-        while c.serviced < c.issued && c.failed = None do
-          Condition.wait c.acked c.m
-        done;
-        let f = c.failed in
-        Mutex.unlock c.m;
-        match f with Some e -> raise e | None -> ())
-      t.workers
-  end
+  ignore
+    (Obs.Scope.map_lanes t.pool
+       (fun i s -> Shard.service s ~budget t.latency.(i))
+       t.shards)
 
-let stop t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    Array.iteri (fun w _ -> try flush t w with _ -> ()) t.workers;
-    Array.iter (fun w -> (try put w.w_chan Stop with _ -> ())) t.workers;
-    Array.iter (fun w -> Domain.join w.w_domain) t.workers;
-    Array.iter
-      (fun w ->
-        match w.w_ctx with
-        | Some c -> Obs.Scope.merge_worker c.Obs.Scope.metrics
-        | None -> ())
-      t.workers
-  end
+let stop t = Pool.shutdown t.pool

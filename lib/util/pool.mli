@@ -105,7 +105,8 @@ val set_default_jobs : int -> unit
 val with_default_jobs : int -> (unit -> 'a) -> 'a
 (** Run [f] with {!default_jobs} pinned to [max 1 n] {e on the calling
     domain only}, restoring the previous override afterwards.  Sweep and
-    shard workers wrap their work in [with_default_jobs 1] so nested
+    shard-service lanes ([Obs.Scope.map_lanes]) wrap their work in
+    [with_default_jobs 1] so nested
     decode/diagnosis stays sequential inside each lane instead of
     contending for the shared pool from multiple domains. *)
 

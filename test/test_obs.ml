@@ -198,6 +198,20 @@ let prop_json_roundtrip =
     (QCheck.make ~print:Obs.Json.to_string json_gen)
     (fun j -> Obs.Json.parse (Obs.Json.to_string j) = Ok j)
 
+let test_json_integral_floats_stay_floats () =
+  (* "%.15g" prints an integral float without a '.', which the parser
+     would read back as an [Int]. *)
+  List.iter
+    (fun f ->
+      let s = Obs.Json.to_string (Obs.Json.Float f) in
+      match Obs.Json.parse s with
+      | Ok (Obs.Json.Float g) ->
+        Alcotest.(check bool) (s ^ " round-trips bit for bit") true
+          (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
+      | Ok _ -> Alcotest.fail (s ^ " parsed back as a non-float")
+      | Error e -> Alcotest.fail (s ^ ": " ^ e))
+    [ 233638339760.; 1.; -0. ]
+
 let test_json_rejects_garbage () =
   List.iter
     (fun s ->
@@ -975,6 +989,28 @@ let test_sweep_lane_exception_reaches_caller () =
       Alcotest.(check int) "default restored" default (Pool.default_jobs ()))
     [ 1; 4 ]
 
+let test_map_lanes_failure_on_caller_owned_pool () =
+  (* The shard service plane keeps one pool across batches: a failing
+     lane must reach the caller, restore its context, and leave the pool
+     ready for the next batch.  Four jobs, unclamped by the core count. *)
+  Pool.with_pool ~jobs:4 @@ fun pool ->
+  with_scope @@ fun () ->
+  let ambient = Option.get (Obs.Scope.current ()) in
+  let default = Pool.default_jobs () in
+  let items = Array.init 8 Fun.id in
+  (match
+     Obs.Scope.map_lanes pool
+       (fun i x -> if i = 5 then failwith "lane 5" else x)
+       items
+   with
+  | _ -> Alcotest.fail "lane exception swallowed"
+  | exception Failure msg -> Alcotest.(check string) "re-raised" "lane 5" msg);
+  Alcotest.(check bool) "ambient scope restored" true
+    (match Obs.Scope.current () with Some c -> c == ambient | None -> false);
+  Alcotest.(check int) "default restored" default (Pool.default_jobs ());
+  Alcotest.(check (array int)) "the next batch runs" (Array.map succ items)
+    (Obs.Scope.map_lanes pool (fun _ x -> x + 1) items)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -1025,6 +1061,8 @@ let tests =
       [
         Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
         qtest prop_json_roundtrip;
+        Alcotest.test_case "integral floats stay floats" `Quick
+          test_json_integral_floats_stay_floats;
       ] );
     ( "obs.chrome",
       [
@@ -1045,6 +1083,8 @@ let tests =
           test_sweep_merges_lane_counters;
         Alcotest.test_case "sweep lane exception reaches caller" `Quick
           test_sweep_lane_exception_reaches_caller;
+        Alcotest.test_case "map_lanes failure leaves the pool usable" `Quick
+          test_map_lanes_failure_on_caller_owned_pool;
       ] );
     ( "obs.pipeline",
       [

@@ -557,6 +557,115 @@ let test_stream_fault_classes_parallel_identical () =
         par.Deploy.shed)
     Chaos.Fault.all
 
+let test_stream_telemetry_identical_across_domain_counts () =
+  (* Shard telemetry is recorded on the caller (offers) and in private
+     lane scopes merged after every service batch (drains, latency): the
+     ambient totals of an overloaded churn run must not depend on the
+     domain count. *)
+  let bug, _ = Lazy.force fixture in
+  let cfg =
+    {
+      small_cfg with
+      Deploy.churn = true;
+      duration_ticks = 24;
+      seed = 11;
+      queue_capacity = 16;
+      drain_per_tick = 4;
+    }
+  in
+  let baselines = Traffic.prepare [ bug ] in
+  let totals domains =
+    let c = Obs.Scope.make () in
+    let s =
+      Obs.Scope.using c (fun () ->
+          Deploy.run ~baselines { cfg with Deploy.shard_domains = domains }
+            [ bug ])
+    in
+    check_clean (Printf.sprintf "%d domains" domains) s;
+    let m = c.Obs.Scope.metrics in
+    ( List.map
+        (fun name ->
+          (name, Option.value ~default:0 (Obs.Metrics.find_counter m name)))
+        [
+          "stream/shard_offered";
+          "stream/shed";
+          "stream/drained";
+          "stream/watermark_high";
+          "stream/watermark_low";
+        ],
+      Option.map
+        (fun h -> h.Obs.Metrics.count)
+        (Obs.Metrics.find_histogram m "stream/report_to_diagnosis_ns") )
+  in
+  let inline_counters, inline_samples = totals 1 in
+  let par_counters, par_samples = totals 4 in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " exercised") true
+        (List.assoc name inline_counters > 0))
+    [ "stream/shed"; "stream/watermark_high" ];
+  Alcotest.(check (list (pair string int))) "counters identical"
+    inline_counters par_counters;
+  Alcotest.(check (option int)) "latency samples identical" inline_samples
+    par_samples
+
+let test_service_width_is_min_domains_shards () =
+  let width ~shards ~domains =
+    let shards =
+      Array.init shards (fun id ->
+          Shard.create ~id ~capacity:4 ~shed:Shard.Drop_oldest
+            ~modules:(Hashtbl.create 1) ())
+    in
+    let svc =
+      Stream.Service.create ~shards
+        ~latency:(Array.map (fun _ -> latency_hist ()) shards)
+        ~domains
+    in
+    Fun.protect ~finally:(fun () -> Stream.Service.stop svc) (fun () ->
+        Stream.Service.domains svc)
+  in
+  Alcotest.(check int) "2 shards at 4 domains" 2 (width ~shards:2 ~domains:4);
+  Alcotest.(check int) "3 shards at 2 domains" 2 (width ~shards:3 ~domains:2);
+  Alcotest.(check int) "inline" 0 (width ~shards:2 ~domains:1);
+  let bug, _ = Lazy.force fixture in
+  let s =
+    Deploy.run { small_cfg with Deploy.shard_domains = 4; duration_ticks = 2 }
+      [ bug ]
+  in
+  Alcotest.(check int) "domains_used of a 2-shard run at 4 domains" 2
+    s.Deploy.domains_used
+
+let test_service_failure_reaches_caller () =
+  (* A lane that raises fails the service batch on the caller, and the
+     pool still shuts down — twice, since [stop] is idempotent.  The
+     raise comes from a log sink on the event a drain emits when the
+     queue falls through its low watermark. *)
+  let shards =
+    Array.init 4 (fun id ->
+        Shard.create ~id ~capacity:10 ~shed:Shard.Drop_oldest
+          ~modules:(Hashtbl.create 1) ())
+  in
+  let svc =
+    Stream.Service.create ~shards
+      ~latency:(Array.map (fun _ -> latency_hist ()) shards)
+      ~domains:4
+  in
+  for i = 1 to 8 do
+    Stream.Service.offer svc 2 ~arrival:0.0
+      (Bytes.of_string (Printf.sprintf "junk-%d" i))
+  done;
+  Obs.Log.clear_sinks ();
+  Obs.Log.add_sink (fun e ->
+      if e.Obs.Log.name = "stream/backpressure_cleared" then
+        failwith "lane failed");
+  Fun.protect ~finally:Obs.Log.clear_sinks (fun () ->
+      Alcotest.check_raises "re-raised on the caller" (Failure "lane failed")
+        (fun () -> Stream.Service.service_all svc ~budget:max_int));
+  Stream.Service.stop svc;
+  Stream.Service.stop svc;
+  Alcotest.(check int) "the failing shard drained before raising" 0
+    (Shard.depth shards.(2))
+
 let test_prepare_lane_width_invisible () =
   (* [prepare] fans the baseline reproductions one bug per lane: the
      baselines it hands the deployment must not depend on the width. *)
@@ -675,6 +784,12 @@ let tests =
           test_stream_churn_parallel_identical;
         Alcotest.test_case "fault classes identical across domain counts"
           `Quick test_stream_fault_classes_parallel_identical;
+        Alcotest.test_case "telemetry identical across domain counts" `Quick
+          test_stream_telemetry_identical_across_domain_counts;
+        Alcotest.test_case "service width is min domains shards" `Quick
+          test_service_width_is_min_domains_shards;
+        Alcotest.test_case "service failure reaches the caller" `Quick
+          test_service_failure_reaches_caller;
         Alcotest.test_case "bad config rejected" `Quick
           test_stream_rejects_bad_config;
         Alcotest.test_case "working set survives a one-shot scan" `Quick
