@@ -4,6 +4,24 @@
 set -eu
 cd "$(dirname "$0")"
 
+# The archived snapshot of artifact $1 that a bench gate compares
+# against: the newest whose rev is an ancestor of HEAD, in commit order
+# (file mtimes follow checkout order in a fresh clone, not history).
+# Prints nothing when no archived rev is an ancestor.
+archived_baseline() {
+  best= best_depth=-1
+  for snap in bench_history/*/"$1"; do
+    [ -f "$snap" ] || continue
+    snap_rev=$(basename "$(dirname "$snap")")
+    git merge-base --is-ancestor "$snap_rev" HEAD 2>/dev/null || continue
+    depth=$(git rev-list --count "$snap_rev")
+    if [ "$depth" -gt "$best_depth" ]; then
+      best=$snap best_depth=$depth
+    fi
+  done
+  echo "$best"
+}
+
 echo "== build =="
 dune build @all
 
@@ -76,19 +94,19 @@ fi
 rm -f /tmp/snorlax_bench_regressed.json
 
 echo "== decode bench gate =="
-# Gate the fresh artifact against the newest archived snapshot (same
+# Gate the fresh artifact against the newest archived ancestor (same
 # generous wall-clock threshold as the fleet gate), and hold the batched
 # decode pool to what its name claims: parallel_scaling is one decoder,
 # cold, one trace at a time over the same decoder at 4 jobs, >= 2x.  Like
 # the stream gate, the bench marks it skipped_few_cores below 4 cores
 # (the ratio is still recorded).  Decoder speed itself is tracked by
 # perfbench's pt.decoder.steps_per_s.
-baseline=$(ls -t bench_history/*/BENCH_decode.json 2>/dev/null | head -1 || true)
+baseline=$(archived_baseline BENCH_decode.json)
 if [ -n "$baseline" ]; then
   dune exec bin/snorlax.exe -- bench-compare --max-regress 200 \
     "$baseline" BENCH_decode.json
 else
-  echo "decode bench gate: no archived baseline yet (skipped)"
+  echo "decode bench gate: no archived ancestor snapshot (skipped)"
 fi
 awk 'BEGIN { RS="," } /"parallel_gate"/ {
        if ($0 ~ /skipped_few_cores/) { print "decode bench gate: skipped (too few cores for the 2x assert)"; ok = 1 }
@@ -138,16 +156,16 @@ awk 'BEGIN { RS="," } /"parallel_gate"/ {
 
 echo "== fleet bench gate =="
 # Re-emit the batch-fleet benchmark and gate it against the newest
-# archived snapshot.  The threshold is generous: these are wall-clock
+# archived ancestor.  The threshold is generous: these are wall-clock
 # numbers from a shared CI box, so only order-of-magnitude regressions
 # (e.g. an accidentally quadratic ingest path) should trip it.
 dune exec bench/main.exe -- --fleet-only
-baseline=$(ls -t bench_history/*/BENCH_fleet.json 2>/dev/null | head -1 || true)
+baseline=$(archived_baseline BENCH_fleet.json)
 if [ -n "$baseline" ]; then
   dune exec bin/snorlax.exe -- bench-compare --max-regress 200 \
     "$baseline" BENCH_fleet.json
 else
-  echo "fleet bench gate: no archived baseline yet (skipped)"
+  echo "fleet bench gate: no archived ancestor snapshot (skipped)"
 fi
 
 echo "== oracle gate =="

@@ -240,30 +240,28 @@ let objs_of m ~points_to iid =
   Analysis.Pointsto.accessed_objects points_to (Lir.Irmod.instr_by_iid m iid)
 
 (* Lock calls by [tid] before [before] whose object set intersects
-   [target_objs] and that are not released again before [before]. *)
+   [target_objs] and that are not released again before [before], in
+   program order.  One pass over the events: a thread's events are in
+   program order, so an unlock releases the live holds it aliases. *)
 let live_holds m ~points_to tp ~tid ~before ~target_objs =
-  let thread_events =
-    Array.to_list tp.Tp.events
-    |> List.filter (fun (e : Tp.event) ->
-           e.Tp.tid = tid && e.Tp.seq < (before : Tp.event).Tp.seq)
-  in
-  let holds =
-    List.filter
-      (fun (e : Tp.event) ->
-        is_lock m e.Tp.iid
-        && Analysis.Memobj.sets_overlap (objs_of m ~points_to e.Tp.iid) target_objs)
-      thread_events
-  in
-  let released (h : Tp.event) =
-    List.exists
-      (fun (e : Tp.event) ->
-        e.Tp.seq > h.Tp.seq
-        && is_unlock m e.Tp.iid
-        && Analysis.Memobj.sets_overlap (objs_of m ~points_to e.Tp.iid)
-             (objs_of m ~points_to h.Tp.iid))
-      thread_events
-  in
-  List.filter (fun h -> not (released h)) holds
+  let live = ref [] in
+  Array.iter
+    (fun (e : Tp.event) ->
+      if e.Tp.tid = tid && e.Tp.seq < (before : Tp.event).Tp.seq then
+        if is_lock m e.Tp.iid then begin
+          let objs = objs_of m ~points_to e.Tp.iid in
+          if Analysis.Memobj.sets_overlap objs target_objs then
+            live := (e, objs) :: !live
+        end
+        else if !live <> [] && is_unlock m e.Tp.iid then begin
+          let released = objs_of m ~points_to e.Tp.iid in
+          live :=
+            List.filter
+              (fun (_, objs) -> not (Analysis.Memobj.sets_overlap released objs))
+              !live
+        end)
+    tp.Tp.events;
+  List.rev_map fst !live
 
 let generate_deadlock m ~points_to ~tp ~blocked =
   let n = List.length blocked in
@@ -412,18 +410,24 @@ let present_deadlock m ~points_to tp ~sides =
   let side_insts (h_iid, a_iid) =
     let holds = capped (Tp.instances tp ~iid:h_iid) in
     let attempts = capped (Tp.instances tp ~iid:a_iid) in
+    let target_objs = lazy (objs_of m ~points_to h_iid) in
     List.concat_map
       (fun (a : Tp.event) ->
+        (* The holds share one iid, so the live set depends only on the
+           attempt: computed once, on the first hold that needs it. *)
+        let lives =
+          lazy
+            (live_holds m ~points_to tp ~tid:a.Tp.tid ~before:a
+               ~target_objs:(Lazy.force target_objs))
+        in
         List.filter_map
           (fun (h : Tp.event) ->
-            if h.Tp.tid = a.Tp.tid && h.Tp.seq < a.Tp.seq then
-              let lives =
-                live_holds m ~points_to tp ~tid:h.Tp.tid ~before:a
-                  ~target_objs:(objs_of m ~points_to h.Tp.iid)
-              in
-              if List.exists (fun (l : Tp.event) -> l.Tp.seq = h.Tp.seq) lives
-              then Some (h, a)
-              else None
+            if
+              h.Tp.tid = a.Tp.tid && h.Tp.seq < a.Tp.seq
+              && List.exists
+                   (fun (l : Tp.event) -> l.Tp.seq = h.Tp.seq)
+                   (Lazy.force lives)
+            then Some (h, a)
             else None)
           holds)
       attempts

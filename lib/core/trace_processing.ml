@@ -73,9 +73,9 @@ let decode_all m ~config ~tail_for ~jobs ~cache traces_a =
     (* Chunked batch submission: misses group into at most [jobs * 2]
        chunks, cost-balanced by snapshot size, so one oversized trace
        does not serialize behind a pile of small ones and per-item pool
-       round-trips disappear.  Each worker domain builds its own decoder
-       walk table on its first decode ([process] laid the module out
-       before any fan-out, so that build only reads it). *)
+       round-trips disappear.  Each worker domain builds its own run
+       image on its first decode ([process] laid the module out before
+       any fan-out, so that build only reads it). *)
     let weights =
       Array.map (fun k -> Bytes.length (snd traces_a.(k))) misses
     in

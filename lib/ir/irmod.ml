@@ -8,11 +8,17 @@ type t = {
   mutable laid_out : bool;
   mutable generation : int;  (* bumped by every layout rebuild *)
   mutable n_instrs : int;  (* instructions counted by the last layout *)
-  by_iid : (int, Instr.t) Hashtbl.t;
+  (* Dense iid-indexed tables, [hole]/[no_loc] where no instruction has
+     that iid: a relayout is array writes, with no hashing or regrowth. *)
+  mutable by_iid : Instr.t array;
+  mutable iid_locs : (Func.t * Block.t) array;
   block_pcs : (string * string, int) Hashtbl.t;
   pc_blocks : (int, Func.t * Block.t) Hashtbl.t;
-  iid_locs : (int, Func.t * Block.t) Hashtbl.t;
 }
+
+let hole = Instr.make ~iid:(-1) Instr.Unreachable
+let no_loc =
+  (Func.create ~fname:"" ~params:[] ~ret:Ty.Void, Block.create ~label:"")
 
 let create mname =
   {
@@ -25,10 +31,10 @@ let create mname =
     laid_out = false;
     generation = 0;
     n_instrs = 0;
-    by_iid = Hashtbl.create 256;
+    by_iid = [||];
+    iid_locs = [||];
     block_pcs = Hashtbl.create 64;
     pc_blocks = Hashtbl.create 64;
-    iid_locs = Hashtbl.create 256;
   }
 
 let name t = t.mname
@@ -69,28 +75,52 @@ let fresh_iid t =
 let fresh_reg t ~name ~ty =
   let rid = t.next_reg in
   t.next_reg <- rid + 1;
-  { Value.rid; rname = Printf.sprintf "%s.%d" name rid; rty = ty }
+  { Value.rid; rname = name ^ "." ^ string_of_int rid; rty = ty }
 
 (* Each instruction occupies 4 synthetic bytes; functions start on fresh
    0x1000-aligned pcs so pc ranges of different functions never collide even
-   as functions grow. *)
+   as functions grow.  The iid tables are reused across relayouts (an iid
+   beyond them, minted outside [fresh_iid], grows them); the block tables
+   are cleared, keeping their buckets. *)
 let layout t =
   if not t.laid_out then begin
-    Hashtbl.reset t.by_iid;
-    Hashtbl.reset t.block_pcs;
-    Hashtbl.reset t.pc_blocks;
-    Hashtbl.reset t.iid_locs;
+    let cap = Array.length t.by_iid in
+    if cap < t.next_iid then begin
+      let cap = max t.next_iid (2 * cap) in
+      t.by_iid <- Array.make cap hole;
+      t.iid_locs <- Array.make cap no_loc
+    end
+    else begin
+      Array.fill t.by_iid 0 cap hole;
+      Array.fill t.iid_locs 0 cap no_loc
+    end;
+    let grow iid =
+      let cap = max (iid + 1) (2 * Array.length t.by_iid) in
+      let extend a fill =
+        let a' = Array.make cap fill in
+        Array.blit a 0 a' 0 (Array.length a);
+        a'
+      in
+      t.by_iid <- extend t.by_iid hole;
+      t.iid_locs <- extend t.iid_locs no_loc
+    in
+    Hashtbl.clear t.block_pcs;
+    Hashtbl.clear t.pc_blocks;
     let pc = ref 0x1000 and n = ref 0 in
     let visit_func f =
       pc := (!pc + 0xfff) land lnot 0xfff;
       let visit_block b =
-        let start = !pc in
+        let start = !pc and loc = (f, b) in
         Hashtbl.replace t.block_pcs (f.Func.fname, b.Block.label) start;
-        Hashtbl.replace t.pc_blocks start (f, b);
+        Hashtbl.replace t.pc_blocks start loc;
         let visit_instr i =
           i.Instr.pc <- !pc;
-          Hashtbl.replace t.by_iid i.Instr.iid i;
-          Hashtbl.replace t.iid_locs i.Instr.iid (f, b);
+          let iid = i.Instr.iid in
+          if iid >= 0 then begin
+            if iid >= Array.length t.by_iid then grow iid;
+            Array.unsafe_set t.by_iid iid i;
+            Array.unsafe_set t.iid_locs iid loc
+          end;
           incr n;
           pc := !pc + 4
         in
@@ -127,7 +157,10 @@ let ensure_layout t = if not t.laid_out then layout t
 
 let instr_by_iid t iid =
   ensure_layout t;
-  Hashtbl.find t.by_iid iid
+  if iid < 0 || iid >= Array.length t.by_iid then raise Not_found;
+  let i = Array.unsafe_get t.by_iid iid in
+  if i == hole then raise Not_found;
+  i
 
 let block_start_pc t ~fname ~label =
   ensure_layout t;
@@ -143,7 +176,10 @@ let is_block_start t pc =
 
 let location_of_iid t iid =
   ensure_layout t;
-  Hashtbl.find t.iid_locs iid
+  if iid < 0 || iid >= Array.length t.iid_locs then raise Not_found;
+  let loc = Array.unsafe_get t.iid_locs iid in
+  if loc == no_loc then raise Not_found;
+  loc
 
 let iter_instrs t f =
   let visit fn = Func.iter_instrs fn (fun b i -> f fn b i) in

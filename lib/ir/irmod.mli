@@ -45,7 +45,9 @@ val fresh_reg : t -> name:string -> ty:Ty.t -> Value.reg
 
 val layout : t -> unit
 (** Assigns pcs to all instructions and builds the lookup tables.  Must be
-    called after the last function is added; idempotent. *)
+    called after the last function is added; idempotent.  The iid tables
+    are dense arrays reused across relayouts, so the relayout after each
+    {!Rewrite} edit is O(instructions) array writes. *)
 
 val generation : t -> int
 (** Incremented by every actual layout rebuild (not by idempotent

@@ -38,7 +38,23 @@ type op =
 type instr = { src : Instr.t; op : op }
 
 type body = { blocks : instr array array; params : int array; slots : int }
-type func = { fn : Func.t; entry_pc : int; mutable lowered : body option }
+
+type ctl = Straight | Jump | Direct_call | Branch | Return | Library_call | Trap
+
+type walk = {
+  base : int;
+  ctl : ctl array;
+  iids : int array;
+  a : int array;
+  b : int array;
+}
+
+type func = {
+  fn : Func.t;
+  entry_pc : int;
+  mutable lowered : body option;
+  mutable walk : walk option;
+}
 
 type t = {
   m : Irmod.t;
@@ -46,7 +62,7 @@ type t = {
   globals : string array;
   global_index : (string, int) Hashtbl.t;
   by_name : (string, int) Hashtbl.t;
-  by_entry_pc : (int, int) Hashtbl.t;
+  mutable pages : int array option;
 }
 
 let intrinsic_codes =
@@ -209,22 +225,17 @@ let build m =
            let entry_pc =
              match func_entry_pc m f with pc -> pc | exception _ -> -1
            in
-           { fn = f; entry_pc; lowered = None })
+           { fn = f; entry_pc; lowered = None; walk = None })
          (Irmod.funcs m))
   in
   let by_name = Hashtbl.create 16 in
-  let by_entry_pc = Hashtbl.create 16 in
-  Array.iteri
-    (fun i f ->
-      Hashtbl.replace by_name f.fn.Func.fname i;
-      if f.fn.Func.blocks <> [] then Hashtbl.replace by_entry_pc f.entry_pc i)
-    funcs;
+  Array.iteri (fun i f -> Hashtbl.replace by_name f.fn.Func.fname i) funcs;
   let names = ref [] in
   Irmod.iter_globals m (fun g _ -> names := g :: !names);
   let globals = Array.of_list (List.rev !names) in
   let global_index = Hashtbl.create 16 in
   Array.iteri (fun i g -> Hashtbl.replace global_index g i) globals;
-  { m; funcs; globals; global_index; by_name; by_entry_pc }
+  { m; funcs; globals; global_index; by_name; pages = None }
 
 let of_module = Irmod.memo build
 
@@ -232,7 +243,122 @@ let funcs t = t.funcs
 let globals t = t.globals
 let find_func t name = t.funcs.(Hashtbl.find t.by_name name)
 
+
+(* --- the decoder's view -------------------------------------------------
+
+   A function's pcs are contiguous from its first instruction (layout
+   packs its blocks 4 bytes per instruction), so the instruction at [pc]
+   is ordinal [(pc - base) / 4] of the lowered body, blocks concatenated.
+   Each ordinal's control class, iid and resolved target pcs sit in flat
+   arrays, built from the lowered ops on the first decode that enters the
+   function: the decoder resolves labels and callees exactly as the
+   simulator executes them. *)
+
+let empty_walk = { base = 0; ctl = [||]; iids = [||]; a = [||]; b = [||] }
+
+let build_walk t f =
+  let blocks = (body t f).blocks in
+  let n = Array.fold_left (fun n code -> n + Array.length code) 0 blocks in
+  if n = 0 then empty_walk
+  else begin
+    let starts = Array.make (Array.length blocks) 0 in
+    let base = ref (-1) and k = ref 0 in
+    Array.iteri
+      (fun bi code ->
+        starts.(bi) <- !k;
+        if !base < 0 && Array.length code > 0 then base := code.(0).src.Instr.pc;
+        k := !k + Array.length code)
+      blocks;
+    let base = !base in
+    let block_pc bi = if bi < 0 then -1 else base + (4 * starts.(bi)) in
+    let w =
+      {
+        base;
+        ctl = Array.make n Straight;
+        iids = Array.make n 0;
+        a = Array.make n 0;
+        b = Array.make n 0;
+      }
+    in
+    let k = ref 0 in
+    Array.iter
+      (Array.iter (fun li ->
+           let k' = !k in
+           let set c = w.ctl.(k') <- c in
+           w.iids.(k') <- li.src.Instr.iid;
+           (match li.op with
+           | Br target ->
+             set Jump;
+             w.a.(k') <- block_pc target
+           | Cond_br { then_; else_; _ } ->
+             set Branch;
+             w.a.(k') <- block_pc then_;
+             w.b.(k') <- block_pc else_
+           | Call { callee; _ } ->
+             set Direct_call;
+             w.a.(k') <- t.funcs.(callee).entry_pc
+           | Malformed _ -> (
+             match li.src.Instr.kind with
+             | Instr.Call _ ->
+               (* an unknown callee: the call walks nowhere *)
+               set Direct_call;
+               w.a.(k') <- -1
+             | _ -> ())
+           | Intrinsic _ -> set Library_call
+           | Ret _ -> set Return
+           | Unreachable -> set Trap
+           | Alloca _ | Load _ | Store _ | Binop _ | Icmp _ | Gep _ | Index _
+           | Cast _ -> ());
+           k := k' + 1))
+      blocks;
+    w
+  end
+
+let walk t f =
+  match f.walk with
+  | Some w -> w
+  | None ->
+    let w = build_walk t f in
+    f.walk <- Some w;
+    w
+
+(* Page [p] (pcs [p * 4096, (p + 1) * 4096)) belongs to the function
+   whose instructions cover it; functions start page-aligned, so no page
+   holds two.  One slot per page of the module's pc range. *)
+let build_pages t =
+  let spans = ref [] and last = ref (-1) in
+  Array.iteri
+    (fun i f ->
+      match List.find_opt (fun b -> b.Block.instrs <> []) f.fn.Func.blocks with
+      | None -> ()
+      | Some b ->
+        let first = (List.hd b.Block.instrs).Instr.pc in
+        let hi = (first + (4 * (Func.instr_count f.fn - 1))) asr 12 in
+        spans := (i, first asr 12, hi) :: !spans;
+        last := max !last hi)
+    t.funcs;
+  let pages = Array.make (!last + 1) (-1) in
+  List.iter (fun (i, lo, hi) -> Array.fill pages lo (hi - lo + 1) i) !spans;
+  pages
+
+(* The index of the function whose code is on [pc]'s page, or -1. *)
+let func_on_page t pc =
+  let pages =
+    match t.pages with
+    | Some p -> p
+    | None ->
+      let p = build_pages t in
+      t.pages <- Some p;
+      p
+  in
+  let page = pc asr 12 in
+  if page < 0 || page >= Array.length pages then -1
+  else Array.unsafe_get pages page
+
+let walk_at t pc =
+  let i = func_on_page t pc in
+  if i < 0 then empty_walk else walk t t.funcs.(i)
+
 let func_at_entry_pc t pc =
-  match Hashtbl.find_opt t.by_entry_pc pc with
-  | Some i -> Some t.funcs.(i)
-  | None -> None
+  let i = func_on_page t pc in
+  if i >= 0 && t.funcs.(i).entry_pc = pc then Some t.funcs.(i) else None

@@ -72,14 +72,39 @@ type body = {
   slots : int;  (** register slots a frame needs *)
 }
 
+type ctl =
+  | Straight  (** falls through to [pc + 4] *)
+  | Jump  (** [Br]; [a] is the target *)
+  | Direct_call  (** a call to a module function; [a] is its entry *)
+  | Branch  (** [Cond_br]; [a] is the taken target, [b] the other *)
+  | Return
+  | Library_call  (** an intrinsic: it returns through a traced TIP *)
+  | Trap  (** [Unreachable] *)
+
+type walk = private {
+  base : int;  (** pc of ordinal 0, the function's first instruction *)
+  ctl : ctl array;  (** per ordinal, in pc order *)
+  iids : int array;
+  a : int array;
+      (** [-1] where the target does not resolve (an unknown label or
+          callee, a body-less callee) *)
+  b : int array;
+}
+(** The decoder's view of one function: the instruction at pc [p] is
+    ordinal [(p - base) / 4] when that is in [0, Array.length iids).
+    Targets are resolved from the lowered ops, so a decode follows labels
+    and callees exactly as the simulator executes them. *)
+
 type func = private {
   fn : Func.t;
   entry_pc : int;  (** [-1] for a body-less function *)
   mutable lowered : body option;  (** filled by {!body} on first use *)
+  mutable walk : walk option;  (** filled by {!walk_at} on first use *)
 }
 
 type t
-(** The image of one module.  Function bodies are lowered on first entry:
+(** The image of one module, serving both the simulator ({!body}) and the
+    PT decoder ({!walk_at}).  Function bodies are lowered on first entry:
     an execution touches a few percent of a module's code, so lowering
     the rest up front would cost more than the runs it serves. *)
 
@@ -105,4 +130,20 @@ val find_func : t -> string -> func
     [Not_found]. *)
 
 val func_at_entry_pc : t -> int -> func option
-(** The function whose entry block starts at the pc. *)
+(** The function whose entry block starts at the pc (found through the
+    page map {!walk_at} uses). *)
+
+(** {2 The decoder's view} *)
+
+val empty_walk : walk
+(** No ordinals: every pc misses it. *)
+
+val walk_at : t -> int -> walk
+(** The walk of the function whose code page (4 KB) holds [pc], lowering
+    that function first if needed; a walk with no ordinals when no
+    function's code is on that page (negative pcs, pcs past the last
+    function).  The page map (one slot per page of the module's pc
+    range) is built on the first call; each function's walk on the first
+    call that reaches it.  The caller checks that [pc] is 4-aligned and
+    its ordinal in range: the padding after a function shares its last
+    page. *)

@@ -5,12 +5,12 @@
    consumers.
 
    A zero-allocation byte cursor feeds a CFG walker that resolves every
-   branch target through a pc-indexed table (built once per module
-   layout) and accumulates steps in a per-domain integer arena reused
-   across decodes.  Its reference is the execution itself: the oracle
-   replays each corpus report with a recorder and checks every decoded
-   step's iid and interval against what the thread ran
-   ([Oracle.Executed]). *)
+   branch target through the module's run image ([Lir.Lowered], built
+   once per layout and shared with the simulator) and accumulates steps
+   in a per-domain integer arena reused across decodes.  Its reference
+   is the execution itself: the oracle replays each corpus report with a
+   recorder and checks every decoded step's iid and interval against
+   what the thread ran ([Oracle.Executed]). *)
 module Dynbuf = Snorlax_util.Dynbuf
 
 type step = { pc : int; iid : int; t_lo : int; t_hi : int option }
@@ -33,75 +33,14 @@ exception Thread_end
 
 let max_replay_steps = 5_000_000
 
-(* --- walk table ----------------------------------------------------------
+(* --- resolving pcs ---------------------------------------------------------
 
-   Resolving control flow is a pure function of the module layout: the
-   successor of every instruction, each branch's targets and each call's
-   callee entry are precomputed here into flat arrays indexed by
-   [pc / 4] — one load per step, no hashing, no allocation. *)
+   Control flow is a pure function of the module layout: each function's
+   successors, branch targets and callee entries sit in its
+   [Lir.Lowered.walk] — flat arrays in pc order, one load per step, no
+   hashing, no allocation. *)
 
-let op_straight = 0 (* fallthrough to pc + 4 *)
-let op_br = 1 (* unconditional; [a] = target pc *)
-let op_call = 2 (* direct call; [a] = callee entry pc *)
-let op_cond = 3 (* conditional; [a] = then pc, [b] = else pc *)
-let op_ret = 4
-let op_intrinsic = 5 (* library call returning via a traced TIP *)
-let op_unreachable = 6
-let op_hole = 7 (* no instruction at this pc *)
-
-type walk_table = {
-  ops : Bytes.t;  (* op_* per pc slot *)
-  iid_of : int array;
-  a : int array;
-  b : int array;
-}
-
-let build_walk_table m =
-  Lir.Irmod.layout m;
-  let max_pc = ref 0 in
-  Lir.Irmod.iter_instrs m (fun _ _ i ->
-      if i.Lir.Instr.pc > !max_pc then max_pc := i.Lir.Instr.pc);
-  let slots = (!max_pc lsr 2) + 1 in
-  let t =
-    {
-      ops = Bytes.make slots (Char.chr op_hole);
-      iid_of = Array.make slots (-1);
-      a = Array.make slots 0;
-      b = Array.make slots 0;
-    }
-  in
-  let entry_pc fname label = Lir.Irmod.block_start_pc m ~fname ~label in
-  Lir.Irmod.iter_instrs m (fun f _ i ->
-      let idx = i.Lir.Instr.pc lsr 2 in
-      t.iid_of.(idx) <- i.Lir.Instr.iid;
-      let set op = Bytes.set t.ops idx (Char.chr op) in
-      match i.Lir.Instr.kind with
-      | Lir.Instr.Br label ->
-        set op_br;
-        t.a.(idx) <- entry_pc f.Lir.Func.fname label
-      | Lir.Instr.Cond_br { then_; else_; _ } ->
-        set op_cond;
-        t.a.(idx) <- entry_pc f.Lir.Func.fname then_;
-        t.b.(idx) <- entry_pc f.Lir.Func.fname else_
-      | Lir.Instr.Call { callee; _ } ->
-        if Lir.Intrinsics.is_intrinsic callee then set op_intrinsic
-        else begin
-          set op_call;
-          let target = Lir.Irmod.find_func m callee in
-          t.a.(idx) <-
-            entry_pc callee (Lir.Func.entry target).Lir.Block.label
-        end
-      | Lir.Instr.Ret _ -> set op_ret
-      | Lir.Instr.Unreachable -> set op_unreachable
-      | Lir.Instr.Alloca _ | Lir.Instr.Load _ | Lir.Instr.Store _
-      | Lir.Instr.Binop _ | Lir.Instr.Icmp _ | Lir.Instr.Gep _
-      | Lir.Instr.Index _ | Lir.Instr.Cast _ ->
-        set op_straight);
-  t
-
-(* Each domain builds the table lazily on its first decode of a module
-   and then hits every time — no lookup mutex. *)
-let walk_table = Lir.Irmod.memo build_walk_table
+module L = Lir.Lowered
 
 (* --- cursor walker --------------------------------------------------------
 
@@ -118,7 +57,8 @@ let arena_key : int Dynbuf.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Dynbuf.create ())
 
 type cwalker = {
-  tab : walk_table;
+  img : L.t;
+  mutable wk : L.walk;  (* the function the walk is in *)
   mutable cur_pc : int;
   mutable t_lo : int;
   mutable sync_at_branch : bool;
@@ -126,16 +66,28 @@ type cwalker = {
   acc : int Dynbuf.t;
 }
 
-let[@inline] slot_of w pc =
+(* Another function's pc (a call, a return, a sync): find its walk. *)
+let enter w pc =
   if pc land 3 <> 0 then raise (Desync "pc not instruction-aligned");
-  let idx = pc lsr 2 in
-  if idx < 0 || idx >= Array.length w.tab.iid_of then
-    raise (Desync "pc outside module");
+  let wk = L.walk_at w.img pc in
+  let idx = (pc - wk.L.base) asr 2 in
+  if idx < 0 || idx >= Array.length wk.L.iids then
+    raise (Desync "pc maps to no instruction");
+  w.wk <- wk;
   idx
+
+(* The ordinal of [pc] in [w.wk], which [slot_of] leaves holding it.
+   Bases are page-aligned, so [d] is 4-aligned iff [pc] is. *)
+let[@inline] slot_of w pc =
+  let d = pc - w.wk.L.base in
+  if d >= 0 && d land 3 = 0 && d lsr 2 < Array.length w.wk.L.iids then d lsr 2
+  else enter w pc
+
+let[@inline] ctl_at w idx = Array.unsafe_get w.wk.L.ctl idx
 
 let[@inline] emit_c w idx ~hi =
   (* [idx] was validated by [slot_of]. *)
-  Dynbuf.push4 w.acc w.cur_pc (Array.unsafe_get w.tab.iid_of idx) w.t_lo hi;
+  Dynbuf.push4 w.acc w.cur_pc (Array.unsafe_get w.wk.L.iids idx) w.t_lo hi;
   if Dynbuf.length w.acc > max_replay_steps * 4 then
     raise (Desync "replay step limit")
 
@@ -144,32 +96,29 @@ let[@inline] emit_c w idx ~hi =
    resolve.  Returns that instruction's slot. *)
 let rec walk_until_control_c w ~hi =
   let idx = slot_of w w.cur_pc in
-  let op = Char.code (Bytes.unsafe_get w.tab.ops idx) in
-  if op = op_straight then begin
+  match ctl_at w idx with
+  | L.Straight ->
     emit_c w idx ~hi;
     w.cur_pc <- w.cur_pc + 4;
     walk_until_control_c w ~hi
-  end
-  else if op = op_br || op = op_call then begin
+  | L.Jump | L.Direct_call ->
     emit_c w idx ~hi;
-    w.cur_pc <- Array.unsafe_get w.tab.a idx;
+    w.cur_pc <- Array.unsafe_get w.wk.L.a idx;
     walk_until_control_c w ~hi
-  end
-  else if op = op_cond || op = op_ret || op = op_intrinsic then idx
-  else if op = op_hole then raise (Desync "pc maps to no instruction")
-  else raise (Desync "walked into unreachable")
+  | L.Branch | L.Return | L.Library_call -> idx
+  | L.Trap -> raise (Desync "walked into unreachable")
 
 (* Consume one TNT bit: walk to the pending control point, which must be
    a conditional branch.  The branch a sync FUP named only resolves: its
    step ran before the sync's timestamp, which cannot stamp it. *)
 let consume_tnt_c w ~taken ~t_lo_ev ~hi =
   let idx = walk_until_control_c w ~hi in
-  if Char.code (Bytes.unsafe_get w.tab.ops idx) <> op_cond then
+  if ctl_at w idx <> L.Branch then
     raise (Desync "control mismatch: TNT at a non-conditional");
   if w.sync_at_branch then w.sync_at_branch <- false else emit_c w idx ~hi;
   w.cur_pc <-
-    (if taken then Array.unsafe_get w.tab.a idx
-     else Array.unsafe_get w.tab.b idx);
+    (if taken then Array.unsafe_get w.wk.L.a idx
+     else Array.unsafe_get w.wk.L.b idx);
   w.t_lo <- t_lo_ev
 
 (* Consume a TIP (target pc) or TIP.END ([is_end]): the control point
@@ -179,20 +128,20 @@ let consume_tnt_c w ~taken ~t_lo_ev ~hi =
    desyncing only if dereferenced. *)
 let consume_tip_c w ~target ~is_end ~t_lo_ev ~hi =
   let idx = walk_until_control_c w ~hi in
-  let op = Char.code (Bytes.unsafe_get w.tab.ops idx) in
-  if op = op_intrinsic then
+  match ctl_at w idx with
+  | L.Library_call ->
     if not is_end then begin
       emit_c w idx ~hi;
       w.cur_pc <- target;
       w.t_lo <- t_lo_ev
     end
     else raise (Desync "control mismatch: TIP.END at a call")
-  else if op = op_ret then begin
+  | L.Return ->
     emit_c w idx ~hi;
     w.t_lo <- t_lo_ev;
     if is_end then raise Thread_end else w.cur_pc <- target
-  end
-  else raise (Desync "control mismatch: TIP at a non-return")
+  | L.Straight | L.Jump | L.Direct_call | L.Branch | L.Trap ->
+    raise (Desync "control mismatch: TIP at a non-return")
 
 (* After the last packet, replay branch-free code up to the failing pc. *)
 let walk_tail_c w ~stop_pc ~hi =
@@ -200,27 +149,24 @@ let walk_tail_c w ~stop_pc ~hi =
     if w.cur_pc = stop_pc then emit_c w (slot_of w w.cur_pc) ~hi
     else begin
       let idx = slot_of w w.cur_pc in
-      let op = Char.code (Bytes.unsafe_get w.tab.ops idx) in
-      if op = op_cond || op = op_ret || op = op_unreachable then ()
-      else if op = op_br || op = op_call then begin
+      match ctl_at w idx with
+      | L.Branch | L.Return | L.Trap -> ()
+      | L.Jump | L.Direct_call ->
         emit_c w idx ~hi;
-        w.cur_pc <- Array.unsafe_get w.tab.a idx;
+        w.cur_pc <- Array.unsafe_get w.wk.L.a idx;
         go ()
-      end
-      else if op = op_hole then raise (Desync "pc maps to no instruction")
-      else begin
+      | L.Straight | L.Library_call ->
         (* Straight-line code; an intrinsic call in the tail falls
            through too (its return TIP was never traced). *)
         emit_c w idx ~hi;
         w.cur_pc <- w.cur_pc + 4;
         go ()
-      end
     end
   in
   go ()
 
 let decode_raw m ~config ?tail_stop snapshot =
-  let tab = walk_table m in
+  let img = L.of_module m in
   match Packet.scan_psb snapshot ~pos:0 with
   | None ->
     {
@@ -233,7 +179,16 @@ let decode_raw m ~config ?tail_stop snapshot =
     let period = mtc_period config in
     let acc = Domain.DLS.get arena_key in
     Dynbuf.clear acc;
-    let w = { tab; cur_pc = -1; t_lo = 0; sync_at_branch = false; acc } in
+    let w =
+      {
+        img;
+        wk = L.empty_walk;
+        cur_pc = -1;
+        t_lo = 0;
+        sync_at_branch = false;
+        acc;
+      }
+    in
     let cur = Packet.Cursor.make snapshot ~pos:sync_pos in
     let time = ref 0 in
     let abs_ctc = ref 0 in
@@ -311,9 +266,9 @@ let decode_raw m ~config ?tail_stop snapshot =
                 the walk starts at the branch's resolved target, whose
                 time really is >= tsc. *)
              w.sync_at_branch <-
-               pc land 3 = 0
-               && pc lsr 2 < Bytes.length tab.ops
-               && Char.code (Bytes.get tab.ops (pc lsr 2)) = op_cond
+               (match slot_of w pc with
+               | idx -> ctl_at w idx = L.Branch
+               | exception Desync _ -> false)
            end;
            prev_exact := false
          | Packet.Cursor.Tnt ->

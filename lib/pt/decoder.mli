@@ -9,12 +9,13 @@
     Those intervals are exactly the partial order of §4.1 (step 3).
 
     An allocation-free {!Packet.Cursor} feeds a walker that resolves
-    control flow through a pc-indexed table precomputed per module
-    layout, accumulating steps in a per-domain arena reused across the
-    decodes of a batch.  A ring that wrapped syncs at a mid-stream PSB,
-    which the tracer emits only at a conditional branch that has already
-    run: that branch is resolved without a step, and the walk starts at
-    its target.  Correctness is judged against the execution itself:
+    control flow through the module's run image ({!Lir.Lowered}, the one
+    the simulator executes, built once per layout), accumulating steps
+    in a per-domain arena reused across the decodes of a batch.  A ring
+    that wrapped syncs at a mid-stream PSB, which the tracer emits only
+    at a conditional branch that has already run: that branch is
+    resolved without a step, and the walk starts at its target.
+    Correctness is judged against the execution itself:
     [Oracle.Executed] checks every decoded step's iid and interval
     against the path the traced thread really ran. *)
 

@@ -319,6 +319,111 @@ let test_intrinsics_table () =
   Alcotest.(check int) "all intrinsics listed" 16
     (List.length Lir.Intrinsics.all)
 
+(* --- layout tables under rewrites ---------------------------------------- *)
+
+let rewrite_fixture () =
+  let m = mk_module () in
+  Lir.Irmod.declare_global m "g" T.I64;
+  B.define m "helper" ~params:[] ~ret:T.Void (fun b ->
+      B.store b ~value:(V.i64 1) ~ptr:(V.Global "g");
+      B.ret_void b);
+  B.define m "main" ~params:[] ~ret:T.Void (fun b ->
+      let next = B.fresh_label b "next" in
+      B.store b ~value:(V.i64 2) ~ptr:(V.Global "g");
+      B.br b next;
+      B.start_block b next;
+      B.call_void b "helper" [];
+      B.ret_void b);
+  m
+
+let iid_where m fname pred =
+  let found = ref None in
+  Lir.Irmod.iter_instrs m (fun f _ i ->
+      if f.Lir.Func.fname = fname && !found = None && pred i.Lir.Instr.kind then
+        found := Some i.Lir.Instr.iid);
+  Option.get !found
+
+(* The tables a module keeps across relayouts must answer exactly what a
+   module holding the same functions, laid out once, answers — stale
+   iids included. *)
+let check_tables_fresh m what =
+  let fresh = Lir.Irmod.create "fresh" in
+  List.iter (Lir.Irmod.add_func fresh) (Lir.Irmod.funcs m);
+  Lir.Irmod.layout fresh;
+  let hi = ref 0 in
+  Lir.Irmod.iter_instrs fresh (fun _ _ i -> hi := max !hi i.Lir.Instr.iid);
+  let find f iid = match f iid with v -> Some v | exception Not_found -> None in
+  for iid = -2 to !hi + 3 do
+    let label l = Printf.sprintf "%s: %s %d" what l iid in
+    Alcotest.(check bool) (label "instr_by_iid") true
+      (match
+         (find (Lir.Irmod.instr_by_iid m) iid, find (Lir.Irmod.instr_by_iid fresh) iid)
+       with
+      | Some a, Some b -> a == b
+      | None, None -> true
+      | Some _, None | None, Some _ -> false);
+    Alcotest.(check bool) (label "location_of_iid") true
+      (match
+         ( find (Lir.Irmod.location_of_iid m) iid,
+           find (Lir.Irmod.location_of_iid fresh) iid )
+       with
+      | Some (f, b), Some (f', b') -> f == f' && b == b'
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+  done
+
+let test_rewrite_tables_match_fresh_layout () =
+  let m = rewrite_fixture () in
+  check_tables_fresh m "built";
+  let is_store = function Lir.Instr.Store _ -> true | _ -> false in
+  let is_call = function Lir.Instr.Call _ -> true | _ -> false in
+  let work n =
+    Lir.Instr.Call
+      { dst = None; callee = Lir.Intrinsics.work; args = [ V.i64 n ] }
+  in
+  let store = iid_where m "main" is_store in
+  ignore (Lir.Rewrite.insert_before m ~iid:store [ work 1; work 2 ]);
+  check_tables_fresh m "insert_before";
+  ignore (Lir.Rewrite.insert_after m ~iid:store [ work 3 ]);
+  check_tables_fresh m "insert_after";
+  let main = Lir.Irmod.find_func m "main" in
+  ignore (Lir.Rewrite.append_block m main ~label:"extra" [ Lir.Instr.Ret None ]);
+  check_tables_fresh m "append_block";
+  let call = iid_where m "main" is_call in
+  ignore (Lir.Rewrite.split_before m ~iid:call ~label:"cont");
+  check_tables_fresh m "split_before";
+  (* [retarget] swaps in a new instruction under the same iid: the table
+     must hand out the new one. *)
+  let entry = Lir.Func.entry main in
+  let br = Lir.Block.terminator entry in
+  let next =
+    match br.Lir.Instr.kind with Lir.Instr.Br l -> l | _ -> Alcotest.fail "no br"
+  in
+  Lir.Rewrite.retarget m entry ~from_:next ~to_:"extra";
+  check_tables_fresh m "retarget";
+  let br' = Lir.Irmod.instr_by_iid m br.Lir.Instr.iid in
+  Alcotest.(check bool) "retargeted instruction" true
+    (br' == Lir.Block.terminator entry && br' != br);
+  Alcotest.(check bool) "new target" true (br'.Lir.Instr.kind = Lir.Instr.Br "extra");
+  (* An instruction cut out of its block leaves no stale entry behind. *)
+  let cut = List.hd entry.Lir.Block.instrs in
+  entry.Lir.Block.instrs <- List.tl entry.Lir.Block.instrs;
+  Lir.Irmod.invalidate_layout m;
+  check_tables_fresh m "removal";
+  Alcotest.check_raises "removed iid" Not_found (fun () ->
+      ignore (Lir.Irmod.instr_by_iid m cut.Lir.Instr.iid))
+
+let test_layout_unknown_iids () =
+  let m = rewrite_fixture () in
+  Lir.Irmod.layout m;
+  List.iter
+    (fun iid ->
+      Alcotest.check_raises (Printf.sprintf "instr_by_iid %d" iid) Not_found
+        (fun () -> ignore (Lir.Irmod.instr_by_iid m iid));
+      Alcotest.check_raises (Printf.sprintf "location_of_iid %d" iid) Not_found
+        (fun () -> ignore (Lir.Irmod.location_of_iid m iid)))
+    [ -1; min_int; Lir.Irmod.instr_count m; Lir.Irmod.fresh_iid m; max_int ]
+
 let tests =
   [
     ( "ir.types",
@@ -340,6 +445,13 @@ let tests =
         Alcotest.test_case "gep bounds" `Quick test_builder_gep_checks;
         Alcotest.test_case "last_iid" `Quick test_builder_last_iid;
         Alcotest.test_case "unsealed rejected" `Quick test_builder_unsealed_rejected;
+      ] );
+    ( "ir.layout",
+      [
+        Alcotest.test_case "tables match a fresh layout after each edit" `Quick
+          test_rewrite_tables_match_fresh_layout;
+        Alcotest.test_case "unknown iids raise Not_found" `Quick
+          test_layout_unknown_iids;
       ] );
     ( "ir.verify",
       [

@@ -570,6 +570,88 @@ let test_decoder_mismatched_stream_desyncs () =
   let d = Pt.Decoder.decode m ~config:Pt.Config.default (Buffer.to_bytes buf) in
   Alcotest.(check bool) "flagged as desync" true d.Pt.Decoder.desynced
 
+(* A packet carrying any 63-bit pattern, negative included: the encoder
+   refuses those, but a damaged ring can hold them. *)
+let raw_packet buf ~hdr v =
+  Buffer.add_char buf (Char.chr hdr);
+  let rec go v =
+    if v land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr v)
+    else begin
+      Buffer.add_char buf (Char.chr ((v land 0x7f) lor 0x80));
+      go (v lsr 7)
+    end
+  in
+  go v
+
+let test_decoder_garbage_pcs_desync () =
+  let m = fixture_module () in
+  let config = Pt.Config.default in
+  let header p =
+    let b = Buffer.create 4 in
+    Packet.encode b p;
+    Char.code (Buffer.nth b 0)
+  in
+  let fup_hdr = header (Packet.Fup { pc = 0 }) in
+  let tip_hdr = header (Packet.Tip { pc = 0 }) in
+  let last_pc = ref 0 and bump_last = ref 0 in
+  Lir.Irmod.iter_instrs m (fun f _ i ->
+      last_pc := max !last_pc i.Lir.Instr.pc;
+      if f.Lir.Func.fname = "bump" then bump_last := max !bump_last i.Lir.Instr.pc);
+  let bump = Lir.Irmod.block_start_pc m ~fname:"bump" ~label:"entry" in
+  (* The padding after bump, up to the next 4 KB-aligned function. *)
+  Alcotest.(check bool) "bump leaves padding" true ((!bump_last + 4) land 0xfff <> 0);
+  List.iter
+    (fun (what, pc) ->
+      let buf = Buffer.create 32 in
+      Packet.encode buf (Packet.Psb { tsc = 0 });
+      raw_packet buf ~hdr:fup_hdr pc;
+      Packet.encode buf (Packet.Tnt true);
+      let d = Pt.Decoder.decode m ~config (Buffer.to_bytes buf) in
+      Alcotest.(check bool) (what ^ " desyncs") true d.Pt.Decoder.desynced;
+      Alcotest.(check int) (what ^ ": no steps") 0 (Array.length d.Pt.Decoder.steps))
+    [
+      ("unaligned pc", bump + 2);
+      ("padding between functions", !bump_last + 4);
+      ("pc past the last function", !last_pc + 4);
+      ("pc pages past the last function", !last_pc + 0x10000);
+      ("negative pc", -4);
+    ];
+  (* bump opens with its mutex_lock call; its return TIP names a negative
+     target, where the walk cannot go on. *)
+  let buf = Buffer.create 32 in
+  Packet.encode buf (Packet.Psb { tsc = 0 });
+  Packet.encode buf (Packet.Fup { pc = bump });
+  raw_packet buf ~hdr:tip_hdr (-8);
+  Packet.encode buf (Packet.Tnt true);
+  let d = Pt.Decoder.decode m ~config (Buffer.to_bytes buf) in
+  Alcotest.(check bool) "negative TIP target desyncs" true d.Pt.Decoder.desynced;
+  Alcotest.(check (list int)) "only the call before it decodes" [ bump ]
+    (List.map (fun s -> s.Pt.Decoder.pc) (steps_list d))
+
+let test_one_image_for_sim_and_decode () =
+  let m = fixture_module () in
+  let result, driver, _ = run_with_oracle m in
+  let img = Lir.Lowered.of_module m in
+  let main = Lir.Lowered.find_func img "main" in
+  Alcotest.(check bool) "the run lowered main" true (main.Lir.Lowered.lowered <> None);
+  Alcotest.(check bool) "no decode yet" true (main.Lir.Lowered.walk = None);
+  let snap =
+    Pt.Driver.snapshot_now driver ~at_time_ns:result.Sim.Interp.final_time_ns
+  in
+  List.iter
+    (fun (_, ring) ->
+      let d = Pt.Decoder.decode m ~config:Pt.Config.default ring in
+      Alcotest.(check bool) "decodes clean" false d.Pt.Decoder.desynced)
+    snap.Pt.Driver.traces;
+  Alcotest.(check bool) "same image" true (Lir.Lowered.of_module m == img);
+  Array.iter
+    (fun (f : Lir.Lowered.func) ->
+      Alcotest.(check bool)
+        (f.Lir.Lowered.fn.Lir.Func.fname ^ ": decoded where it ran")
+        (f.Lir.Lowered.lowered <> None)
+        (f.Lir.Lowered.walk <> None))
+    (Lir.Lowered.funcs img)
+
 (* --- decode cache -------------------------------------------------------- *)
 
 module Cache = Pt.Decode_cache
@@ -1006,6 +1088,10 @@ let tests =
           test_decoder_empty_and_garbage;
         Alcotest.test_case "mismatched stream desyncs" `Quick
           test_decoder_mismatched_stream_desyncs;
+        Alcotest.test_case "garbage pcs desync" `Quick
+          test_decoder_garbage_pcs_desync;
+        Alcotest.test_case "one image for sim and decode" `Quick
+          test_one_image_for_sim_and_decode;
         Alcotest.test_case "thread_ended surfaced" `Quick
           test_thread_ended_surfaced;
         qtest prop_decoder_total_on_corrupt_rings;
