@@ -36,6 +36,17 @@ if [ -n "$spawns" ]; then
   exit 1
 fi
 
+echo "== one front door =="
+# Fleet.Routes owns the server build, the signature and the success
+# routing of a report; the stream tier's tracker applies it with shard
+# indices as targets and never builds a module or signs a report itself.
+own=$(grep -rnE "Registry\.find|Bug\.build|Signature\.of_failing" lib/stream || true)
+if [ -n "$own" ]; then
+  echo "$own"
+  echo "one front door: lib/stream builds a server module or a signature"
+  exit 1
+fi
+
 echo "== test =="
 dune runtest
 

@@ -25,7 +25,6 @@ let arrival_cap = 1024
 type bucket = {
   signature : Signature.t;
   config : Pt.Config.t;
-  watch_pcs : int list;
   mutable endpoints : int list;
   (* Kept reports are consed on (newest first) so ingest stays O(1) per
      packet; [failing]/[successful] reverse them back to arrival order. *)
@@ -55,14 +54,6 @@ type totals = {
   success_received : int;
   unrouted : int;
   pending_dropped : int;
-}
-
-type pending_success = {
-  p_endpoint : int;
-  p_report : Report.success_report;
-  p_bytes : int;
-  p_prov : prov_sample;
-  p_arrival : float;
 }
 
 (* --- provenance features ------------------------------------------------ *)
@@ -102,58 +93,42 @@ type t = {
   policy : policy;
   modules : (string, Corpus.Bug.built) Hashtbl.t;  (* bug id -> server build *)
   mutable bucket_list : bucket list;  (* newest first *)
-  by_key : (string, bucket) Hashtbl.t;
-  pending : (string, pending_success list) Hashtbl.t;
-      (* bug id -> held, newest first *)
+  routes : (bucket, bucket -> unit) Routes.t;
+      (* a held success is its own delivery to the bucket that claims it *)
   mutable received : int;
   mutable total_wire_bytes : int;
   mutable decode_errors : int;
   mutable failing_received : int;
   mutable success_received : int;
-  mutable pending_dropped : int;
 }
 
 let create ?(policy = default_policy) ?(modules = Hashtbl.create 8) () =
-  if policy.max_pending < 0 then invalid_arg "Collector.create: max_pending < 0";
   {
     policy;
     modules;
     bucket_list = [];
-    by_key = Hashtbl.create 16;
-    pending = Hashtbl.create 8;
+    routes =
+      Routes.create ~max_pending:policy.max_pending ~name:"fleet/pending";
     received = 0;
     total_wire_bytes = 0;
     decode_errors = 0;
     failing_received = 0;
     success_received = 0;
-    pending_dropped = 0;
   }
 
-let built_for t bug_id =
-  match Hashtbl.find_opt t.modules bug_id with
-  | Some b -> Ok b
-  | None -> (
-    match Corpus.Registry.find bug_id with
-    | None -> Error (Printf.sprintf "unknown bug id %s" bug_id)
-    | Some bug ->
-      let b = bug.Corpus.Bug.build () in
-      Lir.Irmod.layout b.Corpus.Bug.m;
-      Hashtbl.add t.modules bug_id b;
-      Ok b)
+let policy t = t.policy
 
-let note_endpoint b endpoint =
+(* What every report routed to [b] adds, once its seen count is bumped. *)
+let note (b : bucket) endpoint nbytes arrival =
+  b.wire_bytes <- b.wire_bytes + nbytes;
   if not (List.mem endpoint b.endpoints) then
-    b.endpoints <- endpoint :: b.endpoints
-
-let note_arrival b arrival =
+    b.endpoints <- endpoint :: b.endpoints;
   if b.failing_seen + b.success_seen <= arrival_cap then
     b.arrivals_rev <- arrival :: b.arrivals_rev
 
 let keep_success t b endpoint (r : Report.success_report) nbytes prov arrival =
   b.success_seen <- b.success_seen + 1;
-  b.wire_bytes <- b.wire_bytes + nbytes;
-  note_endpoint b endpoint;
-  note_arrival b arrival;
+  note b endpoint nbytes arrival;
   if b.success_seen <= prov_cap then
     b.success_prov_rev <- prov :: b.success_prov_rev;
   if success_kept b < t.policy.max_success then begin
@@ -162,130 +137,42 @@ let keep_success t b endpoint (r : Report.success_report) nbytes prov arrival =
   end
   else Obs.Scope.count "fleet/success_dropped" 1
 
-(* A success report belongs to the bucket whose watchpoint set its
-   trigger pc came from.  When several signatures of one bug share a
-   watch pc, first (oldest) bucket wins — matching the driver, which
-   arms one watchpoint set per failure location. *)
-let route_success t bug_id endpoint (r : Report.success_report) nbytes prov
-    arrival =
-  let candidates =
-    List.filter
-      (fun b ->
-        String.equal b.signature.Signature.bug_id bug_id
-        && List.mem r.Report.trigger_pc b.watch_pcs)
-      (List.rev t.bucket_list)
-  in
-  match candidates with
-  | b :: _ ->
-    keep_success t b endpoint r nbytes prov arrival;
-    true
-  | [] -> false
-
-(* Held successes are capped per bug: a fleet that only ever reports
-   successes for some bug id (its failure never arrives, or the trigger
-   pc matches no bucket) must not grow the pending pool without bound.
-   Newest reports win — on overflow the oldest held entry is evicted,
-   mirroring a ring buffer at the endpoint. *)
-let hold_success t bug_id endpoint r nbytes prov arrival =
-  let held = Option.value ~default:[] (Hashtbl.find_opt t.pending bug_id) in
-  let held =
+let new_bucket t ~bug_id ~config (f : Routes.failing) =
+  let b =
     {
-      p_endpoint = endpoint;
-      p_report = r;
-      p_bytes = nbytes;
-      p_prov = prov;
-      p_arrival = arrival;
+      signature = f.Routes.signature;
+      config;
+      endpoints = [];
+      failing_rev = [];
+      successful_rev = [];
+      failing_seen = 0;
+      success_seen = 0;
+      wire_bytes = 0;
+      failing_prov_rev = [];
+      success_prov_rev = [];
+      arrivals_rev = [];
     }
-    :: held
   in
-  let held =
-    let n = List.length held in
-    if n <= t.policy.max_pending then held
-    else begin
-      let evicted = n - t.policy.max_pending in
-      t.pending_dropped <- t.pending_dropped + evicted;
-      Obs.Scope.count "fleet/pending_dropped" evicted;
-      Obs.Log.info "fleet/pending_evict"
-        ~fields:
-          [ ("bug", Obs.Log.Str bug_id); ("evicted", Obs.Log.Int evicted) ];
-      List.filteri (fun i _ -> i < t.policy.max_pending) held
-    end
-  in
-  if held = [] then Hashtbl.remove t.pending bug_id
-  else Hashtbl.replace t.pending bug_id held
+  t.bucket_list <- b :: t.bucket_list;
+  Obs.Scope.count "fleet/buckets" 1;
+  Obs.Log.info "fleet/bucket_new"
+    ~fields:
+      [
+        ("bug", Obs.Log.Str bug_id);
+        ("signature", Obs.Log.Str (Signature.to_string f.Routes.signature));
+      ];
+  b
 
-(* A new bucket may claim successes that arrived before its first
-   failing report.  Held lists are newest first; route in arrival
-   order so kept-first-K sampling sees the fleet's true order. *)
-let drain_pending t bug_id =
-  match Hashtbl.find_opt t.pending bug_id with
-  | None -> ()
-  | Some held ->
-    let leftover =
-      List.filter
-        (fun p ->
-          not
-            (route_success t bug_id p.p_endpoint p.p_report p.p_bytes p.p_prov
-               p.p_arrival))
-        (List.rev held)
-    in
-    if leftover = [] then Hashtbl.remove t.pending bug_id
-    else Hashtbl.replace t.pending bug_id (List.rev leftover)
-
-let ingest_failing t ~bug_id ~endpoint ~config ~nbytes ~prov ~arrival
-    (r : Report.failing_report) =
-  match built_for t bug_id with
-  | Error _ as e -> e
-  | Ok built -> (
-    let m = built.Corpus.Bug.m in
-    match Signature.of_failing m ~config ~bug_id r with
-    | Error _ as e -> e
-    | Ok signature ->
-      let key = Signature.key signature in
-      let b =
-        match Hashtbl.find_opt t.by_key key with
-        | Some b -> b
-        | None ->
-          let b =
-            {
-              signature;
-              config;
-              watch_pcs = Corpus.Runner.watch_pcs_for m r;
-              endpoints = [];
-              failing_rev = [];
-              successful_rev = [];
-              failing_seen = 0;
-              success_seen = 0;
-              wire_bytes = 0;
-              failing_prov_rev = [];
-              success_prov_rev = [];
-              arrivals_rev = [];
-            }
-          in
-          Hashtbl.add t.by_key key b;
-          t.bucket_list <- b :: t.bucket_list;
-          Obs.Scope.count "fleet/buckets" 1;
-          Obs.Log.info "fleet/bucket_new"
-            ~fields:
-              [
-                ("bug", Obs.Log.Str bug_id);
-                ("signature", Obs.Log.Str (Signature.to_string signature));
-              ];
-          drain_pending t bug_id;
-          b
-      in
-      b.failing_seen <- b.failing_seen + 1;
-      b.wire_bytes <- b.wire_bytes + nbytes;
-      note_endpoint b endpoint;
-      note_arrival b arrival;
-      if b.failing_seen <= prov_cap then
-        b.failing_prov_rev <- prov :: b.failing_prov_rev;
-      if failing_kept b < t.policy.max_failing then begin
-        b.failing_rev <- r :: b.failing_rev;
-        Obs.Scope.count "fleet/failing_kept" 1
-      end
-      else Obs.Scope.count "fleet/failing_dropped" 1;
-      Ok ())
+let keep_failing t b endpoint (r : Report.failing_report) nbytes prov arrival =
+  b.failing_seen <- b.failing_seen + 1;
+  note b endpoint nbytes arrival;
+  if b.failing_seen <= prov_cap then
+    b.failing_prov_rev <- prov :: b.failing_prov_rev;
+  if failing_kept b < t.policy.max_failing then begin
+    b.failing_rev <- r :: b.failing_rev;
+    Obs.Scope.count "fleet/failing_kept" 1
+  end
+  else Obs.Scope.count "fleet/failing_dropped" 1
 
 let ingest t packet =
   Obs.Scope.timed "fleet/ingest_ns" @@ fun () ->
@@ -306,28 +193,31 @@ let ingest t packet =
   match Wire.decode packet with
   | Error msg -> reject msg
   | Ok env -> (
+    let bug_id = env.Wire.bug_id and endpoint = env.Wire.endpoint in
     let prov = prov_sample_of env in
     match env.Wire.payload with
     | Wire.Failing r -> (
       t.failing_received <- t.failing_received + 1;
-      match
-        ingest_failing t ~bug_id:env.Wire.bug_id ~endpoint:env.Wire.endpoint
-          ~config:env.Wire.config ~nbytes ~prov ~arrival r
-      with
-      | Ok () -> Ok ()
-      | Error msg -> reject msg)
+      let config = env.Wire.config in
+      match Routes.of_failing t.modules ~config ~bug_id r with
+      | Error msg -> reject msg
+      | Ok f ->
+        let b, released =
+          Routes.claim t.routes f ~fresh:(fun () ->
+              new_bucket t ~bug_id ~config f)
+        in
+        (* Successes that beat the bucket's first failing report. *)
+        List.iter (fun (b, deliver) -> deliver b) released;
+        keep_failing t b endpoint r nbytes prov arrival;
+        Ok ())
     | Wire.Success r -> (
       t.success_received <- t.success_received + 1;
-      match built_for t env.Wire.bug_id with
+      match Routes.server_build t.modules bug_id with
       | Error msg -> reject msg
       | Ok _ ->
-        if
-          not
-            (route_success t env.Wire.bug_id env.Wire.endpoint r nbytes prov
-               arrival)
-        then
-          hold_success t env.Wire.bug_id env.Wire.endpoint r nbytes prov
-            arrival;
+        let deliver b = keep_success t b endpoint r nbytes prov arrival in
+        Option.iter deliver
+          (Routes.route t.routes ~bug_id ~pc:r.Report.trigger_pc deliver);
         Ok ()))
 
 let buckets t = List.rev t.bucket_list
@@ -436,31 +326,21 @@ let qualifiers b =
     List.filteri (fun i _ -> i < 3) ranked
   end
 
-let pending_pools t =
-  Hashtbl.fold
-    (fun bug_id held acc -> (bug_id, List.length held) :: acc)
-    t.pending []
+let pending_pools t = Routes.pools t.routes
 
 let totals t =
-  let unrouted =
-    Hashtbl.fold (fun _ held acc -> acc + List.length held) t.pending 0
-  in
   {
     received = t.received;
     wire_bytes = t.total_wire_bytes;
     decode_errors = t.decode_errors;
     failing_received = t.failing_received;
     success_received = t.success_received;
-    unrouted;
-    pending_dropped = t.pending_dropped;
+    unrouted = Routes.held t.routes;
+    pending_dropped = Routes.dropped t.routes;
   }
 
-let built t b =
-  match built_for t b.signature.Signature.bug_id with
-  | Ok built -> built
-  | Error msg ->
-    (* A bucket only exists because [built_for] succeeded for it. *)
-    invalid_arg ("Collector.built: " ^ msg)
+(* A bucket exists only once [Routes.server_build] has stored its build. *)
+let built t b = Hashtbl.find t.modules b.signature.Signature.bug_id
 
 type verdict = {
   top_pattern : string option;

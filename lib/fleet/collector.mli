@@ -3,7 +3,8 @@
     failing reports by crash {!Signature}, applies a per-bucket sampling
     policy so a bug hit by the whole fleet cannot flood the server, and
     routes watchpoint-triggered success reports to the bucket whose
-    failure location they were collected at.
+    failure location they were collected at, by the {!Routes} rule the
+    streaming tracker applies too.
 
     All counters (received, kept, dropped, decode errors) flow through
     {!Obs.Scope} when a telemetry scope is enabled. *)
@@ -38,9 +39,6 @@ type bucket = {
   config : Pt.Config.t;
       (** tracer parameters of the bucket's first failing report; the
           bucket's diagnosis decodes every trace under these *)
-  watch_pcs : int list;
-      (** failing pc + predecessor-block entries — the watchpoint set
-          endpoints collect successes at, used to route them here *)
   mutable endpoints : int list;  (** distinct endpoints, newest first *)
   mutable failing_rev : Snorlax_core.Report.failing_report list;
       (** kept reports, newest first (ingest conses); read through
@@ -111,10 +109,13 @@ type t
 
 val create :
   ?policy:policy -> ?modules:(string, Corpus.Bug.built) Hashtbl.t -> unit -> t
-(** Raises [Invalid_argument] when [policy.max_pending < 0].  [modules]
-    shares one server-build cache across collectors — harnesses that
-    create many short-lived collectors for the same bugs (e.g. chaos
-    trials) would otherwise rebuild every scenario binary per trial. *)
+(** Raises [Invalid_argument] when [policy.max_pending < 0]; 0 holds no
+    early success.  [modules] shares one server-build cache across
+    collectors — harnesses that create many short-lived collectors for
+    the same bugs (e.g. chaos trials) would otherwise rebuild every
+    scenario binary per trial. *)
+
+val policy : t -> policy
 
 val ingest : t -> bytes -> (unit, string) result
 (** Decode one wire packet and route it.  [Error] on malformed input or

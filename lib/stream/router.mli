@@ -4,11 +4,10 @@
     {!Shard} — so every report of one bucket lands on one worker and
     shards never coordinate.
 
-    Success reports carry no signature; the tracker routes them by
-    trigger pc against the watch-pc routes that failing reports
-    establish (oldest route wins, mirroring the collector).  A success
-    that beats its failure to the tracker is held in a bounded
-    drop-oldest pool and re-offered when the route appears.
+    Success reports carry no signature; the tracker routes them by the
+    collector's own rule, {!Fleet.Routes}, with shard indices as targets:
+    trigger pc against the routes failing reports establish, and a
+    bounded drop-oldest pool for successes that beat their failure.
 
     The signature computation decodes the failing ring — the same decode
     the owning shard's collector performs again; both go through the
@@ -17,24 +16,24 @@
 type t
 
 val create :
-  ?pending_cap:int ->
   ?offer:(int -> arrival:float -> bytes -> unit) ->
   Shard.t array ->
   (string, Corpus.Bug.built) Hashtbl.t ->
   t
-(** [pending_cap] (default 64) bounds the held-success pool per bug.
-    The modules table must be the one the shards share.  [offer]
-    overrides how a routed packet reaches shard [idx] (default: direct
-    {!Shard.offer}) — {!Stream.Deploy} passes {!Service.offer}, and
-    benchmarks wrap it to time each report.  Raises [Invalid_argument] on
-    an empty shard array or negative cap. *)
+(** The modules table must be the one the shards share; the held-success
+    pool per bug is capped by the first shard's collector policy
+    ([max_pending]).  [offer] overrides how a routed packet reaches
+    shard [idx] (default: direct {!Shard.offer}) — {!Stream.Deploy}
+    passes {!Service.offer}, and benchmarks wrap it to time each report.
+    Raises [Invalid_argument] on an empty shard array. *)
 
 val route : t -> bytes -> unit
-(** Route one packet, stamping its arrival time.  Total: malformed
-    packets are hashed to a shard on raw bytes and forwarded — the
-    shard's collector is the single source of truth for decode-error
-    accounting, the tracker never swallows a packet (it only ever holds
-    routable-later successes). *)
+(** Route one packet, stamping its arrival time.  Total: the tracker
+    only ever holds successes a later route may claim, and forwards the
+    rest so the shard's collector counts every error.  Malformed packets
+    are hashed on raw bytes; failing reports it cannot sign and
+    successes of an unknown bug id (no route can ever appear) are hashed
+    on the bug id. *)
 
 val received : t -> int
 
@@ -47,5 +46,3 @@ val pending_held : t -> int
 
 val pending_dropped : t -> int
 (** Held successes evicted by the drop-oldest pool cap. *)
-
-val shard_count : t -> int

@@ -461,6 +461,111 @@ let test_collector_counters_reconcile () =
   Alcotest.(check int) "seen in buckets" 5 (sum_seen t);
   check_reconciled "counters reconcile" t
 
+(* --- the routing rule on its own ------------------------------------------ *)
+
+module Routes = Fleet.Routes
+
+let route_for key pcs =
+  {
+    Routes.signature =
+      {
+        Fleet.Signature.bug_id = "b";
+        kind = "assert";
+        failing_pc = List.hd pcs;
+        block_stack = [];
+      };
+    key;
+    watch_pcs = lazy pcs;
+  }
+
+let claim r key pcs target =
+  Routes.claim r (route_for key pcs) ~fresh:(fun () -> target)
+
+let hold_all r items =
+  List.iter
+    (fun (pc, item) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "item %d held" item)
+        None
+        (Routes.route r ~bug_id:"b" ~pc item))
+    items
+
+let released = Alcotest.(list (pair string int))
+
+let test_routes_oldest_wins () =
+  let r = Routes.create ~max_pending:8 ~name:"test/pending" in
+  ignore (claim r "k1" [ 10; 20 ] "old");
+  ignore (claim r "k2" [ 20; 30 ] "new");
+  Alcotest.(check (option string)) "shared pc: the oldest route wins"
+    (Some "old") (Routes.route r ~bug_id:"b" ~pc:20 0);
+  Alcotest.(check (option string)) "own pc" (Some "new")
+    (Routes.route r ~bug_id:"b" ~pc:30 0);
+  Alcotest.(check (option string)) "routes are per bug" None
+    (Routes.route r ~bug_id:"c" ~pc:20 0);
+  let target, rel =
+    Routes.claim r (route_for "k2" [ 99 ]) ~fresh:(fun () ->
+        Alcotest.fail "a known key made a fresh target")
+  in
+  Alcotest.(check string) "a known key keeps its target" "new" target;
+  Alcotest.check released "and releases nothing" [] rel;
+  Alcotest.(check (option string)) "nor adds a route" None
+    (Routes.route r ~bug_id:"b" ~pc:99 0)
+
+let test_routes_release_order () =
+  let r = Routes.create ~max_pending:8 ~name:"test/pending" in
+  hold_all r [ (10, 1); (99, 2); (20, 3); (99, 4); (10, 5) ];
+  Alcotest.(check int) "all held" 5 (Routes.held r);
+  let target, rel = claim r "k1" [ 10; 20 ] "t" in
+  Alcotest.(check string) "fresh target" "t" target;
+  Alcotest.check released "claimed items released oldest first"
+    [ ("t", 1); ("t", 3); ("t", 5) ]
+    rel;
+  Alcotest.(check (list (pair string int))) "the rest stay held"
+    [ ("b", 2) ] (Routes.pools r);
+  let _, rel = claim r "k2" [ 99 ] "u" in
+  Alcotest.check released "in their order" [ ("u", 2); ("u", 4) ] rel;
+  Alcotest.(check int) "pool empty" 0 (Routes.held r);
+  Alcotest.(check (list (pair string int))) "no empty pools listed" []
+    (Routes.pools r);
+  Alcotest.(check int) "nothing evicted" 0 (Routes.dropped r)
+
+let test_routes_evictions_counted () =
+  let r = Routes.create ~max_pending:2 ~name:"test/pending" in
+  hold_all r [ (10, 1); (10, 2); (10, 3); (10, 4); (10, 5) ];
+  Alcotest.(check int) "capped" 2 (Routes.held r);
+  Alcotest.(check int) "evictions counted" 3 (Routes.dropped r);
+  let _, rel = claim r "k1" [ 10 ] "t" in
+  Alcotest.check released "the newest survive, released oldest first"
+    [ ("t", 4); ("t", 5) ]
+    rel
+
+let test_routes_cap_zero () =
+  let r = Routes.create ~max_pending:0 ~name:"test/pending" in
+  hold_all r [ (10, 1) ];
+  Alcotest.(check int) "holds nothing" 0 (Routes.held r);
+  Alcotest.(check int) "the item is evicted" 1 (Routes.dropped r);
+  Alcotest.(check (list (pair string int))) "no pool" [] (Routes.pools r);
+  let _, rel = claim r "k1" [ 10 ] "t" in
+  Alcotest.check released "nothing to release" [] rel;
+  Alcotest.check_raises "negative cap"
+    (Invalid_argument "Routes.create: max_pending < 0") (fun () ->
+      ignore (Routes.create ~max_pending:(-1) ~name:"test/pending"));
+  (* The collector takes the same cap: an early success is evicted at
+     once and its bucket starts empty. *)
+  let _, c = Lazy.force collected_fixture in
+  let t =
+    Collector.create
+      ~policy:{ Collector.default_policy with Collector.max_pending = 0 }
+      ()
+  in
+  ship t (real_envelope (Wire.Success (List.hd c.Corpus.Runner.successful)));
+  ship t (real_envelope (Wire.Failing (List.hd c.Corpus.Runner.failing)));
+  let totals = Collector.totals t in
+  Alcotest.(check int) "collector holds nothing" 0 totals.Collector.unrouted;
+  Alcotest.(check int) "collector evicted it" 1 totals.Collector.pending_dropped;
+  Alcotest.(check int) "bucket has no success" 0
+    (Collector.success_kept (List.hd (Collector.buckets t)))
+
 (* --- provenance mining --------------------------------------------------- *)
 
 let test_collector_qualifiers () =
@@ -854,6 +959,17 @@ let tests =
           test_rediagnosis_reuses_decodes;
         Alcotest.test_case "counters reconcile on a mixed stream" `Quick
           test_collector_counters_reconcile;
+      ] );
+    ( "fleet.routes",
+      [
+        Alcotest.test_case "oldest route wins a shared pc" `Quick
+          test_routes_oldest_wins;
+        Alcotest.test_case "release is oldest first, rest stay" `Quick
+          test_routes_release_order;
+        Alcotest.test_case "evictions counted" `Quick
+          test_routes_evictions_counted;
+        Alcotest.test_case "a cap of 0 holds nothing" `Quick
+          test_routes_cap_zero;
       ] );
     ( "fleet.deploy",
       [

@@ -1,8 +1,9 @@
 (* The streaming subsystem: the incremental engine's equivalence with the
    from-scratch batch pipeline, shard backpressure (shed policies,
    watermarks, the offered = shed + drained + depth invariant), tracker
-   routing, traffic-generator determinism, and the end-to-end streaming
-   deployment — including a sweep of all nine chaos fault classes. *)
+   routing and its agreement with a batch collector, traffic-generator
+   determinism, and the end-to-end streaming deployment — including a
+   sweep of all nine chaos fault classes. *)
 
 module Core = Snorlax_core
 module Report = Core.Report
@@ -273,13 +274,14 @@ let test_shard_watermarks () =
 
 (* --- tracker routing ----------------------------------------------------- *)
 
-let make_cluster ?(shards = 2) ?pending_cap () =
+let make_cluster ?(shards = 2) ?(policy = Collector.default_policy) () =
   let modules = Hashtbl.create 4 in
   let arr =
     Array.init shards (fun id ->
-        Shard.create ~id ~capacity:64 ~shed:Shard.Drop_oldest ~modules ())
+        Shard.create ~id ~policy ~capacity:64 ~shed:Shard.Drop_oldest ~modules
+          ())
   in
-  (arr, Router.create ?pending_cap arr modules)
+  (arr, Router.create arr modules)
 
 let service_all shards =
   let hist = latency_hist () in
@@ -330,7 +332,11 @@ let test_router_forwards_malformed () =
 let test_router_pending_pool_bounded () =
   let _, c = Lazy.force fixture in
   let success = List.hd c.Corpus.Runner.successful in
-  let _, router = make_cluster ~pending_cap:2 () in
+  let _, router =
+    make_cluster
+      ~policy:{ Collector.default_policy with Collector.max_pending = 2 }
+      ()
+  in
   for i = 1 to 5 do
     Router.route router
       (Wire.encode
@@ -339,6 +345,138 @@ let test_router_pending_pool_bounded () =
   done;
   Alcotest.(check int) "pool capped" 2 (Router.pending_held router);
   Alcotest.(check int) "evictions counted" 3 (Router.pending_dropped router)
+
+let test_router_forwards_unknown_bug_success () =
+  (* No route can ever appear for an unknown bug id, so holding its
+     successes would swallow them: the tracker forwards them hashed on
+     the bug id and the owning shard's collector rejects and counts them,
+     as a batch collector does. *)
+  let _, c = Lazy.force fixture in
+  let success = List.hd c.Corpus.Runner.successful in
+  let shards, router = make_cluster () in
+  Router.route router
+    (Wire.encode
+       { (real_envelope (Wire.Success success)) with Wire.bug_id = "no-such-bug" });
+  service_all shards;
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 shards in
+  Alcotest.(check int) "offered to a shard" 1 (sum Shard.offered);
+  Alcotest.(check int) "rejected by the shard's collector" 1
+    (sum (fun s -> (Collector.totals (Shard.collector s)).Collector.decode_errors));
+  Alcotest.(check int) "nothing held at the tracker" 0
+    (Router.pending_held router)
+
+(* --- the tracker and a batch collector agree ----------------------------- *)
+
+(* A seeded mixed stream: successes ahead of their failing report, repeated
+   failing reports, a second signature of the same failure (the failing
+   thread's ring stripped, so both buckets share one watch-pc set and the
+   oldest must win), successes no bucket ever claims, corrupt failing
+   packets, garbage, and optionally a success with an unknown bug id. *)
+let mixed_stream ~seed ~unknown =
+  let _, c = Lazy.force fixture in
+  let failing = List.hd c.Corpus.Runner.failing in
+  let stripped =
+    {
+      failing with
+      Report.traces =
+        List.filter
+          (fun (tid, _) -> tid <> failing.Report.failing_tid)
+          failing.Report.traces;
+    }
+  in
+  let rng = Random.State.make [| seed |] in
+  let successes = Array.of_list c.Corpus.Runner.successful in
+  let success i =
+    let s = successes.(Random.State.int rng (Array.length successes)) in
+    Wire.Success { s with Report.trigger_time_ns = i }
+  in
+  let ship ?(bug_id = "pbzip2-1") endpoint payload =
+    Wire.encode { (real_envelope ~endpoint payload) with Wire.bug_id }
+  in
+  let corrupt () =
+    let p = Bytes.copy (ship 0 (Wire.Failing failing)) in
+    let i = Random.State.int rng (Bytes.length p) in
+    Bytes.set p i (Char.chr (Random.State.int rng 256));
+    p
+  in
+  let packet i =
+    let ep = Random.State.int rng 6 in
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 | 3 -> ship ep (success i)
+    | 4 ->
+      ship ep
+        (Wire.Success
+           { successes.(0) with Report.trigger_pc = 0xdead; trigger_time_ns = i })
+    | 5 -> ship ep (Wire.Failing failing)
+    | 6 -> ship ep (Wire.Failing stripped)
+    | 7 -> corrupt ()
+    | 8 -> Bytes.of_string (Printf.sprintf "garbage-%d" i)
+    | _ -> Bytes.sub (ship ep (Wire.Failing failing)) 0 (10 + i)
+  in
+  let lead = List.init 3 (fun i -> ship i (success i)) in
+  let body = List.init 40 (fun i -> packet (i + 3)) in
+  let stray =
+    if unknown then [ ship ~bug_id:"no-such-bug" 2 (success 99) ] else []
+  in
+  lead @ List.filteri (fun i _ -> i < 20) body @ stray
+  @ List.filteri (fun i _ -> i >= 20) body
+
+let bucket_view (b : Collector.bucket) =
+  ( Fleet.Signature.key b.Collector.signature,
+    (Collector.failing b, Collector.successful b),
+    (b.Collector.failing_seen, b.Collector.success_seen, b.Collector.endpoints) )
+
+let held_and_evicted (tot : Collector.totals) =
+  tot.Collector.unrouted + tot.Collector.pending_dropped
+
+let check_tiers_agree ~shards ~policy ~seed ~unknown =
+  let name = Printf.sprintf "seed %d, %d shard(s)" seed shards in
+  let stream = mixed_stream ~seed ~unknown in
+  let batch = Collector.create ~policy () in
+  List.iter (fun p -> ignore (Collector.ingest batch p)) stream;
+  let arr, router = make_cluster ~shards ~policy () in
+  List.iter (Router.route router) stream;
+  service_all arr;
+  let colls = Array.to_list (Array.map Shard.collector arr) in
+  let sum f = List.fold_left (fun a col -> a + f (Collector.totals col)) 0 colls in
+  let tiered = List.concat_map Collector.buckets colls in
+  let batch_buckets = Collector.buckets batch in
+  Alcotest.(check bool) (name ^ ": more than one bucket") true
+    (List.length batch_buckets > 1);
+  let views bs = List.map bucket_view bs in
+  let by_key l = List.sort (fun (a, _, _) (b, _, _) -> compare a b) l in
+  if shards = 1 then
+    Alcotest.(check bool) (name ^ ": same buckets in the same order") true
+      (views tiered = views batch_buckets)
+  else
+    Alcotest.(check bool) (name ^ ": union of shard buckets") true
+      (by_key (views tiered) = by_key (views batch_buckets));
+  Alcotest.(check int) (name ^ ": decode errors")
+    (Collector.totals batch).Collector.decode_errors
+    (sum (fun t -> t.Collector.decode_errors));
+  Alcotest.(check int) (name ^ ": held plus evicted successes")
+    (held_and_evicted (Collector.totals batch))
+    (Router.pending_held router + Router.pending_dropped router
+    + sum held_and_evicted)
+
+let test_tiers_agree () =
+  List.iter
+    (fun max_pending ->
+      let policy = { Collector.default_policy with Collector.max_pending } in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun shards -> check_tiers_agree ~shards ~policy ~seed ~unknown:false)
+            [ 1; 3 ])
+        [ 1; 2; 3; 4; 5 ])
+    [ 2; Collector.default_policy.Collector.max_pending ]
+
+let test_tiers_agree_unknown_bug () =
+  List.iter
+    (fun shards ->
+      check_tiers_agree ~shards ~policy:Collector.default_policy ~seed:6
+        ~unknown:true)
+    [ 1; 3 ]
 
 (* --- traffic generator --------------------------------------------------- *)
 
@@ -760,6 +898,12 @@ let tests =
           test_router_forwards_malformed;
         Alcotest.test_case "pending pool bounded" `Quick
           test_router_pending_pool_bounded;
+        Alcotest.test_case "unknown-bug successes forwarded" `Quick
+          test_router_forwards_unknown_bug_success;
+        Alcotest.test_case "tracker and collector agree" `Quick
+          test_tiers_agree;
+        Alcotest.test_case "tracker and collector agree, unknown bug" `Quick
+          test_tiers_agree_unknown_bug;
       ] );
     ( "stream.traffic",
       [
