@@ -283,8 +283,8 @@ let emit_decode_bench () =
     !best
   in
   let no_cache = Pt.Decode_cache.create ~capacity:0 () in
-  (* One decoder, cold, one trace at a time and under the batched pool
-     at 4 jobs: their ratio is parallel scaling and nothing else.
+  (* One decoder, cold, one trace at a time and one ring per lane at
+     4 jobs: their ratio is parallel scaling and nothing else.
      Engine speed is perfbench's pt.decoder.steps_per_s. *)
   let jobs = 4 in
   let seq_new_ns = time (run ~jobs:1 ~cache:no_cache) in

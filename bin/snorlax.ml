@@ -424,7 +424,7 @@ let stream_run n_endpoints ticks n_shards shard_domains churn fault_name
         (if List.length bugs = 1 then "" else "s")
         ticks n_shards
         (if n_shards = 1 then "" else "s")
-        (let width = min shard_domains n_shards in
+        (let width = Snorlax_util.Pool.lanes ~jobs:shard_domains n_shards in
          if shard_domains <= 1 then "inline"
          else
            Printf.sprintf "%d service domain%s" width

@@ -36,6 +36,18 @@ if [ -n "$spawns" ]; then
   exit 1
 fi
 
+echo "== one lane rule =="
+# Every fan-out (decode, corpus sweeps, the shard service plane) runs
+# through Obs.Scope.map_lanes, which owns the lane scopes, their merge
+# and the nested-decode pin; nothing else drives a pool batch itself.
+lanes=$(grep -rnE "Pool\.(run|map)\b|merge_worker" lib bin bench \
+  | grep -vE "^lib/(util/pool|obs/scope)\.ml:" || true)
+if [ -n "$lanes" ]; then
+  echo "$lanes"
+  echo "one lane rule: a pool batch outside Obs.Scope.map_lanes"
+  exit 1
+fi
+
 echo "== one front door =="
 # Fleet.Routes owns the server build, the signature and the success
 # routing of a report; the stream tier's tracker applies it with shard

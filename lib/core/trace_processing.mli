@@ -41,18 +41,15 @@ val process :
     Deadlocks pass one entry per blocked thread.
 
     Each [(tid, snapshot)] decode is independent (per-thread PT rings).
-    Cache misses are grouped into at most [jobs * 2] cost-balanced chunks
-    (weighted by snapshot size, {!Snorlax_util.Pool.balanced_chunks}) and
-    submitted to a {!Snorlax_util.Pool} batch; the submitting domain
-    merges results in input order concurrently with the in-flight
-    decodes, waiting only when the next trace's chunk has not finished
-    (and helping the pool while it waits).  [?jobs] defaults to
-    {!Snorlax_util.Pool.default_jobs}; [~jobs:1] forces the sequential
-    path.  The output is identical for every pool size.  Decodes are
-    memoized through [?cache] (default {!Pt.Decode_cache.shared}; a
-    zero-capacity cache disables memoization); cache and telemetry
-    writes stay on the submitting domain (workers fill private
-    registries, folded back after the batch). *)
+    Decodes are memoized through [?cache] (default
+    {!Pt.Decode_cache.shared}; a zero-capacity cache disables
+    memoization).  The cache misses run largest snapshot first, one per
+    lane, through [Obs.Scope.map_lanes] on
+    {!Snorlax_util.Pool.lanes}[ ~jobs misses] lanes; [?jobs] defaults to
+    {!Snorlax_util.Pool.default_jobs}, and width 1 decodes on the caller
+    with the ambient telemetry.  Decoded rings enter the cache on the
+    caller, in input order, so the output, the cache state and the pt/*
+    telemetry are identical at every width. *)
 
 val executes_before : event -> event -> bool
 (** The partial order of §4.1: true when the coarse intervals are disjoint

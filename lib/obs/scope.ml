@@ -110,9 +110,6 @@ let timed name f =
         sample c)
       f
 
-let merge_worker m =
-  match !(Domain.DLS.get state) with None -> () | Some c -> Metrics.merge ~into:c.metrics m
-
 (* Lanes pin nested decode sequential so no lane nests a pool inside a
    pool or reaches for the shared one from a worker domain; lane
    registries merge only after the barrier because the ambient context
@@ -134,7 +131,9 @@ let map_lanes pool f arr =
           else f i x)
         arr
     in
-    Array.iter (Option.iter merge_worker) regs;
+    Option.iter
+      (fun c -> Array.iter (Option.iter (Metrics.merge ~into:c.metrics)) regs)
+      (current ());
     out
   end
 

@@ -11,9 +11,9 @@
     domain always starts with no scope, so ambient recording calls on
     pool domains are no-ops unless the lane installs a private context
     with {!using} (as {!map_lanes} does).  Cross-domain telemetry therefore
-    flows one way only — workers record into contexts they own, and the
-    submitting domain folds those registries back in with
-    {!merge_worker} after a barrier. *)
+    flows one way only — lanes record into contexts they own, and
+    {!map_lanes} folds those registries into the submitting domain's
+    registry after the batch's barrier. *)
 
 type ctx = {
   metrics : Metrics.t;
@@ -63,17 +63,12 @@ val timed : string -> (unit -> 'a) -> 'a
     Like {!with_span}, completing a timed section samples changed
     counters/gauges into the Chrome-trace time series. *)
 
-val merge_worker : Metrics.t -> unit
-(** Fold a pool-worker's private registry into the ambient one
-    ({!Metrics.merge}); no-op when disabled.  This is how domain-local
-    telemetry rejoins the main registry — workers must never touch the
-    ambient context directly. *)
-
 val map_lanes :
   Snorlax_util.Pool.t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** [map_lanes pool f arr] is [Array.mapi f arr] run as one batch on a
     caller-owned pool, one item per lane — the lane body shared by
-    {!sweep} and the stream's shard service plane.
+    {!sweep}, the stream's shard service plane and trace processing's
+    decode fan-out.
 
     - On a one-job pool: exactly [Array.mapi f arr] on the calling
       domain — no private scope, {!Snorlax_util.Pool.default_jobs}
@@ -82,7 +77,7 @@ val map_lanes :
       nested decode that resolves its width from the default stays
       sequential, and — when a scope is enabled — under a private
       context ({!make}/{!using}) whose metrics are merged into the
-      ambient registry ({!merge_worker}) in input order after the
+      ambient registry ({!Metrics.merge}) in input order after the
       batch's barrier.  Lane spans are not kept.
 
     Results come back in input order; an exception raised by a lane

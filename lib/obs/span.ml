@@ -27,14 +27,10 @@ type t = {
    resolution for months. *)
 let epoch = Unix.gettimeofday ()
 
-(* No monotone guard, no shared state: safe to call from pool worker
-   domains, where [wall_clock_ns]'s [last] ref would race. *)
-let raw_clock_ns () = (Unix.gettimeofday () -. epoch) *. 1e9
-
 let wall_clock_ns =
   let last = ref 0.0 in
   fun () ->
-    let t = raw_clock_ns () in
+    let t = (Unix.gettimeofday () -. epoch) *. 1e9 in
     let t = if t > !last then t else !last +. 1.0 in
     last := t;
     t

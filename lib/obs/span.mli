@@ -31,10 +31,6 @@ val wall_clock_ns : unit -> float
     strictly increasing (an absolute epoch would round the 1 ns nudge away
     at double precision). *)
 
-val raw_clock_ns : unit -> float
-(** Same epoch, no monotone nudge and no shared state — the clock pool
-    worker domains may use ([wall_clock_ns] races off the main domain). *)
-
 val start : t -> ?track:int -> ?args:(string * arg_value) list -> string -> span
 
 val finish : t -> span -> unit

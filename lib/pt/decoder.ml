@@ -347,26 +347,15 @@ let decode_raw m ~config ?tail_stop snapshot =
     in
     { steps; lost_bytes = sync_pos; desynced = !desynced; thread_ended = !ended }
 
-let record_metrics ?into r ~snapshot_bytes =
-  let record count observe =
-    count "pt/decode_calls" 1;
-    count "pt/decoded_steps" (Array.length r.steps);
-    count "pt/lost_bytes" r.lost_bytes;
-    count "pt/desyncs" (if r.desynced then 1 else 0);
-    count "pt/thread_ended" (if r.thread_ended then 1 else 0);
-    observe "pt/snapshot_bytes" (float_of_int snapshot_bytes)
-  in
-  match into with
-  | Some m ->
-    (* A private (typically pool-worker) registry: record directly, no
-       ambient state touched, so this is safe off the main domain. *)
-    record
-      (fun name n -> Obs.Metrics.add (Obs.Metrics.counter m name) n)
-      (fun name v -> Obs.Metrics.observe (Obs.Metrics.histogram m name) v)
-  | None ->
-    if Obs.Scope.enabled () then record Obs.Scope.count Obs.Scope.observe
-
 let decode m ~config ?tail_stop snapshot =
   let r = decode_raw m ~config ?tail_stop snapshot in
-  record_metrics r ~snapshot_bytes:(Bytes.length snapshot);
+  if Obs.Scope.enabled () then begin
+    Obs.Scope.count "pt/decode_calls" 1;
+    Obs.Scope.count "pt/decoded_steps" (Array.length r.steps);
+    Obs.Scope.count "pt/lost_bytes" r.lost_bytes;
+    Obs.Scope.count "pt/desyncs" (if r.desynced then 1 else 0);
+    Obs.Scope.count "pt/thread_ended" (if r.thread_ended then 1 else 0);
+    Obs.Scope.observe "pt/snapshot_bytes"
+      (float_of_int (Bytes.length snapshot))
+  end;
   r

@@ -52,14 +52,6 @@ val decode :
 
 val decode_raw :
   Lir.Irmod.t -> config:Config.t -> ?tail_stop:int * int -> bytes -> result
-(** Exactly {!decode} minus the telemetry.  The ambient scope is not
-    domain-safe, so parallel decode fans this across a
-    {!Snorlax_util.Pool} and the submitting domain records metrics per
-    result afterwards with {!record_metrics}. *)
-
-val record_metrics : ?into:Obs.Metrics.t -> result -> snapshot_bytes:int -> unit
-(** Record one decode's pt/* counters (calls, steps, lost bytes, desyncs,
-    thread exits, snapshot size).  Without [into], records into the
-    ambient scope (no-op when disabled).  With [into], records into that
-    registry directly — a pool worker's private registry, later folded
-    back with {!Obs.Scope.merge_worker}. *)
+(** Exactly {!decode} minus the telemetry.  [Oracle.Diffcheck] checks
+    rings against the execution with it, so its checks never count as
+    decoder work in the pt/* counters. *)

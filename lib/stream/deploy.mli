@@ -8,10 +8,10 @@ type config = {
   duration_ticks : int;
   shards : int;
   shard_domains : int;
-      (** domains for the {!Service} plane (capped at [shards]); 1 =
-          inline single-domain servicing (the historical behaviour).  Results
-          are byte-identical whatever the value — only wall-clock
-          changes. *)
+      (** domains for the {!Service} plane (capped at [shards] and the
+          hardware threads); 1 = inline single-domain servicing (the
+          historical behaviour).  Results are byte-identical whatever the
+          value — only wall-clock changes. *)
   churn : bool;  (** per-tick join/leave/crash events *)
   fault : Chaos.Fault.cls option;  (** one chaos class over the whole stream *)
   seed : int;
@@ -97,8 +97,9 @@ type summary = {
           — the tail of a hot shard is visible even when the fleet-wide
           percentile looks healthy *)
   domains_used : int;
-      (** domains that serviced shards: [min shard_domains shards], or
-          0 when running inline *)
+      (** domains that serviced shards:
+          [Pool.lanes ~jobs:shard_domains shards] (capped at the shards
+          and the hardware threads), or 0 when running inline *)
   agree : bool;  (** every bucket's [batch_agrees] *)
   accounted : bool;
       (** offered = shed + drained + depth held per shard — the

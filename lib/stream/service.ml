@@ -11,7 +11,7 @@ let create ~shards ~latency ~domains =
   let n = Array.length shards in
   if Array.length latency <> n then
     invalid_arg "Service.create: latency/shards length mismatch";
-  let domains = if domains <= 1 then 0 else min domains n in
+  let domains = if domains <= 1 then 0 else Pool.lanes ~jobs:domains n in
   { shards; latency; pool = Pool.create ~jobs:domains; domains }
 
 let domains t = t.domains

@@ -1,6 +1,7 @@
 (** The shard service plane: every tick's budgeted drain runs as one
     batch on a persistent {!Snorlax_util.Pool} of
-    [min domains (Array.length shards)] jobs, one shard per item.
+    {!Snorlax_util.Pool.lanes}[ ~jobs:domains (Array.length shards)]
+    jobs, one shard per item.
 
     Ownership by phase is the safety argument.  The router, traffic
     generator, module-build table and pending-success pool stay on the
@@ -33,7 +34,8 @@ val create :
   t
 (** [domains <= 1] selects inline mode: no domains are spawned and every
     call runs on the caller.  Otherwise the pool gets
-    [min domains (Array.length shards)] jobs: the caller and one fewer
+    [Pool.lanes ~jobs:domains (Array.length shards)] jobs (no more than
+    the shards or the hardware threads): the caller and one fewer
     spawned domains.  [latency.(i)] receives shard [i]'s
     report→diagnosis latency observations (queue wait included) from
     whichever domain services shard [i] — give every shard its own
@@ -41,7 +43,7 @@ val create :
 
 val domains : t -> int
 (** The number of domains servicing shards: 0 in inline mode, else
-    [min domains (Array.length shards)]. *)
+    [Pool.lanes ~jobs:domains (Array.length shards)]. *)
 
 val offer : t -> int -> arrival:float -> bytes -> unit
 (** Enqueue a packet for shard [idx] on the calling domain.  Never drops

@@ -1,20 +1,17 @@
 (* One mutex guards everything; [work] wakes workers when a batch (or
-   shutdown) arrives, [finished] wakes waiters whenever an item completes.
-   Workers pull indices from the batch cursor, so uneven item costs
-   balance automatically.  A batch failure cancels the unclaimed rest of
-   the cursor: one poisoned item fails the batch fast instead of burning
-   the remaining items. *)
+   shutdown) arrives, [finished] wakes the submitter whenever an item
+   completes.  Workers pull indices from the batch cursor, so uneven item
+   costs balance automatically.  A batch failure cancels the unclaimed
+   rest of the cursor: one poisoned item fails the batch fast instead of
+   burning the remaining items. *)
 
 type batch = {
   f : int -> unit;
   n : int;
   mutable next : int;  (* first unclaimed index *)
   mutable completed : int;  (* items finished or cancelled *)
-  mutable item_done : Bytes.t;  (* per-item completion, for [wait_item] *)
-  mutable failure : exn option;  (* first exception, re-raised by [await] *)
+  mutable failure : exn option;  (* first exception, re-raised by [run] *)
 }
-
-type handle = batch
 
 type t = {
   size : int;
@@ -50,14 +47,8 @@ let run_one t b =
     Mutex.lock t.m;
     if b.failure = None then b.failure <- Some e;
     cancel_rest t b);
-  Bytes.unsafe_set b.item_done i '\001';
   b.completed <- b.completed + 1;
   Condition.broadcast t.finished
-
-let work_on t b =
-  while b.next < b.n do
-    run_one t b
-  done
 
 let worker t =
   Mutex.lock t.m;
@@ -66,7 +57,7 @@ let worker t =
     else
       match t.current with
       | Some b when b.next < b.n ->
-        work_on t b;
+        run_one t b;
         loop ()
       | Some _ | None ->
         Condition.wait t.work t.m;
@@ -91,70 +82,31 @@ let create ~jobs =
     t.domains <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
-let submit t n f =
-  let n = max 0 n in
-  let b =
-    { f; n; next = 0; completed = 0; item_done = Bytes.make (max 1 n) '\000';
-      failure = None }
-  in
-  if n > 0 then begin
+(* Publish the batch, then take part in it: the submitting domain claims
+   items like any worker and sleeps only when every item is claimed but
+   some are still running elsewhere.  A one-job pool runs the plain loop
+   on the caller. *)
+let run t n f =
+  if t.domains = [] then
+    for i = 0 to n - 1 do
+      f i
+    done
+  else if n > 0 then begin
+    let b = { f; n; next = 0; completed = 0; failure = None } in
     Mutex.lock t.m;
     if t.current <> None then begin
       Mutex.unlock t.m;
-      invalid_arg "Pool.submit: a batch is already in flight"
+      invalid_arg "Pool.run: a batch is already in flight"
     end;
     t.current <- Some b;
     Condition.broadcast t.work;
-    Mutex.unlock t.m
-  end;
-  b
-
-let wait_item t b i =
-  if i < 0 || i >= b.n then invalid_arg "Pool.wait_item: index out of range";
-  Mutex.lock t.m;
-  let rec loop () =
-    if Bytes.unsafe_get b.item_done i = '\001' || b.failure <> None then ()
-    else if b.next < b.n then begin
-      (* Help: run an item instead of blocking, so a waiting submitter is
-         a full participant while its target is still queued. *)
-      run_one t b;
-      loop ()
-    end
-    else begin
-      Condition.wait t.finished t.m;
-      loop ()
-    end
-  in
-  loop ();
-  Mutex.unlock t.m
-
-let await t b =
-  Mutex.lock t.m;
-  while b.completed < b.n do
-    if b.next < b.n then run_one t b else Condition.wait t.finished t.m
-  done;
-  (match t.current with
-  | Some cur when cur == b -> t.current <- None
-  | Some _ | None -> ());
-  Mutex.unlock t.m;
-  match b.failure with Some e -> raise e | None -> ()
-
-let run_inline n f =
-  let failure = ref None in
-  (try
-     for i = 0 to n - 1 do
-       f i
-     done
-   with e -> failure := Some e);
-  match !failure with Some e -> raise e | None -> ()
-
-let run t n f =
-  if n > 0 then
-    if t.domains = [] then run_inline n f
-    else begin
-      let b = submit t n f in
-      await t b
-    end
+    while b.completed < b.n do
+      if b.next < b.n then run_one t b else Condition.wait t.finished t.m
+    done;
+    t.current <- None;
+    Mutex.unlock t.m;
+    Option.iter raise b.failure
+  end
 
 let map t f arr =
   let n = Array.length arr in
@@ -172,40 +124,6 @@ let shutdown t =
   Mutex.unlock t.m;
   List.iter Domain.join t.domains;
   t.domains <- []
-
-(* --- cost-balanced chunking ---------------------------------------------- *)
-
-let balanced_chunks ~weights ~chunks =
-  let n = Array.length weights in
-  let k = max 1 (min chunks n) in
-  if n = 0 then [||]
-  else begin
-    (* Greedy LPT: place items heaviest-first onto the least-loaded chunk.
-       Deterministic: ties break toward the lower index / lower chunk. *)
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        match compare weights.(b) weights.(a) with
-        | 0 -> compare a b
-        | c -> c)
-      order;
-    let loads = Array.make k 0 in
-    let members = Array.make k [] in
-    Array.iter
-      (fun i ->
-        let best = ref 0 in
-        for c = 1 to k - 1 do
-          if loads.(c) < loads.(!best) then best := c
-        done;
-        loads.(!best) <- loads.(!best) + weights.(i);
-        members.(!best) <- i :: members.(!best))
-      order;
-    (* Drop empty chunks (possible when many zero weights collapse). *)
-    Array.of_list
-      (List.filter_map
-         (fun l -> if l = [] then None else Some (Array.of_list (List.rev l)))
-         (Array.to_list members))
-  end
 
 (* --- scoped dedicated pools ---------------------------------------------- *)
 
@@ -240,9 +158,10 @@ let with_default_jobs n f =
   slot := Some (max 1 n);
   Fun.protect ~finally:(fun () -> slot := prev) f
 
-(* Only the main domain mutates [shared] (worker domains run under
-   [with_default_jobs 1] and the sequential decode path never calls
-   [get]), so a plain ref suffices. *)
+(* Only the main domain mutates [shared]: worker domains run under
+   [with_default_jobs 1], so the decode they nest asks [get] for one job
+   and gets [inline_pool] without touching the slot.  A plain ref
+   suffices. *)
 let shared : t option ref = ref None
 
 (* A size-1 pool runs everything inline on the submitting domain; one

@@ -1,8 +1,7 @@
 (** A small reusable domain pool (OCaml 5 [Domain]/[Mutex]/[Condition])
-    for embarrassingly parallel batches — per-thread trace decodes being
-    the motivating case: every [(tid, snapshot)] pair decodes
-    independently, so the server can fan them across cores and merge in
-    input order.
+    for embarrassingly parallel batches: per-thread trace decodes, corpus
+    sweeps and the shard service plane.  It is the only code that spawns
+    a domain.
 
     A pool of size [n] runs batches on [n] domains: [n - 1] spawned
     workers plus the submitting domain, which participates instead of
@@ -14,12 +13,12 @@
 
     Batches fail fast: the first item that raises cancels every item not
     yet claimed (items already running on other domains still finish),
-    and the exception is re-raised by {!run}/{!await}.
+    and the exception is re-raised by {!run}.
 
-    Batch functions must not touch domain-unsafe global state — record
-    telemetry into a chunk-private {!Obs.Metrics} registry (or a private
-    scope installed with [Obs.Scope.using]) and fold it back on the
-    submitting domain after the batch returns. *)
+    Batch functions must not touch domain-unsafe global state.  Callers
+    fan out through [Obs.Scope.map_lanes], which gives each lane a
+    private telemetry scope, merges it after the batch's barrier and pins
+    nested decode sequential. *)
 
 type t
 
@@ -32,48 +31,12 @@ val run : t -> int -> (int -> unit) -> unit
 (** [run t n f] evaluates [f i] for every [i] in [0, n - 1], spread over
     the pool's domains; returns when all are done.  If any [f i] raised,
     the remaining unclaimed items are cancelled and one such exception is
-    re-raised.  Batches do not nest: [f] must not call {!run} (or
-    {!submit}) on any pool. *)
+    re-raised.  Batches do not nest: [f] must not call {!run} on any
+    pool. *)
 
 val map : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.mapi]: output order matches input order regardless of
     pool size or scheduling. *)
-
-(** {2 Asynchronous batches}
-
-    [submit] starts a batch on the worker domains and returns
-    immediately, so the submitting domain can consume completed items —
-    e.g. merge decode results in input order — while the rest are still
-    in flight.  At most one batch per pool may be in flight at a time. *)
-
-type handle
-
-val submit : t -> int -> (int -> unit) -> handle
-(** Enqueue a batch of [n] items and return without running any of them
-    on the calling domain (a size-1 pool runs them lazily inside
-    {!wait_item}/{!await} instead).  Raises [Invalid_argument] if a batch
-    is already in flight on this pool. *)
-
-val wait_item : t -> handle -> int -> unit
-(** Block until item [i] of the batch has completed (or the batch
-    failed).  While waiting, the calling domain claims and runs queued
-    items itself, so waiting overlaps with useful work rather than
-    idling.  Completion of [i] does not imply success of the whole batch
-    — check via {!await}. *)
-
-val await : t -> handle -> unit
-(** Block (helping, like {!wait_item}) until every item has completed or
-    been cancelled, then re-raise the first failure if any.  Must be
-    called exactly once per {!submit} to release the pool for the next
-    batch. *)
-
-val balanced_chunks : weights:int array -> chunks:int -> int array array
-(** [balanced_chunks ~weights ~chunks] partitions the indices
-    [0 .. length weights - 1] into at most [chunks] groups with
-    approximately equal total weight (greedy LPT: heaviest first onto the
-    least-loaded chunk).  Deterministic; every index appears in exactly
-    one chunk; no chunk is empty.  Used to turn many small uneven decode
-    tasks into a few cost-balanced pool items. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; the pool then runs

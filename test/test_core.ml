@@ -535,7 +535,46 @@ let test_cached_decode_deterministic () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: warm runs actually hit" id)
         true
-        (s.Pt.Decode_cache.hits >= s.Pt.Decode_cache.misses))
+        (s.Pt.Decode_cache.hits >= s.Pt.Decode_cache.misses);
+      (* Half-warm: the first half of the rings (rounded down) already
+         cached, the rest decoded in lanes.  A two-entry cache evicts, and
+         probing the rings one at a time afterwards hits only what the run
+         left resident, in LRU order, so the insertion order shows in the
+         stats too. *)
+      let restrict keep =
+        match report with
+        | `Failing r ->
+          `Failing { r with Core.Report.traces = keep r.Core.Report.traces }
+        | `Success s ->
+          `Success { s with Core.Report.s_traces = keep s.Core.Report.s_traces }
+      in
+      let rings =
+        match report with
+        | `Failing r -> List.length r.Core.Report.traces
+        | `Success s -> List.length s.Core.Report.s_traces
+      in
+      let half_warm jobs =
+        let cache = Pt.Decode_cache.create ~capacity:2 () in
+        let only p = restrict (List.filteri (fun i _ -> p i)) in
+        ignore (process_report ~jobs:1 ~cache m (only (fun i -> i < rings / 2)));
+        let tp = process_report ~jobs ~cache m report in
+        for k = 0 to rings - 1 do
+          ignore (process_report ~jobs:1 ~cache m (only (( = ) k)))
+        done;
+        (tp, Pt.Decode_cache.stats cache)
+      in
+      let tp1, s1 = half_warm 1 in
+      let tp4, s4 = half_warm 4 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: half-warm equals cold at jobs 1 and 4" id)
+        true
+        (tp_equal cold tp1 && tp_equal cold tp4);
+      let fields (s : Pt.Decode_cache.stats) =
+        Pt.Decode_cache.[ s.hits; s.misses; s.entries; s.evictions ]
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: half-warm cache stats, jobs 1 vs 4" id)
+        (fields s1) (fields s4))
     (Lazy.force corpus_reports)
 
 (* Warm must equal cold on hostile inputs too, not just clean rings: the

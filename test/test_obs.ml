@@ -866,33 +866,51 @@ let test_chrome_counter_time_series () =
 (* --- worker-registry merge wiring ----------------------------------------- *)
 
 let test_parallel_decode_merges_worker_metrics () =
-  (* Pool workers decode with private registries (the ambient scope is
-     not domain-safe); after the barrier they must be folded back, so
-     the ambient registry sees one decode_ns sample per actual decoder
-     invocation — the counters used to be silently dropped. *)
+  (* Decode lanes record into private scopes (the ambient one is not
+     domain-safe) that [map_lanes] folds back after the barrier, so the
+     ambient registry reads the same at every width: one decode_ns sample
+     per actual decoder invocation, and every pt/* counter as at jobs 1 —
+     the counters used to be silently dropped. *)
   let bug = Corpus.Registry.find_exn "pbzip2-1" in
   match Corpus.Runner.collect bug () with
   | Error msg -> Alcotest.fail msg
   | Ok c ->
     let m = c.Corpus.Runner.built.Corpus.Bug.m in
     let traces = (List.hd c.Corpus.Runner.failing).Core.Report.traces in
-    with_scope (fun () ->
-        let cache = Pt.Decode_cache.create ~capacity:0 () in
-        ignore
-          (Core.Trace_processing.process m ~config:Pt.Config.default ~jobs:4
-             ~cache traces);
-        let ctx = Option.get (Obs.Scope.current ()) in
-        let metrics = ctx.Obs.Scope.metrics in
-        let calls =
-          Option.value ~default:0
-            (Obs.Metrics.find_counter metrics "pt/decode_calls")
-        in
-        Alcotest.(check bool) "decoder invoked" true (calls > 0);
-        match Obs.Metrics.find_histogram metrics "pt/decode_ns" with
-        | None -> Alcotest.fail "worker decode_ns histogram not merged"
-        | Some s ->
-          Alcotest.(check int) "one decode_ns sample per invocation" calls
-            s.Obs.Metrics.count)
+    let run jobs =
+      with_scope (fun () ->
+          let cache = Pt.Decode_cache.create ~capacity:0 () in
+          ignore
+            (Core.Trace_processing.process m ~config:Pt.Config.default ~jobs
+               ~cache traces);
+          let metrics = (Option.get (Obs.Scope.current ())).Obs.Scope.metrics in
+          let counters =
+            List.filter_map
+              (fun name ->
+                if String.starts_with ~prefix:"pt/" name then
+                  Option.map (fun v -> (name, v))
+                    (Obs.Metrics.find_counter metrics name)
+                else None)
+              (List.sort compare (Obs.Metrics.names metrics))
+          in
+          let samples name =
+            Option.map
+              (fun s -> s.Obs.Metrics.count)
+              (Obs.Metrics.find_histogram metrics name)
+          in
+          (counters, samples "pt/decode_ns", samples "pt/snapshot_bytes"))
+    in
+    let c1, ns1, bytes1 = run 1 in
+    let c4, ns4, bytes4 = run 4 in
+    let calls = Option.value ~default:0 (List.assoc_opt "pt/decode_calls" c4) in
+    Alcotest.(check bool) "decoder invoked" true (calls > 0);
+    Alcotest.(check (option int)) "one decode_ns sample per invocation"
+      (Some calls) ns4;
+    Alcotest.(check (list (pair string int))) "pt/* counters, jobs 1 vs 4" c1
+      c4;
+    Alcotest.(check (option int)) "pt/decode_ns samples, jobs 1 vs 4" ns1 ns4;
+    Alcotest.(check (option int)) "pt/snapshot_bytes samples, jobs 1 vs 4"
+      bytes1 bytes4
 
 (* --- the corpus-sweep lane function ----------------------------------- *)
 

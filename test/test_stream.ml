@@ -646,8 +646,9 @@ let test_stream_churn_parallel_identical () =
   check_clean "churn 4 domains" par;
   Alcotest.(check int) "inline mode spawned no workers" 0
     inline.Deploy.domains_used;
-  Alcotest.(check bool) "parallel mode spawned workers" true
-    (par.Deploy.domains_used >= 1);
+  Alcotest.(check int) "parallel mode: one domain per shard, up to the cores"
+    (Snorlax_util.Pool.lanes ~jobs:4 cfg.Deploy.shards)
+    par.Deploy.domains_used;
   Alcotest.(check bool) "bucket tables identical across domain counts" true
     (inline.Deploy.rows = par.Deploy.rows);
   Alcotest.(check int) "offered identical" inline.Deploy.offered
@@ -762,16 +763,23 @@ let test_service_width_is_min_domains_shards () =
     Fun.protect ~finally:(fun () -> Stream.Service.stop svc) (fun () ->
         Stream.Service.domains svc)
   in
-  Alcotest.(check int) "2 shards at 4 domains" 2 (width ~shards:2 ~domains:4);
-  Alcotest.(check int) "3 shards at 2 domains" 2 (width ~shards:3 ~domains:2);
+  (* The width is the one lane rule every fan-out uses: no more domains
+     than shards, nor than hardware threads. *)
+  let lanes = Snorlax_util.Pool.lanes in
+  Alcotest.(check int) "2 shards at 4 domains" (lanes ~jobs:4 2)
+    (width ~shards:2 ~domains:4);
+  Alcotest.(check int) "3 shards at 2 domains" (lanes ~jobs:2 3)
+    (width ~shards:3 ~domains:2);
+  Alcotest.(check int) "4 shards at 4 domains" (lanes ~jobs:4 4)
+    (width ~shards:4 ~domains:4);
   Alcotest.(check int) "inline" 0 (width ~shards:2 ~domains:1);
   let bug, _ = Lazy.force fixture in
   let s =
     Deploy.run { small_cfg with Deploy.shard_domains = 4; duration_ticks = 2 }
       [ bug ]
   in
-  Alcotest.(check int) "domains_used of a 2-shard run at 4 domains" 2
-    s.Deploy.domains_used
+  Alcotest.(check int) "domains_used of a 2-shard run at 4 domains"
+    (lanes ~jobs:4 2) s.Deploy.domains_used
 
 let test_service_failure_reaches_caller () =
   (* A lane that raises fails the service batch on the caller, and the

@@ -654,59 +654,6 @@ let test_pool_get_jobs1_is_sequential () =
   Alcotest.(check int) "all items on the submitting domain" 0
     (Atomic.get elsewhere)
 
-let test_pool_submit_overlaps_merge () =
-  let p = Pool.create ~jobs:2 in
-  let results = Array.make 16 0 in
-  let h = Pool.submit p 16 (fun i -> results.(i) <- (i * i) + 1) in
-  (* Consume in input order while the batch is in flight — the shape of
-     the overlapped decode merge. *)
-  for i = 0 to 15 do
-    Pool.wait_item p h i;
-    Alcotest.(check int) (Printf.sprintf "item %d" i) ((i * i) + 1) results.(i)
-  done;
-  Pool.await p h;
-  (* The pool is free again for the next batch. *)
-  let h2 = Pool.submit p 4 (fun i -> results.(i) <- -i) in
-  Pool.await p h2;
-  Pool.shutdown p;
-  Alcotest.(check int) "second batch ran" (-3) results.(3)
-
-let test_pool_balanced_chunks () =
-  let weights = [| 50; 1; 90; 3; 3; 70; 2; 2 |] in
-  let chunks = Pool.balanced_chunks ~weights ~chunks:3 in
-  Alcotest.(check bool)
-    "at most the requested chunks" true
-    (Array.length chunks <= 3);
-  let seen = Array.make (Array.length weights) 0 in
-  Array.iter (Array.iter (fun i -> seen.(i) <- seen.(i) + 1)) chunks;
-  Alcotest.(check (array int))
-    "each index in exactly one chunk"
-    (Array.make (Array.length weights) 1)
-    seen;
-  (* Greedy LPT keeps the heaviest chunk well under the all-in-one total:
-     with these weights no chunk should exceed half the grand total. *)
-  let total = Array.fold_left ( + ) 0 weights in
-  Array.iter
-    (fun c ->
-      let w = Array.fold_left (fun acc i -> acc + weights.(i)) 0 c in
-      Alcotest.(check bool) "no chunk dominates" true (w * 2 <= total + 90))
-    chunks
-
-let prop_pool_balanced_chunks_partition =
-  QCheck.Test.make ~name:"balanced_chunks is a deterministic exact partition"
-    ~count:200
-    QCheck.(pair (int_range 1 6) (list small_nat))
-    (fun (chunks, ws) ->
-      let weights = Array.of_list ws in
-      let a = Pool.balanced_chunks ~weights ~chunks in
-      let b = Pool.balanced_chunks ~weights ~chunks in
-      let seen = Array.make (Array.length weights) 0 in
-      Array.iter (Array.iter (fun i -> seen.(i) <- seen.(i) + 1)) a;
-      a = b
-      && Array.length a <= chunks
-      && Array.for_all (fun c -> Array.length c > 0) a
-      && Array.for_all (( = ) 1) seen)
-
 let test_pool_reusable_after_batch () =
   let p = Pool.create ~jobs:3 in
   let a = Pool.map p (fun _ x -> x + 1) (Array.init 20 (fun i -> i)) in
@@ -905,10 +852,6 @@ let tests =
           test_pool_cancels_rest_on_failure;
         Alcotest.test_case "get ~jobs:1 is sequential" `Quick
           test_pool_get_jobs1_is_sequential;
-        Alcotest.test_case "submit overlaps in-order consumption" `Quick
-          test_pool_submit_overlaps_merge;
-        Alcotest.test_case "balanced chunks" `Quick test_pool_balanced_chunks;
-        qtest prop_pool_balanced_chunks_partition;
         Alcotest.test_case "reusable across batches" `Quick
           test_pool_reusable_after_batch;
         Alcotest.test_case "shutdown idempotent, then inline" `Quick
