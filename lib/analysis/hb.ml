@@ -1,14 +1,54 @@
-module Imap = Map.Make (Int)
 module Dynbuf = Snorlax_util.Dynbuf
 
 module Vc = struct
-  type t = int Imap.t
+  (* Dense: thread [k]'s component at index [k], 0 past the end.  The
+     public operations are persistent; the engine's [*_in] variants
+     update a clock it owns in place and return it, regrown when a
+     larger tid shows up. *)
+  type t = int array
 
-  let empty = Imap.empty
-  let get t k = match Imap.find_opt k t with Some v -> v | None -> 0
-  let tick k t = Imap.add k (get t k + 1) t
-  let join a b = Imap.union (fun _ x y -> Some (max x y)) a b
-  let leq a b = Imap.for_all (fun k v -> v <= get b k) a
+  let empty = [||]
+  let get t k = if k >= 0 && k < Array.length t then Array.unsafe_get t k else 0
+
+  (* Grown to exactly [n]: a clock is never longer than the largest tid
+     it has heard of plus one, so joins and copies stay O(threads).
+     (Doubling would let two clocks that join each other ratchet their
+     lengths up without bound.) *)
+  let ensure t n =
+    let len = Array.length t in
+    if len >= n then t
+    else begin
+      let c = Array.make n 0 in
+      Array.blit t 0 c 0 len;
+      c
+    end
+
+  let tick_in k t =
+    let t = ensure t (k + 1) in
+    t.(k) <- t.(k) + 1;
+    t
+
+  let join_in dst src =
+    let dst = ensure dst (Array.length src) in
+    for k = 0 to Array.length src - 1 do
+      let v : int = Array.unsafe_get src k in
+      if v > Array.unsafe_get dst k then Array.unsafe_set dst k v
+    done;
+    dst
+
+  (* [dst] := [src], reusing [dst]'s storage. *)
+  let copy_in dst src =
+    let dst = ensure dst (Array.length src) in
+    Array.blit src 0 dst 0 (Array.length src);
+    Array.fill dst (Array.length src) (Array.length dst - Array.length src) 0;
+    dst
+
+  let tick k t = tick_in k (Array.copy t)
+  let join a b = join_in (Array.copy a) b
+
+  let leq a b =
+    let rec go k = k >= Array.length a || (a.(k) <= get b k && go (k + 1)) in
+    go 0
 end
 
 type access_kind = Read | Write
@@ -82,7 +122,7 @@ let node_label n =
 type tstate = {
   (* Own component starts at 1 so an access epoch is never ≤ the 0 a
      foreign clock reports for threads it has no edge from. *)
-  mutable full : Vc.t;
+  mutable full : Vc.t; (* owned: updated in place *)
   mutable enf : Vc.t;
   tnodes : int Dynbuf.t; (* node ids, program order *)
   mutable held : (int * int) list; (* lock addr -> acquiring iid *)
@@ -102,14 +142,18 @@ type arec = {
    stream order. *)
 type pinfo = { mutable cls : int; mutable pa : arec; mutable pb : arec }
 
+(* Static pairs are keyed by one int, [lo lsl 31 lor hi] of the ordered
+   iids, so a lookup allocates no tuple. *)
+let pair_key a b = if a <= b then (a lsl 31) lor b else (b lsl 31) lor a
+
 type t = {
-  threads : (int, tstate) Hashtbl.t;
-  lock_clocks : (int, Vc.t) Hashtbl.t;
+  mutable threads : tstate option array; (* indexed by tid *)
+  lock_clocks : (int, Vc.t) Hashtbl.t; (* owned copies *)
   last_release : (int, int) Hashtbl.t; (* lock -> release node id *)
   cells : (int, arec list ref) Hashtbl.t; (* addr -> last record per key *)
   mutable franges : (arec * int * int) list; (* free records, [lo, hi) *)
-  pairs : (int * int, pinfo) Hashtbl.t;
-  kinds : (int, access_kind) Hashtbl.t;
+  pairs : (int, pinfo) Hashtbl.t; (* [pair_key] -> weakest instance pair *)
+  mutable kinds : Bytes.t; (* iid -> '\000' unseen, 'R' or 'W' *)
   nodes : node Dynbuf.t;
   ledges : (int * int * int * int * int, unit) Hashtbl.t;
   ledges_order : (int * int * int * int * int) Dynbuf.t;
@@ -118,21 +162,24 @@ type t = {
 
 let create () =
   {
-    threads = Hashtbl.create 16;
+    threads = Array.make 8 None;
     lock_clocks = Hashtbl.create 16;
     last_release = Hashtbl.create 16;
-    cells = Hashtbl.create 1024;
+    cells = Hashtbl.create 64;
     franges = [];
-    pairs = Hashtbl.create 256;
-    kinds = Hashtbl.create 256;
+    pairs = Hashtbl.create 16;
+    kinds = Bytes.make 64 '\000';
     nodes = Dynbuf.create ();
     ledges = Hashtbl.create 64;
     ledges_order = Dynbuf.create ();
     events = 0;
   }
 
+let find_tstate t tid =
+  if tid < Array.length t.threads then Array.unsafe_get t.threads tid else None
+
 let tstate t tid =
-  match Hashtbl.find_opt t.threads tid with
+  match find_tstate t tid with
   | Some ts -> ts
   | None ->
     let ts =
@@ -143,8 +190,25 @@ let tstate t tid =
         held = [];
       }
     in
-    Hashtbl.add t.threads tid ts;
+    if tid >= Array.length t.threads then begin
+      let n = max (tid + 1) (2 * Array.length t.threads) in
+      let grown = Array.make n None in
+      Array.blit t.threads 0 grown 0 (Array.length t.threads);
+      t.threads <- grown
+    end;
+    t.threads.(tid) <- Some ts;
     ts
+
+let set_kind t iid kind =
+  if iid < 0 || iid >= 1 lsl 31 then invalid_arg "Hb.feed: iid out of range";
+  if iid >= Bytes.length t.kinds then begin
+    let grown = Bytes.make (max (iid + 1) (2 * Bytes.length t.kinds)) '\000' in
+    Bytes.blit t.kinds 0 grown 0 (Bytes.length t.kinds);
+    t.kinds <- grown
+  end;
+  Bytes.unsafe_set t.kinds iid (match kind with Read -> 'R' | Write -> 'W')
+
+let kind_of t iid = if Bytes.get t.kinds iid = 'R' then Read else Write
 
 let new_node t ts ~tid action =
   let id = Dynbuf.length t.nodes in
@@ -172,22 +236,52 @@ let classify ts (r : arec) =
   else 0
 
 let note_pair t ~(first : arec) ~(second : arec) cls =
-  let key =
-    if first.r_iid <= second.r_iid then (first.r_iid, second.r_iid)
-    else (second.r_iid, first.r_iid)
-  in
-  match Hashtbl.find_opt t.pairs key with
-  | None -> Hashtbl.add t.pairs key { cls; pa = first; pb = second }
-  | Some p ->
+  let key = pair_key first.r_iid second.r_iid in
+  match Hashtbl.find t.pairs key with
+  | exception Not_found ->
+    Hashtbl.add t.pairs key { cls; pa = first; pb = second }
+  | p ->
     if cls < p.cls then begin
       p.cls <- cls;
       p.pa <- first;
       p.pb <- second
     end
 
+(* Prior record [r] against the current access [cur] of thread [ts]. *)
+let consider t ts (cur : arec) (r : arec) =
+  let conflicting =
+    (r.r_kind = Write || cur.r_kind = Write)
+    && not (r.r_tid = cur.r_tid && r.r_iid = cur.r_iid)
+  in
+  if conflicting then
+    let cls = if r.r_tid = cur.r_tid then 2 else classify ts r in
+    note_pair t ~first:r ~second:cur cls
+
+let rec consider_all t ts cur = function
+  | [] -> ()
+  | r :: rest ->
+    consider t ts cur r;
+    consider_all t ts cur rest
+
+(* Prior frees overlapping [addr, hi) always apply. *)
+let rec consider_frees t ts cur ~addr ~hi = function
+  | [] -> ()
+  | (r, lo, fhi) :: rest ->
+    if lo < hi && addr < fhi then consider t ts cur r;
+    consider_frees t ts cur ~addr ~hi rest
+
+(* [recs] without its record of [cur]'s (tid, iid, kind), if any; there
+   is at most one, and the tail after it is shared, not copied. *)
+let rec supersede (cur : arec) = function
+  | [] -> []
+  | r :: rest ->
+    if r.r_tid = cur.r_tid && r.r_iid = cur.r_iid && r.r_kind = cur.r_kind
+    then rest
+    else r :: supersede cur rest
+
 let process_access t ~tid ~iid ~addr ~size ~kind ~is_free =
   let ts = tstate t tid in
-  Hashtbl.replace t.kinds iid kind;
+  set_kind t iid kind;
   let cur =
     {
       r_tid = tid;
@@ -199,49 +293,30 @@ let process_access t ~tid ~iid ~addr ~size ~kind ~is_free =
     }
   in
   let hi = addr + max 1 size in
-  let consider (r : arec) =
-    let conflicting =
-      (r.r_kind = Write || kind = Write)
-      && not (r.r_tid = tid && r.r_iid = iid)
-    in
-    if conflicting then
-      let cls = if r.r_tid = tid then 2 else classify ts r in
-      note_pair t ~first:r ~second:cur cls
-  in
-  (* Prior frees overlapping this byte range always apply. *)
-  List.iter
-    (fun (r, lo, fhi) -> if lo < hi && addr < fhi then consider r)
-    t.franges;
+  consider_frees t ts cur ~addr ~hi t.franges;
   if is_free then begin
-    (* A free conflicts with every recorded cell inside the block; frees
-       are rare, so the full-table scan is cheap in practice. *)
-    Hashtbl.iter
-      (fun a recs -> if a >= addr && a < hi then List.iter consider !recs)
-      t.cells;
+    (* A free conflicts with every recorded cell inside the block, taken
+       in address order: among equally weak instance pairs the first one
+       considered is the witness, so the order must not depend on the
+       table's size.  Frees are rare, so the full-table scan is cheap in
+       practice. *)
+    Hashtbl.fold
+      (fun a recs acc -> if a >= addr && a < hi then (a, recs) :: acc else acc)
+      t.cells []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (_, recs) -> consider_all t ts cur !recs);
     t.franges <- (cur, addr, hi) :: t.franges
   end
-  else begin
-    (match Hashtbl.find_opt t.cells addr with
-    | Some recs -> List.iter consider !recs
-    | None -> ());
-    (* Keep only the newest record per (tid, iid, kind): ordering against
-       future accesses through a superseded instance is implied by
-       program order to the newer one, so nothing is lost. *)
-    let recs =
-      match Hashtbl.find_opt t.cells addr with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.add t.cells addr r;
-        r
-    in
-    recs :=
-      cur
-      :: List.filter
-           (fun r ->
-             not (r.r_tid = tid && r.r_iid = iid && r.r_kind = kind))
-           !recs
-  end
+  else
+    match Hashtbl.find t.cells addr with
+    | recs ->
+      consider_all t ts cur !recs;
+      (* Keep only the newest record per (tid, iid, kind): ordering
+         against future accesses through a superseded instance is
+         implied by program order to the newer one, so nothing is
+         lost. *)
+      recs := cur :: supersede cur !recs
+    | exception Not_found -> Hashtbl.add t.cells addr (ref [ cur ])
 
 let feed t event =
   t.events <- t.events + 1;
@@ -264,9 +339,9 @@ let feed t event =
       ts.held
   | Acquire { tid; iid; lock } ->
     let ts = tstate t tid in
-    (match Hashtbl.find_opt t.lock_clocks lock with
-    | Some lc -> ts.full <- Vc.join ts.full lc
-    | None -> ());
+    (match Hashtbl.find t.lock_clocks lock with
+    | lc -> ts.full <- Vc.join_in ts.full lc
+    | exception Not_found -> ());
     let n = new_node t ts ~tid (Acquires { lock; iid }) in
     (match Hashtbl.find_opt t.last_release lock with
     | Some rel -> add_edge t E_lock ~src:rel ~dst:n
@@ -274,8 +349,13 @@ let feed t event =
     ts.held <- (lock, iid) :: List.remove_assoc lock ts.held
   | Release { tid; iid; lock } ->
     let ts = tstate t tid in
-    Hashtbl.replace t.lock_clocks lock ts.full;
-    ts.full <- Vc.tick tid ts.full;
+    let lc =
+      match Hashtbl.find t.lock_clocks lock with
+      | lc -> lc
+      | exception Not_found -> Vc.empty
+    in
+    Hashtbl.replace t.lock_clocks lock (Vc.copy_in lc ts.full);
+    ts.full <- Vc.tick_in tid ts.full;
     let n = new_node t ts ~tid (Releases { lock; iid }) in
     Hashtbl.replace t.last_release lock n;
     ts.held <- List.remove_assoc lock ts.held
@@ -283,27 +363,27 @@ let feed t event =
     let ps = tstate t parent in
     let pn = new_node t ps ~tid:parent (Forks { child; iid }) in
     let cs = tstate t child in
-    cs.full <- Vc.join cs.full ps.full;
-    cs.enf <- Vc.join cs.enf ps.enf;
-    ps.full <- Vc.tick parent ps.full;
-    ps.enf <- Vc.tick parent ps.enf;
+    cs.full <- Vc.join_in cs.full ps.full;
+    cs.enf <- Vc.join_in cs.enf ps.enf;
+    ps.full <- Vc.tick_in parent ps.full;
+    ps.enf <- Vc.tick_in parent ps.enf;
     let cn = new_node t cs ~tid:child Begins in
     add_edge t E_fork ~src:pn ~dst:cn
   | Join { tid; target; iid } ->
     let ts = tstate t tid in
     let gs = tstate t target in
-    ts.full <- Vc.join ts.full gs.full;
-    ts.enf <- Vc.join ts.enf gs.enf;
+    ts.full <- Vc.join_in ts.full gs.full;
+    ts.enf <- Vc.join_in ts.enf gs.enf;
     let en = new_node t gs ~tid:target Ends in
     let jn = new_node t ts ~tid (Joins { target; iid }) in
     add_edge t E_join ~src:en ~dst:jn
   | Cond_wake { waker; woken; cond } ->
     let ws = tstate t waker in
     let vs = tstate t woken in
-    vs.full <- Vc.join vs.full ws.full;
-    vs.enf <- Vc.join vs.enf ws.enf;
-    ws.full <- Vc.tick waker ws.full;
-    ws.enf <- Vc.tick waker ws.enf;
+    vs.full <- Vc.join_in vs.full ws.full;
+    vs.enf <- Vc.join_in vs.enf ws.enf;
+    ws.full <- Vc.tick_in waker ws.full;
+    ws.enf <- Vc.tick_in waker ws.enf;
     let sn = new_node t ws ~tid:waker (Signals { cond }) in
     let wn = new_node t vs ~tid:woken (Wakes { cond }) in
     add_edge t E_cond ~src:sn ~dst:wn
@@ -322,7 +402,7 @@ let find_path t ~allow_lock (a : arec) (b : arec) =
         a.r_iid b.r_iid;
     ]
   else
-    match Hashtbl.find_opt t.threads a.r_tid with
+    match find_tstate t a.r_tid with
     | None -> []
     | Some ats ->
       if Dynbuf.length ats.tnodes <= a.r_pos then []
@@ -344,7 +424,7 @@ let find_path t ~allow_lock (a : arec) (b : arec) =
                 Queue.add dst q
               end
             in
-            (match Hashtbl.find_opt t.threads n.n_tid with
+            (match find_tstate t n.n_tid with
             | Some nts when n.n_pos + 1 < Dynbuf.length nts.tnodes ->
               push (Dynbuf.get nts.tnodes (n.n_pos + 1))
             | Some _ | None -> ());
@@ -366,8 +446,7 @@ let find_path t ~allow_lock (a : arec) (b : arec) =
       end
 
 let pair_verdict t a b =
-  let key = (min a b, max a b) in
-  match Hashtbl.find_opt t.pairs key with
+  match Hashtbl.find_opt t.pairs (pair_key a b) with
   | None -> No_conflict
   | Some p ->
     let ordering =
@@ -383,14 +462,10 @@ let pair_verdict t a b =
 
 let races t =
   Hashtbl.fold
-    (fun (a_iid, b_iid) (p : pinfo) acc ->
+    (fun key (p : pinfo) acc ->
       if p.cls = 0 then
-        {
-          a_iid;
-          b_iid;
-          a_kind = Hashtbl.find t.kinds a_iid;
-          b_kind = Hashtbl.find t.kinds b_iid;
-        }
+        let a_iid = key lsr 31 and b_iid = key land ((1 lsl 31) - 1) in
+        { a_iid; b_iid; a_kind = kind_of t a_iid; b_kind = kind_of t b_iid }
         :: acc
       else acc)
     t.pairs []

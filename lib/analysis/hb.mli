@@ -20,7 +20,7 @@
     claims it can is wrong. *)
 
 module Vc : sig
-  (** Sparse integer vector clocks (thread id → logical time). *)
+  (** Dense integer vector clocks (thread id → logical time). *)
 
   type t
 
@@ -62,7 +62,10 @@ val create : unit -> t
 
 val feed : t -> event -> unit
 (** Consume the next event.  Events must arrive in a linearization
-    consistent with the execution (the simulator hook order is one). *)
+    consistent with the execution (the simulator hook order is one).
+    Tids and iids are dense non-negative ids, as the simulator assigns
+    them: clocks are indexed by tid and access kinds by iid, and an
+    access iid of [2{^31}] or more raises [Invalid_argument]. *)
 
 type ordering =
   | Racy  (** no happens-before path at all: a data race *)

@@ -34,16 +34,13 @@ let measure ?(samples = 10) ?(max_tries = 4000) bug =
     let last_time = Hashtbl.create 8 in
     let hooks =
       {
-        Sim.Hooks.on_control = None;
+        Sim.Hooks.none with
         on_instr =
           Some
             (fun ~tid:_ ~time (i : Lir.Instr.t) ->
               if List.mem i.Lir.Instr.iid watched then
                 Hashtbl.replace last_time i.Lir.Instr.iid time;
               0.0);
-        gate = None;
-        on_sched = None;
-        on_obs = None;
       }
     in
     let config = { Sim.Interp.default_config with seed = !seed; hooks } in

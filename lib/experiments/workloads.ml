@@ -98,12 +98,9 @@ let run_overhead spec ~threads ~seed ~tracer_config ~gist_costs =
     | Some config, _ ->
       let tracer = Pt.Tracer.create ~config in
       {
-        Sim.Hooks.on_control =
+        Sim.Hooks.none with
+        on_control =
           Some (fun ~time e -> Pt.Tracer.on_control tracer ~time e);
-        on_instr = None;
-        gate = None;
-        on_sched = None;
-        on_obs = None;
       }
     | None, Some costs ->
       Gist.instrument_hooks ~monitored ~threads ~costs

@@ -22,7 +22,9 @@ val set_watchpoints : t -> pcs:int list -> unit
 (** Snapshot whenever any of [pcs] executes, keeping the latest hit (the
     longest history).  The head of [pcs] is the failure pc itself and
     takes precedence; the rest are the paper's predecessor-block
-    fallbacks, used only while the primary has never fired. *)
+    fallbacks, used only while the primary has never fired.  The pcs arm
+    the {!hooks}' native watchpoint ({!Sim.Hooks.watch}): set them before
+    the run starts. *)
 
 val watch_snapshot : t -> snapshot option
 (** The snapshot captured by the watchpoint, if it fired. *)

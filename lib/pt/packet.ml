@@ -26,27 +26,28 @@ let hdr_tnt_packed = 0x0a
    the varint codec's 63-bit range. *)
 let tnt_max_bits = 48
 
+let[@inline] byte buf b = Buffer.add_char buf (Char.unsafe_chr (b land 0xff))
+
 let encode buf p =
-  let byte b = Buffer.add_char buf (Char.chr (b land 0xff)) in
   match p with
   | Psb { tsc } ->
-    byte hdr_psb;
-    byte psb_magic;
+    byte buf hdr_psb;
+    byte buf psb_magic;
     Varint.write_unsigned buf tsc
   | Fup { pc } ->
-    byte hdr_fup;
+    byte buf hdr_fup;
     Varint.write_unsigned buf pc
   | Tip { pc } ->
-    byte hdr_tip;
+    byte buf hdr_tip;
     Varint.write_unsigned buf pc
-  | Tip_end -> byte hdr_tip_end
+  | Tip_end -> byte buf hdr_tip_end
   | Tnt taken ->
-    byte hdr_tnt;
-    byte (if taken then 1 else 0)
+    byte buf hdr_tnt;
+    byte buf (if taken then 1 else 0)
   | Tnt_packed { bits; count } ->
     if count < 1 || count > tnt_max_bits then
       invalid_arg "Packet.encode: TNT count out of range";
-    byte hdr_tnt_packed;
+    byte buf hdr_tnt_packed;
     (* One varint payload, like TIP/CYC, so the PSB framing argument
        (a terminal varint byte is always followed by a header < 0x20)
        holds unchanged.  Low 6 bits carry [count - 1]; branch bits are
@@ -54,13 +55,13 @@ let encode buf p =
     let bits = bits land ((1 lsl count) - 1) in
     Varint.write_unsigned buf ((bits lsl 6) lor (count - 1))
   | Mtc { ctc } ->
-    byte hdr_mtc;
-    byte (ctc land 0xff)
+    byte buf hdr_mtc;
+    byte buf (ctc land 0xff)
   | Tma { tsc } ->
-    byte hdr_tma;
+    byte buf hdr_tma;
     Varint.write_unsigned buf tsc
   | Cyc { delta } ->
-    byte hdr_cyc;
+    byte buf hdr_cyc;
     Varint.write_unsigned buf delta
 
 let scan_psb_from b pos =

@@ -82,49 +82,49 @@ let flush_pending t ts =
    its 8-bit payload to be unambiguous. *)
 let mtc_wrap_guard = 200
 
+let emit_timing_packet t into p =
+  Packet.encode into p;
+  t.timing_packets <- t.timing_packets + 1
+
+(* The decoder clock value after the emitted MTC/TMA, or -1 when no
+   boundary passed.  The hardware clock ticks MTC through quiet periods
+   too; we model the first boundary after the previous activity
+   explicitly (it is what bounds the preceding event's upper timestamp to
+   one period) and compress the rest of a long gap into a TMA re-sync. *)
+let mtc_like t ts ~into ~now_ns ~period =
+  let ctc = now_ns / period in
+  if ctc > ts.last_ctc then begin
+    let jumped = ctc - ts.last_ctc in
+    if jumped > 1 then
+      emit_timing_packet t into
+        (Packet.Mtc { ctc = (ts.last_ctc + 1) land 0xff });
+    ts.last_ctc <- ctc;
+    if jumped > mtc_wrap_guard then begin
+      emit_timing_packet t into (Packet.Tma { tsc = now_ns });
+      now_ns
+    end
+    else begin
+      emit_timing_packet t into (Packet.Mtc { ctc = ctc land 0xff });
+      ctc * period
+    end
+  end
+  else -1
+
 (* [last_timing_ns] mirrors the clock a decoder reconstructs, so CYC
    deltas are relative to the decoder's state, not the raw event times —
    otherwise an MTC followed by a CYC would double-count the gap. *)
 let emit_timing t ts ~into ~now_ns =
-  let emit p =
-    Packet.encode into p;
-    t.timing_packets <- t.timing_packets + 1
-  in
-  (* Returns the decoder clock value after the emitted MTC/TMA, if any.
-     The hardware clock ticks MTC through quiet periods too; we model the
-     first boundary after the previous activity explicitly (it is what
-     bounds the preceding event's upper timestamp to one period) and
-     compress the rest of a long gap into a TMA re-sync. *)
-  let mtc_like ~period =
-    let ctc = now_ns / period in
-    if ctc > ts.last_ctc then begin
-      let jumped = ctc - ts.last_ctc in
-      if jumped > 1 then
-        emit (Packet.Mtc { ctc = (ts.last_ctc + 1) land 0xff });
-      ts.last_ctc <- ctc;
-      if jumped > mtc_wrap_guard then begin
-        emit (Packet.Tma { tsc = now_ns });
-        Some now_ns
-      end
-      else begin
-        emit (Packet.Mtc { ctc = ctc land 0xff });
-        Some (ctc * period)
-      end
-    end
-    else None
-  in
   match t.config.Config.timing with
   | Config.No_timing -> ()
-  | Config.Mtc_only { mtc_period_ns } -> (
-    match mtc_like ~period:mtc_period_ns with
-    | Some decoder_time -> ts.last_timing_ns <- decoder_time
-    | None -> ())
+  | Config.Mtc_only { mtc_period_ns } ->
+    let decoder_time = mtc_like t ts ~into ~now_ns ~period:mtc_period_ns in
+    if decoder_time >= 0 then ts.last_timing_ns <- decoder_time
   | Config.Cyc_and_mtc { mtc_period_ns } ->
-    (match mtc_like ~period:mtc_period_ns with
-    | Some decoder_time -> ts.last_timing_ns <- decoder_time
-    | None -> ());
+    let decoder_time = mtc_like t ts ~into ~now_ns ~period:mtc_period_ns in
+    if decoder_time >= 0 then ts.last_timing_ns <- decoder_time;
     if now_ns > ts.last_timing_ns then begin
-      emit (Packet.Cyc { delta = now_ns - ts.last_timing_ns });
+      emit_timing_packet t into
+        (Packet.Cyc { delta = now_ns - ts.last_timing_ns });
       ts.last_timing_ns <- now_ns
     end
 
@@ -139,6 +139,26 @@ let emit_psb t ts ~now_ns ~pc =
   | Config.No_timing -> ());
   ts.started <- true
 
+(* The bytes a PSB+FUP adds to [scratch]. *)
+let psb_bytes t ts ~now_ns ~pc =
+  let len0 = Buffer.length t.scratch in
+  emit_psb t ts ~now_ns ~pc;
+  Buffer.length t.scratch - len0
+
+(* Stage the event's timing packets in a side buffer: whether any are
+   due decides whether the pending TNT run must flush first (a packed
+   run cannot span a timing packet), and staging keeps the flush bytes
+   physically before the timing bytes in the ring. *)
+let stage_timing t ts ~now_ns =
+  Buffer.clear t.timing_scratch;
+  emit_timing t ts ~into:t.timing_scratch ~now_ns;
+  Buffer.length t.timing_scratch > 0
+
+(* Append the staged timing packets; returns their byte count. *)
+let commit_timing t =
+  Buffer.add_buffer t.scratch t.timing_scratch;
+  Buffer.length t.timing_scratch
+
 let on_control t ~time event =
   t.events_seen <- t.events_seen + 1;
   let now_ns = int_of_float time in
@@ -148,64 +168,53 @@ let on_control t ~time event =
   (* v1-equivalent bytes for this event: drives the cost model and the
      PSB pacing.  Flushed packed packets are excluded — their bits were
      charged at their own events. *)
-  let charged = ref 0 in
-  let charge_from len0 = charged := !charged + (Buffer.length t.scratch - len0) in
-  (* Stage the event's timing packets in a side buffer: whether any are
-     due decides whether the pending TNT run must flush first (a packed
-     run cannot span a timing packet), and staging keeps the flush bytes
-     physically before the timing bytes in the ring. *)
-  let stage_timing () =
-    Buffer.clear t.timing_scratch;
-    emit_timing t ts ~into:t.timing_scratch ~now_ns;
-    Buffer.length t.timing_scratch > 0
-  in
-  let commit_timing () =
-    charged := !charged + Buffer.length t.timing_scratch;
-    Buffer.add_buffer t.scratch t.timing_scratch
-  in
-  (match event with
-  | Sim.Hooks.Thread_start { entry_pc; _ } ->
-    let len0 = Buffer.length t.scratch in
-    emit_psb t ts ~now_ns ~pc:entry_pc;
-    charge_from len0
-  | Sim.Hooks.Cond_branch { pc; taken; _ } ->
-    if ts.started && ts.bytes_since_psb >= t.config.Config.psb_period_bytes
-    then begin
+  let charged =
+    match event with
+    | Sim.Hooks.Thread_start { entry_pc; _ } ->
+      psb_bytes t ts ~now_ns ~pc:entry_pc
+    | Sim.Hooks.Cond_branch { pc; taken; _ } ->
+      let psb =
+        if ts.started && ts.bytes_since_psb >= t.config.Config.psb_period_bytes
+        then begin
+          flush_pending t ts;
+          psb_bytes t ts ~now_ns ~pc
+        end
+        else 0
+      in
+      let timing =
+        if stage_timing t ts ~now_ns then begin
+          flush_pending t ts;
+          commit_timing t
+        end
+        else 0
+      in
+      if ts.pend_count = Packet.tnt_max_bits then flush_pending t ts;
+      ts.pend_bits <-
+        ts.pend_bits lor ((if taken then 1 else 0) lsl ts.pend_count);
+      ts.pend_count <- ts.pend_count + 1;
+      (* The v1 per-bit TNT is header + payload: 2 wire bytes. *)
+      psb + timing + 2
+    | Sim.Hooks.Ret_branch { target_pc; _ } ->
+      let (_ : bool) = stage_timing t ts ~now_ns in
+      (* A TIP is not a TNT bit: the pending run always flushes here. *)
       flush_pending t ts;
+      let timing = commit_timing t in
       let len0 = Buffer.length t.scratch in
-      emit_psb t ts ~now_ns ~pc;
-      charge_from len0
-    end;
-    let timing_due = stage_timing () in
-    if timing_due then begin
-      flush_pending t ts;
-      commit_timing ()
-    end;
-    if ts.pend_count = Packet.tnt_max_bits then flush_pending t ts;
-    ts.pend_bits <- ts.pend_bits lor ((if taken then 1 else 0) lsl ts.pend_count);
-    ts.pend_count <- ts.pend_count + 1;
-    (* The v1 per-bit TNT is header + payload: 2 wire bytes. *)
-    charged := !charged + 2
-  | Sim.Hooks.Ret_branch { target_pc; _ } ->
-    let (_ : bool) = stage_timing () in
-    (* A TIP is not a TNT bit: the pending run always flushes here. *)
-    flush_pending t ts;
-    commit_timing ();
-    let len0 = Buffer.length t.scratch in
-    (match target_pc with
-    | Some pc -> Packet.encode t.scratch (Packet.Tip { pc })
-    | None -> Packet.encode t.scratch Packet.Tip_end);
-    charge_from len0
-  | Sim.Hooks.Thread_exit _ -> ());
+      (match target_pc with
+      | Some pc -> Packet.encode t.scratch (Packet.Tip { pc })
+      | None -> Packet.encode t.scratch Packet.Tip_end);
+      timing + (Buffer.length t.scratch - len0)
+    | Sim.Hooks.Thread_exit _ -> 0
+  in
   let produced = Buffer.length t.scratch in
   if produced > 0 then begin
     Ringbuf.write_buffer ts.ring t.scratch;
     t.bytes_written <- t.bytes_written + produced
   end;
-  ts.bytes_since_psb <- ts.bytes_since_psb + !charged;
+  ts.bytes_since_psb <- ts.bytes_since_psb + charged;
   let c = t.config.Config.costs in
   c.Config.per_event_ns
-  +. (c.Config.per_byte_ns *. float_of_int !charged)
+  +. (c.Config.per_byte_ns *. float_of_int charged)
   +. (c.Config.per_thread_ns *. float_of_int t.thread_count)
 
 let snapshot t =

@@ -9,16 +9,13 @@ let record ?(seed = 1) m ~entry ~racy_iids =
   let log = ref [] in
   let hooks =
     {
-      Sim.Hooks.on_control = None;
+      Sim.Hooks.none with
       on_instr =
         Some
           (fun ~tid ~time:_ (i : Lir.Instr.t) ->
             if List.mem i.Lir.Instr.iid racy_iids then
               log := (tid, i.Lir.Instr.iid) :: !log;
             0.0);
-      gate = None;
-      on_sched = None;
-      on_obs = None;
     }
   in
   let config = { Sim.Interp.default_config with seed; hooks } in

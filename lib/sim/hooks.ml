@@ -25,17 +25,23 @@ type obs_event =
   | Obs_spawn of { parent_tid : int; child_tid : int; iid : int; time : float }
   | Obs_join of { tid : int; target_tid : int; iid : int; time : float }
 
+type watch = {
+  mutable pcs : int array;
+  on_hit : tid:int -> time:float -> pc:int -> unit;
+}
+
 type t = {
   on_control : (time:float -> control_event -> float) option;
   on_instr : (tid:int -> time:float -> Lir.Instr.t -> float) option;
   gate : (tid:int -> time:float -> Lir.Instr.t -> float) option;
   on_sched : (sched_event -> unit) option;
   on_obs : (obs_event -> unit) option;
+  watch : watch list;
 }
 
 let none =
   { on_control = None; on_instr = None; gate = None; on_sched = None;
-    on_obs = None }
+    on_obs = None; watch = [] }
 
 let combine a b =
   let on_control =
@@ -65,7 +71,7 @@ let combine a b =
     | None, f | f, None -> f
     | Some f, Some g -> Some (fun e -> f e; g e)
   in
-  { on_control; on_instr; gate; on_sched; on_obs }
+  { on_control; on_instr; gate; on_sched; on_obs; watch = a.watch @ b.watch }
 
 let control_event_tid = function
   | Thread_start { tid; _ } -> tid

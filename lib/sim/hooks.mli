@@ -7,11 +7,12 @@
 
     [on_instr] fires before every executed instruction and returns the
     virtual-time cost (ns) its observation adds.  It models the
-    clock_gettime instrumentation of §3.2 (cost ~0), the driver's hardware
-    watchpoint (trace snapshot at a pc, §5), and Gist-style software
-    instrumentation of monitored accesses, whose per-event cost is exactly
-    what Figure 9 charges against the baseline.  Snorlax's diagnosis never
-    depends on it. *)
+    clock_gettime instrumentation of §3.2 (cost ~0) and Gist-style
+    software instrumentation of monitored accesses, whose per-event cost
+    is exactly what Figure 9 charges against the baseline.  Snorlax's
+    diagnosis never depends on it.  The driver's hardware watchpoint
+    (trace snapshot at a pc, §5) is [watch], which costs no call until
+    it fires. *)
 
 type control_event =
   | Thread_start of { tid : int; entry_pc : int }
@@ -59,6 +60,18 @@ type obs_event =
   | Obs_join of { tid : int; target_tid : int; iid : int; time : float }
       (** the join call returned: [target_tid] had finished *)
 
+(** A hardware pc watchpoint (the debug-register breakpoint of §5).  The
+    interpreter compares each instruction's pc against [pcs] inline and
+    calls [on_hit] only when one matches, before [on_instr] and at the
+    same virtual time, so an armed watchpoint costs no call per step and
+    an empty one costs nothing.  [pcs] is read when a run starts: set it
+    before {!Interp.run}, not from inside a callback.  A hit is pure
+    observation and charges no virtual time. *)
+type watch = {
+  mutable pcs : int array;
+  on_hit : tid:int -> time:float -> pc:int -> unit;
+}
+
 type t = {
   on_control : (time:float -> control_event -> float) option;
   on_instr : (tid:int -> time:float -> Lir.Instr.t -> float) option;
@@ -79,12 +92,17 @@ type t = {
           [on_sched] it returns no cost, so attaching an observer cannot
           change the interleaving being observed — replaying a failing
           seed with an observer reproduces the identical execution. *)
+  watch : watch list;
+      (** Native pc watchpoints, checked in list order; a pc listed by
+          two watches calls both.  [combine] concatenates the lists, and
+          each watch keeps its own [pcs]. *)
 }
 
 val none : t
 
 val combine : t -> t -> t
-(** Run both hooks: control costs add up, instruction observers both fire.
+(** Run both hooks: control costs add up, instruction observers both fire,
+    both sets of watchpoints stay armed.
     Used to stack the PT driver with experiment instrumentation. *)
 
 val control_event_tid : control_event -> int

@@ -58,13 +58,19 @@ type frame = {
   ret_dst : int; (* caller slot receiving our result; -1 for none *)
 }
 
+(* A one-field float record is stored flat, so advancing a clock writes
+   the float in place; a float field of the mixed [thread] record would
+   box a fresh value on every step. *)
+type clock = { mutable ns : float }
+
 type thread = {
   tid : int;
   mutable stack : frame list;
   mutable status : status;
-  mutable clock : float;
-  mutable pending_ret_pc : int option;
-      (* return-target of a blocking intrinsic call, traced on wake *)
+  clock : clock;
+  mutable pending_ret_pc : int;
+      (* return-target of a blocking intrinsic call, traced on wake; -1
+         for none *)
 }
 
 type state = {
@@ -72,6 +78,11 @@ type state = {
   image : L.t;
   gaddr : int array; (* address of each of [image.globals] *)
   cfg : config;
+  hooks : Hooks.t;
+  (* Every watched pc of every [hooks.watch], and the watch it belongs
+     to: one flat array the step loop scans in place. *)
+  watch_pcs : int array;
+  watch_of : Hooks.watch array;
   mem : Memory.t;
   mutexes : Mutexes.t;
   condvars : Condvars.t;
@@ -86,13 +97,26 @@ type state = {
 
 exception Sim_failure
 
-let jitter st base =
-  base *. st.cfg.cost_scale *. (0.85 +. Prng.float st.prng ~bound:0.3)
+(* [uniform st bound] is [Prng.float st.prng ~bound] bit for bit,
+   scaled here from the int draw so no boxed float crosses the module
+   boundary. *)
+let[@inline] uniform st bound =
+  float_of_int (Prng.bits53 st.prng) /. 9007199254740992.0 *. bound
+
+let[@inline] jitter st base =
+  base *. st.cfg.cost_scale *. (0.85 +. uniform st 0.3)
 
 (* Explicit delays (work/io waits) model I/O, network and preemption
    noise; their +/-5% jitter is what makes thread interleavings vary from
    seed to seed, so a bug manifests in some runs and not in others. *)
-let delay_jitter st ns = ns *. (0.95 +. Prng.float st.prng ~bound:0.10)
+let[@inline] delay_jitter st ns = ns *. (0.95 +. uniform st 0.10)
+
+let advance st th base = th.clock.ns <- th.clock.ns +. jitter st base
+
+(* A hook's cost of exactly 0.0 leaves the clock alone, which is
+   bit-identical to adding it: clocks are never -0.0. *)
+let[@inline] charge th cost =
+  if cost <> 0.0 then th.clock.ns <- th.clock.ns +. cost
 
 let set_reg frame slot v =
   Array.unsafe_set frame.regs slot v;
@@ -117,14 +141,18 @@ let push_frame st th (f : L.func) ~(args : int array) ~ret_dst =
       ret_dst;
     }
   in
-  Array.iteri (fun k slot -> set_reg frame slot args.(k)) body.L.params;
+  let params = body.L.params in
+  for k = 0 to Array.length params - 1 do
+    set_reg frame params.(k) args.(k)
+  done;
   th.stack <- frame :: th.stack
 
 let spawn_thread st (f : L.func) ~arg ~start_clock =
   let tid = st.next_tid in
   st.next_tid <- tid + 1;
   let th =
-    { tid; stack = []; status = Runnable; clock = start_clock; pending_ret_pc = None }
+    { tid; stack = []; status = Runnable; clock = { ns = start_clock };
+      pending_ret_pc = -1 }
   in
   if tid >= Array.length st.threads then begin
     let grown = Array.make (max 8 (2 * tid)) th in
@@ -141,29 +169,76 @@ let spawn_thread st (f : L.func) ~arg ~start_clock =
   push_frame st th f ~args ~ret_dst:(-1);
   th
 
+(* Hook events are built only when their hook is set: the hot ones
+   (branches, returns, accesses) have their own firing functions, and
+   every other site tests [observing]/[scheduling] before it builds. *)
 let fire_control st th event =
-  match st.cfg.hooks.Hooks.on_control with
+  match st.hooks.Hooks.on_control with
   | None -> ()
-  | Some f -> th.clock <- th.clock +. f ~time:th.clock event
+  | Some f -> charge th (f ~time:th.clock.ns event)
+
+let fire_cond_branch st th ~pc ~taken =
+  match st.hooks.Hooks.on_control with
+  | None -> ()
+  | Some f ->
+    charge th
+      (f ~time:th.clock.ns (Hooks.Cond_branch { tid = th.tid; pc; taken }))
+
+(* A return to [target], or the entry function's return for -1. *)
+let fire_ret st th target =
+  match st.hooks.Hooks.on_control with
+  | None -> ()
+  | Some f ->
+    let target_pc = if target < 0 then None else Some target in
+    charge th
+      (f ~time:th.clock.ns (Hooks.Ret_branch { tid = th.tid; target_pc }))
+
+(* A woken thread's blocking call returns: trace its pending return. *)
+let fire_pending_ret st w =
+  let pc = w.pending_ret_pc in
+  if pc >= 0 then begin
+    w.pending_ret_pc <- -1;
+    fire_ret st w pc
+  end
 
 let fire_instr st th (i : Lir.Instr.t) =
-  match st.cfg.hooks.Hooks.on_instr with
+  match st.hooks.Hooks.on_instr with
   | None -> ()
-  | Some f -> th.clock <- th.clock +. f ~tid:th.tid ~time:th.clock i
+  | Some f -> charge th (f ~tid:th.tid ~time:th.clock.ns i)
+
+let check_watch st th pc =
+  let pcs = st.watch_pcs in
+  for k = 0 to Array.length pcs - 1 do
+    if Array.unsafe_get pcs k = pc then
+      st.watch_of.(k).Hooks.on_hit ~tid:th.tid ~time:th.clock.ns ~pc
+  done
+
+let[@inline] scheduling st = Option.is_some st.hooks.Hooks.on_sched
+let[@inline] observing st = Option.is_some st.hooks.Hooks.on_obs
 
 let fire_sched st event =
-  match st.cfg.hooks.Hooks.on_sched with None -> () | Some f -> f event
+  match st.hooks.Hooks.on_sched with None -> () | Some f -> f event
 
 let fire_obs st event =
-  match st.cfg.hooks.Hooks.on_obs with None -> () | Some f -> f event
+  match st.hooks.Hooks.on_obs with None -> () | Some f -> f event
+
+let fire_access st th (i : Lir.Instr.t) ~addr ~size ~kind =
+  match st.hooks.Hooks.on_obs with
+  | None -> ()
+  | Some f ->
+    f
+      (Hooks.Obs_access
+         { tid = th.tid; iid = i.Lir.Instr.iid; addr; size; kind;
+           time = th.clock.ns })
 
 (* A blocked thread just became runnable: report how long it was parked.
    [since] is when it blocked; its clock was already advanced to the wake
    time by the caller. *)
 let fire_unblocked st (th : thread) ~since =
-  fire_sched st
-    (Hooks.Unblocked
-       { tid = th.tid; parked_ns = th.clock -. since; time = th.clock })
+  if scheduling st then
+    fire_sched st
+      (Hooks.Unblocked
+         { tid = th.tid; parked_ns = th.clock.ns -. since; time = th.clock.ns })
 
 let blocked_since (th : thread) =
   match th.status with
@@ -173,7 +248,7 @@ let blocked_since (th : thread) =
   | Runnable | Finished -> None
 
 let set_failure st th failure =
-  st.failure <- Some (failure, th.clock);
+  st.failure <- Some (failure, th.clock.ns);
   raise Sim_failure
 
 let crash st th (i : Lir.Instr.t) err addr =
@@ -200,18 +275,14 @@ let grant_mutex st th ~addr next =
     | Runnable | Blocked_cond _ | Blocked_join _ | Finished -> None
   in
   w.status <- Runnable;
-  w.clock <- Float.max w.clock th.clock +. jitter st Cost.wake;
+  w.clock.ns <- Float.max w.clock.ns th.clock.ns +. jitter st Cost.wake;
   (match since with Some s -> fire_unblocked st w ~since:s | None -> ());
   (match call_iid with
-  | Some iid ->
+  | Some iid when observing st ->
     fire_obs st
-      (Hooks.Obs_lock_acquired { tid = w.tid; iid; addr; time = w.clock })
-  | None -> ());
-  match w.pending_ret_pc with
-  | Some pc ->
-    w.pending_ret_pc <- None;
-    fire_control st w (Hooks.Ret_branch { tid = w.tid; target_pc = Some pc })
-  | None -> ()
+      (Hooks.Obs_lock_acquired { tid = w.tid; iid; addr; time = w.clock.ns })
+  | Some _ | None -> ());
+  fire_pending_ret st w
 
 (* (tid, blocked call iid, lock addr) for each cycle member; [closer] is
    the thread whose lock attempt closed the cycle and goes last. *)
@@ -250,8 +321,9 @@ let goto frame block =
   frame.code <- frame.blocks.(block);
   frame.idx <- 0
 
-(* Return from the current frame: pop, deliver the value, resume caller.
-   With an empty remaining stack the thread exits. *)
+(* Return from the current frame: pop, deliver the value (0 for a void
+   return), resume caller.  With an empty remaining stack the thread
+   exits. *)
 let do_return st th value =
   match th.stack with
   | [] -> assert false
@@ -260,7 +332,7 @@ let do_return st th value =
     th.stack <- rest;
     (match rest with
     | [] ->
-      fire_control st th (Hooks.Ret_branch { tid = th.tid; target_pc = None });
+      fire_ret st th (-1);
       th.status <- Finished;
       fire_control st th (Hooks.Thread_exit { tid = th.tid });
       (* Wake joiners at our completion time. *)
@@ -277,30 +349,23 @@ let do_return st th value =
               | Runnable | Blocked_mutex _ | Blocked_cond _ | Finished -> None
             in
             w.status <- Runnable;
-            w.clock <- Float.max w.clock th.clock +. Cost.join;
+            w.clock.ns <- Float.max w.clock.ns th.clock.ns +. Cost.join;
             (match since with
             | Some s -> fire_unblocked st w ~since:s
             | None -> ());
             (match join_iid with
-            | Some iid ->
+            | Some iid when observing st ->
               fire_obs st
                 (Hooks.Obs_join
-                   { tid = w.tid; target_tid = th.tid; iid; time = w.clock })
-            | None -> ());
-            match w.pending_ret_pc with
-            | Some pc ->
-              w.pending_ret_pc <- None;
-              fire_control st w
-                (Hooks.Ret_branch { tid = w.tid; target_pc = Some pc })
-            | None -> ())
+                   { tid = w.tid; target_tid = th.tid; iid; time = w.clock.ns })
+            | Some _ | None -> ());
+            fire_pending_ret st w)
           !waiting;
         Hashtbl.remove st.joiners th.tid)
     | caller :: _ ->
       let target = caller.code.(caller.idx).L.src in
-      fire_control st th
-        (Hooks.Ret_branch { tid = th.tid; target_pc = Some target.Lir.Instr.pc });
-      if frame.ret_dst >= 0 then
-        set_reg caller frame.ret_dst (match value with Some v -> v | None -> 0))
+      fire_ret st th target.Lir.Instr.pc;
+      if frame.ret_dst >= 0 then set_reg caller frame.ret_dst value)
 
 (* Zero divisors never reach here: [step] turns them into a structured
    [Failure.Arith_fault] before dispatching, with the faulting thread and
@@ -332,22 +397,22 @@ let exec_icmp cmp a b =
 
 (* A call with too few arguments fails at the first missing argument,
    with [List.nth]'s exception (validation reports it by message). *)
+let arg st frame args n =
+  if n < Array.length args then eval st frame args.(n) else failwith "nth"
+
+let return frame dst v = if dst >= 0 then set_reg frame dst v
+
 let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
-  let arg n =
-    if n < Array.length args then eval st frame args.(n) else failwith "nth"
-  in
-  let return v = if dst >= 0 then set_reg frame dst v in
-  let advance cost = th.clock <- th.clock +. jitter st cost in
   match (code : L.intrinsic) with
   | L.Malloc ->
-    advance Cost.malloc;
-    return (Memory.alloc_heap st.mem ~size:(arg 0))
+    advance st th Cost.malloc;
+    return frame dst (Memory.alloc_heap st.mem ~size:(arg st frame args 0))
   | L.Free -> (
-    advance Cost.malloc;
-    let addr = arg 0 in
+    advance st th Cost.malloc;
+    let addr = arg st frame args 0 in
     (* Observed before the free so the block extent is still known: a free
        invalidates every byte of the allocation, i.e. writes the range. *)
-    (match st.cfg.hooks.Hooks.on_obs with
+    (match st.hooks.Hooks.on_obs with
     | None -> ()
     | Some f ->
       let size =
@@ -358,22 +423,24 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
       f
         (Hooks.Obs_access
            { tid = th.tid; iid = i.Lir.Instr.iid; addr; size;
-             kind = Hooks.Free; time = th.clock }));
+             kind = Hooks.Free; time = th.clock.ns }));
     match Memory.free_heap st.mem addr with
     | Ok () -> ()
     | Error err -> crash st th i err addr)
-  | L.Mutex_init | L.Cond_init -> advance Cost.intrinsic
+  | L.Mutex_init | L.Cond_init -> advance st th Cost.intrinsic
   | L.Mutex_lock -> (
-    advance Cost.mutex;
-    let addr = arg 0 in
-    fire_obs st
-      (Hooks.Obs_lock_attempt
-         { tid = th.tid; iid = i.Lir.Instr.iid; addr; time = th.clock });
+    advance st th Cost.mutex;
+    let addr = arg st frame args 0 in
+    if observing st then
+      fire_obs st
+        (Hooks.Obs_lock_attempt
+           { tid = th.tid; iid = i.Lir.Instr.iid; addr; time = th.clock.ns });
     match Mutexes.lock st.mutexes ~addr ~tid:th.tid with
     | Mutexes.Acquired ->
-      fire_obs st
-        (Hooks.Obs_lock_acquired
-           { tid = th.tid; iid = i.Lir.Instr.iid; addr; time = th.clock })
+      if observing st then
+        fire_obs st
+          (Hooks.Obs_lock_acquired
+             { tid = th.tid; iid = i.Lir.Instr.iid; addr; time = th.clock.ns })
     | Mutexes.Relocked ->
       set_failure st th
         (Failure.Lock_misuse
@@ -381,15 +448,17 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
              misuse = Failure.Relock })
     | Mutexes.Blocked ->
       th.status <-
-        Blocked_mutex { addr; call_iid = i.Lir.Instr.iid; since = th.clock };
-      fire_sched st (Hooks.Contended { tid = th.tid; addr; time = th.clock })
+        Blocked_mutex { addr; call_iid = i.Lir.Instr.iid; since = th.clock.ns };
+      if scheduling st then
+        fire_sched st
+          (Hooks.Contended { tid = th.tid; addr; time = th.clock.ns })
     | Mutexes.Deadlocked cycle ->
       let closer = (th.tid, i.Lir.Instr.iid, addr) in
       set_failure st th
         (Failure.Deadlock { waiters = deadlock_waiters st ~closer cycle }))
   | L.Mutex_unlock -> (
-    advance Cost.mutex;
-    let addr = arg 0 in
+    advance st th Cost.mutex;
+    let addr = arg st frame args 0 in
     match Mutexes.unlock st.mutexes ~addr ~tid:th.tid with
     | Error err ->
       let misuse =
@@ -402,15 +471,16 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
            { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc; addr;
              misuse })
     | Ok next ->
-      fire_obs st
-        (Hooks.Obs_lock_released
-           { tid = th.tid; iid = i.Lir.Instr.iid; addr; time = th.clock });
+      if observing st then
+        fire_obs st
+          (Hooks.Obs_lock_released
+             { tid = th.tid; iid = i.Lir.Instr.iid; addr; time = th.clock.ns });
       (match next with
       | None -> ()
       | Some next -> grant_mutex st th ~addr next))
   | L.Cond_wait ->
-    advance Cost.mutex;
-    let cond_addr = arg 0 and mutex_addr = arg 1 in
+    advance st th Cost.mutex;
+    let cond_addr = arg st frame args 0 and mutex_addr = arg st frame args 1 in
     (* Atomically release the mutex and park on the condition. *)
     (match Mutexes.unlock st.mutexes ~addr:mutex_addr ~tid:th.tid with
     | Error _ ->
@@ -419,23 +489,25 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
            { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc;
              addr = mutex_addr; misuse = Failure.Wait_unlocked })
     | Ok next ->
-      fire_obs st
-        (Hooks.Obs_lock_released
-           { tid = th.tid; iid = i.Lir.Instr.iid; addr = mutex_addr;
-             time = th.clock });
+      if observing st then
+        fire_obs st
+          (Hooks.Obs_lock_released
+             { tid = th.tid; iid = i.Lir.Instr.iid; addr = mutex_addr;
+               time = th.clock.ns });
       (match next with
       | None -> ()
       | Some next -> grant_mutex st th ~addr:mutex_addr next));
     Condvars.wait st.condvars ~addr:cond_addr ~tid:th.tid ~mutex_addr
       ~call_iid:i.Lir.Instr.iid;
-    fire_obs st
-      (Hooks.Obs_cond_park
-         { tid = th.tid; iid = i.Lir.Instr.iid; cond = cond_addr;
-           mutex = mutex_addr; time = th.clock });
-    th.status <- Blocked_cond { addr = cond_addr; since = th.clock }
+    if observing st then
+      fire_obs st
+        (Hooks.Obs_cond_park
+           { tid = th.tid; iid = i.Lir.Instr.iid; cond = cond_addr;
+             mutex = mutex_addr; time = th.clock.ns });
+    th.status <- Blocked_cond { addr = cond_addr; since = th.clock.ns }
   | L.Cond_signal | L.Cond_broadcast ->
-    advance Cost.mutex;
-    let cond_addr = arg 0 in
+    advance st th Cost.mutex;
+    let cond_addr = arg st frame args 0 in
     let woken =
       if code = L.Cond_signal then
         match Condvars.signal st.condvars ~addr:cond_addr with
@@ -447,31 +519,30 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
       (fun (wtid, mutex_addr, wait_iid) ->
         let w = st.threads.(wtid) in
         let since = blocked_since w in
-        w.clock <- Float.max w.clock th.clock +. jitter st Cost.wake;
+        w.clock.ns <- Float.max w.clock.ns th.clock.ns +. jitter st Cost.wake;
         (match since with Some s -> fire_unblocked st w ~since:s | None -> ());
-        fire_obs st
-          (Hooks.Obs_cond_wake
-             { waker_tid = th.tid; woken_tid = wtid; cond = cond_addr;
-               time = w.clock });
+        if observing st then
+          fire_obs st
+            (Hooks.Obs_cond_wake
+               { waker_tid = th.tid; woken_tid = wtid; cond = cond_addr;
+                 time = w.clock.ns });
         (* The woken thread re-acquires its mutex before cond_wait
            returns; it may block again right here.  Everything below is
            the waiter's own work, attributed to its cond_wait call. *)
-        fire_obs st
-          (Hooks.Obs_lock_attempt
-             { tid = wtid; iid = wait_iid; addr = mutex_addr; time = w.clock });
+        if observing st then
+          fire_obs st
+            (Hooks.Obs_lock_attempt
+               { tid = wtid; iid = wait_iid; addr = mutex_addr;
+                 time = w.clock.ns });
         match Mutexes.lock st.mutexes ~addr:mutex_addr ~tid:wtid with
         | Mutexes.Acquired ->
           w.status <- Runnable;
-          fire_obs st
-            (Hooks.Obs_lock_acquired
-               { tid = wtid; iid = wait_iid; addr = mutex_addr;
-                 time = w.clock });
-          (match w.pending_ret_pc with
-          | Some pc ->
-            w.pending_ret_pc <- None;
-            fire_control st w
-              (Hooks.Ret_branch { tid = w.tid; target_pc = Some pc })
-          | None -> ())
+          if observing st then
+            fire_obs st
+              (Hooks.Obs_lock_acquired
+                 { tid = wtid; iid = wait_iid; addr = mutex_addr;
+                   time = w.clock.ns });
+          fire_pending_ret st w
         | Mutexes.Relocked ->
           (* Unreachable: the waiter released this mutex when it parked. *)
           set_failure st th
@@ -482,9 +553,11 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
         | Mutexes.Blocked ->
           w.status <-
             Blocked_mutex
-              { addr = mutex_addr; call_iid = wait_iid; since = w.clock };
-          fire_sched st
-            (Hooks.Contended { tid = wtid; addr = mutex_addr; time = w.clock })
+              { addr = mutex_addr; call_iid = wait_iid; since = w.clock.ns };
+          if scheduling st then
+            fire_sched st
+              (Hooks.Contended
+                 { tid = wtid; addr = mutex_addr; time = w.clock.ns })
         | Mutexes.Deadlocked cycle ->
           (* A waiter woken while holding other locks can close a real
              wait-for cycle here (it parked with those locks held). *)
@@ -493,8 +566,8 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
             (Failure.Deadlock { waiters = deadlock_waiters st ~closer cycle }))
       woken
   | L.Thread_create -> (
-    advance Cost.thread_spawn;
-    let fn_pc = arg 0 and a = arg 1 in
+    advance st th Cost.thread_spawn;
+    let fn_pc = arg st frame args 0 and a = arg st frame args 1 in
     match L.func_at_entry_pc st.image fn_pc with
     | None ->
       set_failure st th
@@ -502,17 +575,19 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
            { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc;
              misuse = Failure.Create_not_function })
     | Some f ->
-      let child = spawn_thread st f ~arg:a ~start_clock:th.clock in
+      let child = spawn_thread st f ~arg:a ~start_clock:th.clock.ns in
       fire_control st child
         (Hooks.Thread_start { tid = child.tid; entry_pc = fn_pc });
-      fire_obs st
-        (Hooks.Obs_spawn
-           { parent_tid = th.tid; child_tid = child.tid; iid = i.Lir.Instr.iid;
-             time = th.clock });
-      return child.tid)
+      if observing st then
+        fire_obs st
+          (Hooks.Obs_spawn
+             { parent_tid = th.tid; child_tid = child.tid;
+               iid = i.Lir.Instr.iid;
+               time = th.clock.ns });
+      return frame dst child.tid)
   | L.Thread_join -> (
-    advance Cost.join;
-    let target = arg 0 in
+    advance st th Cost.join;
+    let target = arg st frame args 0 in
     let known = target >= 0 && target < st.next_tid in
     match if known then Some st.threads.(target) else None with
     | None ->
@@ -521,14 +596,17 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
            { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc;
              misuse = Failure.Join_unknown })
     | Some tgt ->
-      if tgt.status = Finished then
-        fire_obs st
-          (Hooks.Obs_join
-             { tid = th.tid; target_tid = target; iid = i.Lir.Instr.iid;
-               time = th.clock })
+      if tgt.status = Finished then begin
+        if observing st then
+          fire_obs st
+            (Hooks.Obs_join
+               { tid = th.tid; target_tid = target; iid = i.Lir.Instr.iid;
+                 time = th.clock.ns })
+      end
       else begin
         th.status <-
-          Blocked_join { target; call_iid = i.Lir.Instr.iid; since = th.clock };
+          Blocked_join
+            { target; call_iid = i.Lir.Instr.iid; since = th.clock.ns };
         let waiting =
           match Hashtbl.find_opt st.joiners target with
           | Some l -> l
@@ -540,18 +618,19 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
         waiting := th.tid :: !waiting
       end)
   | L.Work | L.Io_delay ->
-    th.clock <- th.clock +. delay_jitter st (float_of_int (arg 0))
+    th.clock.ns <-
+      th.clock.ns +. delay_jitter st (float_of_int (arg st frame args 0))
   | L.Assert_true ->
-    advance Cost.intrinsic;
-    if arg 0 = 0 then
+    advance st th Cost.intrinsic;
+    if arg st frame args 0 = 0 then
       set_failure st th
         (Failure.Assert_fail { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc })
   | L.Print_i64 ->
-    advance Cost.intrinsic;
-    st.output_rev <- arg 0 :: st.output_rev
+    advance st th Cost.intrinsic;
+    st.output_rev <- arg st frame args 0 :: st.output_rev
   | L.Rand ->
-    advance Cost.intrinsic;
-    return (Prng.int st.prng ~bound:(max 1 (arg 0)))
+    advance st th Cost.intrinsic;
+    return frame dst (Prng.int st.prng ~bound:(max 1 (arg st frame args 0)))
 
 exception Gated
 
@@ -559,12 +638,12 @@ exception Gated
    scheduler will run whoever is now earliest and retry this thread
    later. *)
 let check_gate st th (i : Lir.Instr.t) =
-  match st.cfg.hooks.Hooks.gate with
+  match st.hooks.Hooks.gate with
   | None -> ()
   | Some g ->
-    let stall = g ~tid:th.tid ~time:th.clock i in
+    let stall = g ~tid:th.tid ~time:th.clock.ns i in
     if stall > 0.0 then begin
-      th.clock <- th.clock +. stall;
+      th.clock.ns <- th.clock.ns +. stall;
       st.steps <- st.steps + 1;
       raise Gated
     end
@@ -578,48 +657,36 @@ let step st th =
   let li = frame.code.(frame.idx) in
   let i = li.L.src in
   check_gate st th i;
+  if Array.length st.watch_pcs > 0 then check_watch st th i.Lir.Instr.pc;
   fire_instr st th i;
   st.steps <- st.steps + 1;
   (* Advance past the instruction first so that calls and blocking
      operations resume at the right place. *)
   frame.idx <- frame.idx + 1;
-  let advance cost = th.clock <- th.clock +. jitter st cost in
   try
     match li.L.op with
   | L.Alloca { dst; size } ->
-    advance Cost.alloca;
+    advance st th Cost.alloca;
     set_reg frame dst (Memory.alloc_stack st.mem ~tid:th.tid ~size)
   | L.Load { dst; ptr; size } -> (
-    advance Cost.load;
+    advance st th Cost.load;
     let addr = eval st frame ptr in
     (* Observed before the memory check so crashing accesses appear in the
        stream too — the oracle wants the access that faulted. *)
-    (match st.cfg.hooks.Hooks.on_obs with
-    | None -> ()
-    | Some f ->
-      f
-        (Hooks.Obs_access
-           { tid = th.tid; iid = i.Lir.Instr.iid; addr; size; kind = Hooks.Read;
-             time = th.clock }));
-    match Memory.read st.mem ~addr with
-    | Ok v -> set_reg frame dst v
-    | Error err -> crash st th i err addr)
+    fire_access st th i ~addr ~size ~kind:Hooks.Read;
+    match Memory.load st.mem ~addr with
+    | v -> set_reg frame dst v
+    | exception Memory.Fault err -> crash st th i err addr)
   | L.Store { value; ptr; size } -> (
-    advance Cost.store;
+    advance st th Cost.store;
     let addr = eval st frame ptr in
     let v = eval st frame value in
-    (match st.cfg.hooks.Hooks.on_obs with
-    | None -> ()
-    | Some f ->
-      f
-        (Hooks.Obs_access
-           { tid = th.tid; iid = i.Lir.Instr.iid; addr; size; kind = Hooks.Write;
-             time = th.clock }));
-    match Memory.write st.mem ~addr ~value:v with
-    | Ok () -> ()
-    | Error err -> crash st th i err addr)
+    fire_access st th i ~addr ~size ~kind:Hooks.Write;
+    match Memory.store st.mem ~addr ~value:v with
+    | () -> ()
+    | exception Memory.Fault err -> crash st th i err addr)
   | L.Binop { dst; op; lhs; rhs } -> (
-    advance Cost.arith;
+    advance st th Cost.arith;
     let a = eval st frame lhs in
     let b = eval st frame rhs in
     match op with
@@ -633,54 +700,56 @@ let step st th =
            { tid = th.tid; iid = i.Lir.Instr.iid; pc = i.Lir.Instr.pc; fault })
     | _ -> set_reg frame dst (exec_binop op a b))
   | L.Icmp { dst; cmp; lhs; rhs } ->
-    advance Cost.arith;
+    advance st th Cost.arith;
     set_reg frame dst (exec_icmp cmp (eval st frame lhs) (eval st frame rhs))
   | L.Gep { dst; base; offset } ->
-    advance Cost.arith;
+    advance st th Cost.arith;
     set_reg frame dst (eval st frame base + offset)
   | L.Index { dst; base; idx; esize } ->
-    advance Cost.arith;
+    advance st th Cost.arith;
     set_reg frame dst (eval st frame base + (esize * eval st frame idx))
   | L.Cast { dst; src } ->
-    advance Cost.arith;
+    advance st th Cost.arith;
     set_reg frame dst (eval st frame src)
   | L.Intrinsic { dst; code; args } -> (
-    advance Cost.call;
+    advance st th Cost.call;
     exec_intrinsic st th frame i dst code args;
     (* The library function's return is an indirect branch the hardware
        tracer records; blocking calls are recorded when they wake. *)
     match th.status with
-    | Runnable ->
-      fire_control st th
-        (Hooks.Ret_branch { tid = th.tid; target_pc = Some (i.Lir.Instr.pc + 4) })
+    | Runnable -> fire_ret st th (i.Lir.Instr.pc + 4)
     | Blocked_mutex _ | Blocked_cond _ | Blocked_join _ ->
-      th.pending_ret_pc <- Some (i.Lir.Instr.pc + 4)
+      th.pending_ret_pc <- i.Lir.Instr.pc + 4
     | Finished -> ())
   | L.Call { dst; callee; args } ->
-    advance Cost.call;
-    let argv = Array.map (eval st frame) args in
+    advance st th Cost.call;
+    (* Arguments evaluate left to right, so the first undefined one is
+       the one reported. *)
+    let argv = Array.make (Array.length args) 0 in
+    for k = 0 to Array.length args - 1 do
+      argv.(k) <- eval st frame args.(k)
+    done;
     push_frame st th (L.funcs st.image).(callee) ~args:argv ~ret_dst:dst
   | L.Br target ->
-    advance Cost.branch;
+    advance st th Cost.branch;
     goto frame target
   | L.Cond_br { cond; then_; else_ } ->
-    advance Cost.branch;
+    advance st th Cost.branch;
     let taken = eval st frame cond <> 0 in
-    fire_control st th
-      (Hooks.Cond_branch { tid = th.tid; pc = i.Lir.Instr.pc; taken });
+    fire_cond_branch st th ~pc:i.Lir.Instr.pc ~taken;
     goto frame (if taken then then_ else else_)
   | L.Ret v ->
-    advance Cost.ret;
-    let value = Option.map (eval st frame) v in
+    advance st th Cost.ret;
+    let value = match v with Some op -> eval st frame op | None -> 0 in
     do_return st th value
   | L.Unreachable -> failwith "Interp: reached unreachable"
   | L.Malformed e ->
     (* Static resolution failed: charge what the instruction charged
        before its resolution step, then fail the same way. *)
     (match i.Lir.Instr.kind with
-    | Lir.Instr.Alloca _ -> advance Cost.alloca
-    | Lir.Instr.Call _ -> advance Cost.call
-    | _ -> advance Cost.arith);
+    | Lir.Instr.Alloca _ -> advance st th Cost.alloca
+    | Lir.Instr.Call _ -> advance st th Cost.call
+    | _ -> advance st th Cost.arith);
     raise e
   with Undef_register rname ->
     set_failure st th
@@ -697,9 +766,9 @@ let pick_runnable st =
     let th = Array.unsafe_get st.threads tid in
     match th.status with
     | Runnable ->
-      if !best < 0 || th.clock < !best_clock then begin
+      if !best < 0 || th.clock.ns < !best_clock then begin
         best := tid;
-        best_clock := th.clock
+        best_clock := th.clock.ns
       end
     | Blocked_mutex _ | Blocked_cond _ | Blocked_join _ | Finished -> ()
   done;
@@ -717,7 +786,7 @@ let any_blocked st =
 let final_time st =
   let t = ref 0.0 in
   for tid = 0 to st.next_tid - 1 do
-    t := Float.max !t st.threads.(tid).clock
+    t := Float.max !t st.threads.(tid).clock.ns
   done;
   !t
 
@@ -725,12 +794,22 @@ let run ?(config = default_config) m ~entry =
   let image = L.of_module m in
   let mem = Memory.create () in
   Memory.load_globals mem m;
+  let hooks = config.hooks in
+  let watched =
+    List.concat_map
+      (fun (w : Hooks.watch) ->
+        List.map (fun pc -> (pc, w)) (Array.to_list w.pcs))
+      hooks.Hooks.watch
+  in
   let st =
     {
       m;
       image;
       gaddr = Array.map (Memory.global_addr mem) (L.globals image);
       cfg = config;
+      hooks;
+      watch_pcs = Array.of_list (List.map fst watched);
+      watch_of = Array.of_list (List.map snd watched);
       mem;
       mutexes = Mutexes.create ();
       condvars = Condvars.create ();
@@ -759,13 +838,15 @@ let run ?(config = default_config) m ~entry =
          if tid >= 0 then begin
            let th = st.threads.(tid) in
            if !last_tid <> th.tid then begin
-             fire_sched st
-               (Hooks.Switch
-                  {
-                    prev_tid = (if !last_tid < 0 then None else Some !last_tid);
-                    next_tid = th.tid;
-                    time = th.clock;
-                  });
+             if scheduling st then
+               fire_sched st
+                 (Hooks.Switch
+                    {
+                      prev_tid =
+                        (if !last_tid < 0 then None else Some !last_tid);
+                      next_tid = th.tid;
+                      time = th.clock.ns;
+                    });
              last_tid := th.tid
            end;
            try step st th with Gated -> ()

@@ -11,6 +11,10 @@ type t
 
 type access_error = Null | Freed | Unmapped
 
+exception Fault of access_error
+(** Raised by {!load} and {!store}: a faulting access ends the run, so
+    the common path returns a bare value instead of a [result]. *)
+
 val create : unit -> t
 
 val load_globals : t -> Lir.Irmod.t -> unit
@@ -34,5 +38,8 @@ val frame_mark : t -> tid:int -> int
 val alloc_stack : t -> tid:int -> size:int -> int
 val pop_frame : t -> tid:int -> mark:int -> unit
 
-val read : t -> addr:int -> (int, access_error) result
-val write : t -> addr:int -> value:int -> (unit, access_error) result
+val load : t -> addr:int -> int
+(** The word at [addr].  Raises {!Fault} on an invalid address. *)
+
+val store : t -> addr:int -> value:int -> unit
+(** Raises {!Fault} on an invalid address. *)

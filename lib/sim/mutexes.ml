@@ -1,4 +1,6 @@
-type mutex = { mutable owner : int option; waiters : int Queue.t }
+(* [owner] is -1 while the mutex is free: a plain int keeps lock and
+   unlock from allocating an option per call. *)
+type mutex = { mutable owner : int; waiters : int Queue.t }
 
 type t = {
   locks : (int, mutex) Hashtbl.t;
@@ -11,10 +13,10 @@ type unlock_error = Not_owner of int | Not_locked
 let create () = { locks = Hashtbl.create 16; waits = Hashtbl.create 16 }
 
 let get t addr =
-  match Hashtbl.find_opt t.locks addr with
-  | Some m -> m
-  | None ->
-    let m = { owner = None; waiters = Queue.create () } in
+  match Hashtbl.find t.locks addr with
+  | m -> m
+  | exception Not_found ->
+    let m = { owner = -1; waiters = Queue.create () } in
     Hashtbl.add t.locks addr m;
     m
 
@@ -28,22 +30,22 @@ let find_cycle t ~tid ~start =
       | None -> None
       | Some addr -> (
         match (Hashtbl.find t.locks addr).owner with
-        | None -> None
-        | Some next -> follow next (next :: acc))
+        | -1 -> None
+        | next -> follow next (next :: acc))
   in
   follow start [ start ]
 
 let lock t ~addr ~tid =
   let m = get t addr in
   match m.owner with
-  | None ->
-    m.owner <- Some tid;
+  | -1 ->
+    m.owner <- tid;
     Acquired
-  | Some owner when owner = tid ->
+  | owner when owner = tid ->
     (* A self-relock is an API misuse, not a wait-for cycle: queueing the
        owner behind itself would have reported a one-thread "deadlock". *)
     Relocked
-  | Some owner -> (
+  | owner -> (
     match find_cycle t ~tid ~start:owner with
     | Some cycle -> Deadlocked (cycle @ [ tid ])
     | None ->
@@ -54,23 +56,23 @@ let lock t ~addr ~tid =
 let unlock t ~addr ~tid =
   let m = get t addr in
   match m.owner with
-  | Some owner when owner = tid ->
+  | -1 -> Error Not_locked
+  | owner when owner = tid ->
     if Queue.is_empty m.waiters then begin
-      m.owner <- None;
+      m.owner <- -1;
       Ok None
     end
     else begin
       let next = Queue.pop m.waiters in
       Hashtbl.remove t.waits next;
-      m.owner <- Some next;
+      m.owner <- next;
       Ok (Some next)
     end
-  | Some owner -> Error (Not_owner owner)
-  | None -> Error Not_locked
+  | owner -> Error (Not_owner owner)
 
 let holder t ~addr =
   match Hashtbl.find_opt t.locks addr with
-  | None -> None
-  | Some m -> m.owner
+  | None | Some { owner = -1; _ } -> None
+  | Some m -> Some m.owner
 
 let waiting_on t ~tid = Hashtbl.find_opt t.waits tid

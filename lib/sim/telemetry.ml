@@ -11,7 +11,8 @@ let hooks () =
     let contentions = Obs.Metrics.counter m "sim/lock_contention" in
     let parked = Obs.Metrics.histogram m "sim/parked_ns" in
     {
-      Hooks.on_control =
+      Hooks.none with
+      on_control =
         Some
           (fun ~time:_ _ ->
             Obs.Metrics.incr control;
@@ -21,7 +22,6 @@ let hooks () =
           (fun ~tid:_ ~time:_ _ ->
             Obs.Metrics.incr instrs;
             0.0);
-      gate = None;
       on_sched =
         Some
           (fun event ->
@@ -30,5 +30,4 @@ let hooks () =
             | Hooks.Contended _ -> Obs.Metrics.incr contentions
             | Hooks.Unblocked { parked_ns; _ } ->
               Obs.Metrics.observe parked parked_ns);
-      on_obs = None;
     }

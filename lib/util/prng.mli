@@ -28,7 +28,12 @@ val in_range : t -> lo:int -> hi:int -> int
 (** Uniform in the inclusive range [\[lo, hi\]]. Requires [lo <= hi]. *)
 
 val float : t -> bound:float -> float
-(** Uniform in [\[0, bound)]. *)
+(** Uniform in [\[0, bound)]: [float_of_int (bits53 t) /. 2{^53} *. bound]. *)
+
+val bits53 : t -> int
+(** The top 53 bits of the next raw output, uniform in [\[0, 2{^53})].
+    {!float} is this draw scaled; a hot caller that scales it locally
+    gets the same value bit for bit without a boxed float return. *)
 
 val bool : t -> bool
 (** Fair coin. *)

@@ -1,14 +1,11 @@
 (* Encode the 63-bit pattern of [v]; logical shifts make this total even
    when zigzag wraps into the sign bit. *)
-let write_raw buf v =
-  let rec go v =
-    if v land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (v land 0x7f lor 0x80));
-      go (v lsr 7)
-    end
-  in
-  go v
+let rec write_raw buf v =
+  if v land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr v)
+  else begin
+    Buffer.add_char buf (Char.chr (v land 0x7f lor 0x80));
+    write_raw buf (v lsr 7)
+  end
 
 let write_unsigned buf v =
   if v < 0 then invalid_arg "Varint.write_unsigned: negative";

@@ -247,6 +247,70 @@ let test_verify_duplicate_labels () =
   Lir.Irmod.add_func m f;
   Alcotest.(check bool) "caught" true (errors_of m > 0)
 
+(* Every check fires once, in one module: the exact messages and their
+   order (per function: labels, sealing, targets, then instructions in
+   block order) are part of what a caller sees. *)
+let test_verify_error_list () =
+  let m = mk_module () in
+  let blk label kinds =
+    let b = Lir.Block.create ~label in
+    b.Lir.Block.instrs <-
+      List.map (fun k -> Lir.Instr.make ~iid:(Lir.Irmod.fresh_iid m) k) kinds;
+    b
+  in
+  (* Two definitions of "callee": calls are checked against the later
+     one, which takes two parameters. *)
+  let c1 = Lir.Func.create ~fname:"callee" ~params:[] ~ret:T.Void in
+  c1.Lir.Func.blocks <- [ blk "entry" [ Lir.Instr.Ret None ] ];
+  Lir.Irmod.add_func m c1;
+  let p1 = Lir.Irmod.fresh_reg m ~name:"a" ~ty:T.I64 in
+  let p2 = Lir.Irmod.fresh_reg m ~name:"b" ~ty:T.I64 in
+  let c2 = Lir.Func.create ~fname:"callee" ~params:[ p1; p2 ] ~ret:T.Void in
+  c2.Lir.Func.blocks <- [ blk "entry" [ Lir.Instr.Ret None ] ];
+  Lir.Irmod.add_func m c2;
+  let ghost = Lir.Irmod.fresh_reg m ~name:"ghost" ~ty:(T.Ptr T.I64) in
+  let v = Lir.Irmod.fresh_reg m ~name:"v" ~ty:T.I64 in
+  let f = Lir.Func.create ~fname:"f" ~params:[] ~ret:T.Void in
+  f.Lir.Func.blocks <-
+    [
+      blk "zeta" [ Lir.Instr.Br "alpha" ];
+      blk "alpha"
+        [
+          Lir.Instr.Load { dst = v; ptr = V.Reg ghost };
+          Lir.Instr.Br "nowhere";
+        ];
+      blk "zeta" [ Lir.Instr.Ret None; Lir.Instr.Ret None ];
+      blk "alpha"
+        [
+          Lir.Instr.Call { dst = None; callee = "callee"; args = [ V.Reg v ] };
+        ];
+      blk "mid"
+        [
+          Lir.Instr.Call { dst = None; callee = "missing"; args = [] };
+          Lir.Instr.Br "zeta";
+        ];
+    ];
+  Lir.Irmod.add_func m f;
+  Lir.Irmod.add_func m (Lir.Func.create ~fname:"g" ~params:[] ~ret:T.Void);
+  let got =
+    List.map
+      (fun { Lir.Verify.where; what } -> (where, what))
+      (Lir.Verify.check m)
+  in
+  Alcotest.(check (list (pair string string)))
+    "errors"
+    [
+      ("f", "duplicate block label alpha");
+      ("f", "zeta: terminator in block middle");
+      ("f", "alpha: block not sealed by a terminator");
+      ("f", "alpha: branch to unknown label nowhere");
+      ("f", "use before def of %ghost.2 in: %v.3 = load i64, %ghost.2");
+      ("f", "call arity mismatch: call @callee(%v.3)");
+      ("f", "call to unknown function missing");
+      ("g", "function has no blocks");
+    ]
+    got
+
 (* --- cfg ---------------------------------------------------------------- *)
 
 let diamond () =
@@ -461,6 +525,7 @@ let tests =
         Alcotest.test_case "intrinsic arity" `Quick test_verify_intrinsic_arity;
         Alcotest.test_case "bad branch target" `Quick test_verify_bad_branch_target;
         Alcotest.test_case "unsealed block" `Quick test_verify_unsealed_block;
+        Alcotest.test_case "error list and order" `Quick test_verify_error_list;
         Alcotest.test_case "use before def" `Quick test_verify_use_before_def;
         Alcotest.test_case "store type mismatch" `Quick
           test_verify_store_type_mismatch;

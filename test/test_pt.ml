@@ -463,6 +463,163 @@ let test_watchpoint_fires () =
     Alcotest.(check bool) "has traces" true (snap.Pt.Driver.traces <> [])
   | None -> Alcotest.fail "watchpoint did not fire"
 
+(* --- native watchpoint vs a per-instruction reference --------------------- *)
+
+(* The watchpoint semantics as a per-instruction [on_instr] observer over
+   a driver's tracer: the primary (head) pc wins over the fallbacks, and
+   a later hit replaces an earlier one.  The native watchpoint must pick
+   the same hit and snapshot the same bytes. *)
+let reference_watch tracer pcs =
+  let hit = ref None and primary_hit = ref false in
+  let on_instr ~tid ~time (i : Lir.Instr.t) =
+    (match pcs with
+    | [] -> ()
+    | primary :: fallbacks ->
+      let pc = i.Lir.Instr.pc in
+      let snap () = Some (Pt.Tracer.snapshot tracer, time, pc, tid) in
+      if pc = primary then begin
+        hit := snap ();
+        primary_hit := true
+      end
+      else if (not !primary_hit) && List.mem pc fallbacks then hit := snap ());
+    0.0
+  in
+  ({ Sim.Hooks.none with on_instr = Some on_instr }, hit)
+
+(* One run with the driver's native watchpoint (plus [extra] hooks) and
+   one with the reference observer; everything the snapshot carries must
+   agree.  Returns the native snapshot. *)
+let check_watch_against_reference ?(extra = Sim.Hooks.none) m ~entry ~seed pcs =
+  let native = Pt.Driver.create () in
+  Pt.Driver.set_watchpoints native ~pcs;
+  let run hooks =
+    Sim.Interp.run ~config:{ Sim.Interp.default_config with seed; hooks } m
+      ~entry
+  in
+  let r1 = run (Sim.Hooks.combine (Pt.Driver.hooks native) extra) in
+  let plain = Pt.Driver.create () in
+  let ref_hooks, ref_hit = reference_watch (Pt.Driver.tracer plain) pcs in
+  let r2 = run (Sim.Hooks.combine (Pt.Driver.hooks plain) ref_hooks) in
+  let what = Printf.sprintf "seed %d" seed in
+  Alcotest.(check int64) (what ^ " same run")
+    (Int64.bits_of_float r2.Sim.Interp.final_time_ns)
+    (Int64.bits_of_float r1.Sim.Interp.final_time_ns);
+  let snap = Pt.Driver.watch_snapshot native in
+  (match snap, !ref_hit with
+  | None, None -> ()
+  | Some s, Some (traces, time, pc, tid) ->
+    Alcotest.(check (option int)) (what ^ " trigger pc") (Some pc)
+      s.Pt.Driver.trigger_pc;
+    Alcotest.(check (option int)) (what ^ " trigger tid") (Some tid)
+      s.Pt.Driver.trigger_tid;
+    Alcotest.(check int64) (what ^ " time") (Int64.bits_of_float time)
+      (Int64.bits_of_float s.Pt.Driver.at_time_ns);
+    Alcotest.(check (list (pair int string))) (what ^ " ring bytes")
+      (List.map (fun (tid, b) -> (tid, Bytes.to_string b)) traces)
+      (List.map (fun (tid, b) -> (tid, Bytes.to_string b)) s.Pt.Driver.traces)
+  | Some _, None -> Alcotest.fail (what ^ ": only the native watchpoint fired")
+  | None, Some _ -> Alcotest.fail (what ^ ": only the reference fired"));
+  snap
+
+let test_watchpoint_matches_reference_on_corpus () =
+  let bug = Corpus.Registry.find_exn "pbzip2-1" in
+  match Corpus.Runner.collect bug ~success_per_failing:1 () with
+  | Error msg -> Alcotest.fail msg
+  | Ok c ->
+    let m = c.Corpus.Runner.built.Corpus.Bug.m in
+    let pcs = Corpus.Runner.watch_pcs_for m (List.hd c.Corpus.Runner.failing) in
+    let fired = ref 0 in
+    for seed = 1 to 30 do
+      let entry = bug.Corpus.Bug.entry in
+      match check_watch_against_reference m ~entry ~seed pcs with
+      | Some _ -> incr fired
+      | None -> ()
+    done;
+    Alcotest.(check bool) "the watchpoint fires on some seeds" true (!fired > 0)
+
+(* Every execution of [pcs] in a traced run of [m], as (tid, time, pc)
+   in order. *)
+let executions m ~seed pcs =
+  let seen = ref [] in
+  let on_instr ~tid ~time (i : Lir.Instr.t) =
+    let pc = i.Lir.Instr.pc in
+    if List.mem pc pcs then seen := (tid, time, pc) :: !seen;
+    0.0
+  in
+  let hooks =
+    Sim.Hooks.combine
+      (Pt.Driver.hooks (Pt.Driver.create ()))
+      { Sim.Hooks.none with on_instr = Some on_instr }
+  in
+  ignore
+    (Sim.Interp.run ~config:{ Sim.Interp.default_config with seed; hooks } m
+       ~entry:"main");
+  List.rev !seen
+
+let test_watchpoint_primary_and_replacement () =
+  let m = fixture_module () in
+  let bump = Lir.Irmod.block_start_pc m ~fname:"bump" ~label:"entry" in
+  let main = Lir.Irmod.block_start_pc m ~fname:"main" ~label:"entry" in
+  let last_of pc =
+    List.fold_left
+      (fun acc (tid, time, p) -> if p = pc then Some (tid, time) else acc)
+      None (executions m ~seed:1 [ pc ])
+  in
+  let trigger snap =
+    match snap with
+    | Some s ->
+      (s.Pt.Driver.trigger_pc, s.Pt.Driver.trigger_tid, s.Pt.Driver.at_time_ns)
+    | None -> Alcotest.fail "watchpoint did not fire"
+  in
+  (* The primary runs once, early; the fallback runs 24 times after it:
+     the primary's hit stands. *)
+  let pc, tid, time =
+    trigger
+      (check_watch_against_reference m ~entry:"main" ~seed:1 [ main; bump ])
+  in
+  Alcotest.(check (option int)) "primary beats a later fallback" (Some main) pc;
+  let main_tid, main_time = Option.get (last_of main) in
+  Alcotest.(check (option int)) "primary tid" (Some main_tid) tid;
+  Alcotest.(check (float 0.0)) "primary time" main_time time;
+  (* A primary that never runs (pc 0 is no instruction): the last of the
+     fallback's hits stands. *)
+  let pc, tid, time =
+    trigger (check_watch_against_reference m ~entry:"main" ~seed:1 [ 0; bump ])
+  in
+  Alcotest.(check (option int)) "fallback fires" (Some bump) pc;
+  let bump_tid, bump_time = Option.get (last_of bump) in
+  Alcotest.(check (option int)) "last fallback hit's tid" (Some bump_tid) tid;
+  Alcotest.(check (float 0.0)) "last fallback hit's time" bump_time time
+
+(* A second watch combined with the driver's: each sees every execution
+   of its own pcs (one pc is watched by both), and the driver's snapshot
+   is the one it takes alone. *)
+let test_watchpoint_combine () =
+  let m = fixture_module () in
+  let bump = Lir.Irmod.block_start_pc m ~fname:"bump" ~label:"entry" in
+  let worker = Lir.Irmod.block_start_pc m ~fname:"worker" ~label:"entry" in
+  let main = Lir.Irmod.block_start_pc m ~fname:"main" ~label:"entry" in
+  let seen = ref [] in
+  let extra =
+    {
+      Sim.Hooks.none with
+      watch =
+        [
+          {
+            Sim.Hooks.pcs = [| worker; bump |];
+            on_hit = (fun ~tid ~time ~pc -> seen := (tid, time, pc) :: !seen);
+          };
+        ];
+    }
+  in
+  ignore
+    (check_watch_against_reference ~extra m ~entry:"main" ~seed:3
+       [ bump; main ]);
+  let expected = executions m ~seed:3 [ worker; bump ] in
+  Alcotest.(check int) "every hit of the second watch" (List.length expected)
+    (List.length !seen);
+  Alcotest.(check bool) "same hits, in order" true (List.rev !seen = expected)
+
 let test_decoder_empty_and_garbage () =
   let m = fixture_module () in
   let d = Pt.Decoder.decode m ~config:Pt.Config.default Bytes.empty in
@@ -1100,6 +1257,11 @@ let tests =
       [
         Alcotest.test_case "tracer stats" `Quick test_tracer_stats;
         Alcotest.test_case "watchpoint fires" `Quick test_watchpoint_fires;
+        Alcotest.test_case "native watchpoint == reference (pbzip2-1)" `Quick
+          test_watchpoint_matches_reference_on_corpus;
+        Alcotest.test_case "watchpoint primary and replacement" `Quick
+          test_watchpoint_primary_and_replacement;
+        Alcotest.test_case "watchpoint combine" `Quick test_watchpoint_combine;
       ] );
     ( "pt.decode_cache",
       [

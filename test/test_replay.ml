@@ -58,8 +58,7 @@ let test_gate_delays_execution () =
   let gated_once = Hashtbl.create 64 in
   let hooks =
     {
-      Sim.Hooks.on_control = None;
-      on_instr = None;
+      Sim.Hooks.none with
       gate =
         Some
           (fun ~tid ~time:_ (i : Lir.Instr.t) ->
@@ -68,8 +67,6 @@ let test_gate_delays_execution () =
               500.0
             end
             else 0.0);
-      on_sched = None;
-      on_obs = None;
     }
   in
   let r =

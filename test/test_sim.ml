@@ -608,7 +608,8 @@ let test_control_events_fire () =
   let starts = ref 0 and branches = ref 0 and rets = ref 0 in
   let hooks =
     {
-      Sim.Hooks.on_control =
+      Sim.Hooks.none with
+      on_control =
         Some
           (fun ~time:_ e ->
             (match e with
@@ -617,10 +618,6 @@ let test_control_events_fire () =
             | Sim.Hooks.Ret_branch _ -> incr rets
             | Sim.Hooks.Thread_exit _ -> ());
             0.0);
-      on_instr = None;
-      gate = None;
-      on_sched = None;
-      on_obs = None;
     }
   in
   ignore (run ~hooks m);
@@ -871,6 +868,60 @@ let prop_mutex_model =
         ops;
       !ok)
 
+(* --- per-step allocation floor ------------------------------------------ *)
+
+(* Minor words per simulated step over fixed seeds of one corpus bug, in
+   the three ways the fix loop runs it: untraced, traced with the
+   watchpoint armed (a collection run), and HB-observed (a judge run).
+   Each figure includes the run's own set-up, so the bounds catch a
+   per-run table as well as a per-step allocation.  Allocation is
+   deterministic, so the bounds are tight: about 1.5x what the engine
+   measures; a boxed clock or PRNG state, a per-step closure or a
+   Map-based vector clock each overshoot them several times. *)
+let test_words_per_step () =
+  let bug = Corpus.Registry.find_exn "pbzip2-1" in
+  match Corpus.Runner.collect bug ~success_per_failing:1 () with
+  | Error msg -> Alcotest.fail msg
+  | Ok c ->
+    let built = c.Corpus.Runner.built and entry = bug.Corpus.Bug.entry in
+    let watch_pcs =
+      Corpus.Runner.watch_pcs_for built.Corpus.Bug.m
+        (List.hd c.Corpus.Runner.failing)
+    in
+    let per_step run =
+      let words = ref 0.0 and steps = ref 0 in
+      for seed = 1 to 50 do
+        let before = Gc.minor_words () in
+        let (r : Sim.Interp.run_result) = run seed in
+        words := !words +. (Gc.minor_words () -. before);
+        steps := !steps + r.Sim.Interp.steps
+      done;
+      !words /. float_of_int !steps
+    in
+    let untraced =
+      per_step (fun seed -> Corpus.Runner.run_untraced ~built ~entry ~seed ())
+    in
+    let traced =
+      per_step (fun seed ->
+          (Corpus.Runner.run_traced ~built ~entry ~seed ~watch_pcs ())
+            .Corpus.Runner.result)
+    in
+    let hb =
+      per_step (fun seed ->
+          let hooks = Oracle.Observe.hooks (Analysis.Hb.create ()) in
+          Sim.Interp.run
+            ~config:{ Sim.Interp.default_config with seed; hooks }
+            built.Corpus.Bug.m ~entry)
+    in
+    let within name bound v =
+      if v > bound then
+        Alcotest.failf "%s: %.2f words/step, bound %.1f" name v bound
+    in
+    (* Measured 1.18 / 6.86 / 13.69 on 64-bit OCaml 5.1. *)
+    within "untraced" 2.0 untraced;
+    within "traced" 10.0 traced;
+    within "HB-observed" 20.0 hb
+
 let tests =
   [
     ( "sim.semantics",
@@ -944,5 +995,6 @@ let tests =
         Alcotest.test_case "control events" `Quick test_control_events_fire;
         Alcotest.test_case "instr hook cost" `Quick test_instr_hook_cost_charged;
         Alcotest.test_case "hooks combine" `Quick test_hooks_combine;
+        Alcotest.test_case "words per step" `Quick test_words_per_step;
       ] );
   ]

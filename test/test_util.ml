@@ -17,6 +17,47 @@ let test_prng_deterministic () =
     Alcotest.(check int64) "same stream" (Prng.next64 a) (Prng.next64 b)
   done
 
+(* Known answers: the SplitMix64 stream every seeded run, corpus digest
+   and bench figure depends on, pinned per draw kind for three seeds.
+   Each seed draws 3 x next64, then 3 x int, 3 x float, 3 x in_range
+   from one generator. *)
+let test_prng_known_answers () =
+  let cases =
+    [
+      ( 0,
+        [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x6c45d188009454fL ],
+        [ 732; 747; 186 ],
+        [ 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1; 0x1.f72bc4820e4c4p-3 ],
+        [ 1; -5; 3 ] );
+      ( 1,
+        [ 0x910a2dec89025cc1L; 0xbeeb8da1658eec67L; 0xf893a2eefb32555eL ],
+        [ 331; 857; 336 ],
+        [ 0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1; 0x1.245c6378d5f8ep-2 ],
+        [ -4; -2; 3 ] );
+      ( 42,
+        [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L ],
+        [ 860; 250; 350 ],
+        [ 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2 ],
+        [ -3; -3; -5 ] );
+    ]
+  in
+  List.iter
+    (fun (seed, raw, ints, floats, ranged) ->
+      let t = Prng.create ~seed in
+      let draw f = List.init 3 (fun _ -> f t) in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check (list int64)) (name "next64") raw (draw Prng.next64);
+      Alcotest.(check (list int)) (name "int") ints
+        (draw (Prng.int ~bound:1000));
+      (* Bit equality, not a tolerance: the simulator's clocks are sums
+         of these draws. *)
+      Alcotest.(check (list int64)) (name "float")
+        (List.map Int64.bits_of_float floats)
+        (List.map Int64.bits_of_float (draw (Prng.float ~bound:1.0)));
+      Alcotest.(check (list int)) (name "in_range") ranged
+        (draw (Prng.in_range ~lo:(-5) ~hi:5)))
+    cases
+
 let test_prng_seed_sensitivity () =
   let a = Prng.create ~seed:1 and b = Prng.create ~seed:2 in
   Alcotest.(check bool) "different streams" false
@@ -768,6 +809,7 @@ let tests =
     ( "util.prng",
       [
         Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
+        Alcotest.test_case "known answers" `Quick test_prng_known_answers;
         Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
         Alcotest.test_case "copy independent" `Quick test_prng_copy_independent;
         Alcotest.test_case "split" `Quick test_prng_split;
