@@ -59,6 +59,16 @@ if [ -n "$own" ]; then
   exit 1
 fi
 
+echo "== one build per fix =="
+# The fix ladder patches Lir.Irmod.copy of the module the diagnosis ran
+# on; nothing under lib/fix builds (and verifies) the bug program again.
+rebuild=$(grep -rnE "Bug\.build|\.build \(\)" lib/fix || true)
+if [ -n "$rebuild" ]; then
+  echo "$rebuild"
+  echo "one build per fix: lib/fix rebuilds the bug program"
+  exit 1
+fi
+
 echo "== test =="
 dune runtest
 

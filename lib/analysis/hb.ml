@@ -318,6 +318,14 @@ let process_access t ~tid ~iid ~addr ~size ~kind ~is_free =
       recs := cur :: supersede cur !recs
     | exception Not_found -> Hashtbl.add t.cells addr (ref [ cur ])
 
+let access t ~tid ~iid ~addr ~size ~kind =
+  t.events <- t.events + 1;
+  process_access t ~tid ~iid ~addr ~size ~kind ~is_free:false
+
+let free t ~tid ~iid ~addr ~size =
+  t.events <- t.events + 1;
+  process_access t ~tid ~iid ~addr ~size ~kind:Write ~is_free:true
+
 let feed t event =
   t.events <- t.events + 1;
   match event with

@@ -67,6 +67,13 @@ val feed : t -> event -> unit
     them: clocks are indexed by tid and access kinds by iid, and an
     access iid of [2{^31}] or more raises [Invalid_argument]. *)
 
+val access :
+  t -> tid:int -> iid:int -> addr:int -> size:int -> kind:access_kind -> unit
+(** [feed] of an [Access] event, without building it. *)
+
+val free : t -> tid:int -> iid:int -> addr:int -> size:int -> unit
+(** [feed] of a [Free] event, without building it. *)
+
 type ordering =
   | Racy  (** no happens-before path at all: a data race *)
   | Lock_ordered

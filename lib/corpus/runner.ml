@@ -37,7 +37,8 @@ type sync_profile = { sync_ops : int; sync_digest : int }
    of the last [sync_window] ops' static identities, digested FNV-1a
    style at report time.  Memory accesses are excluded — they would
    swamp the window and the interesting tail is the lock/condvar/thread
-   traffic right before the failure. *)
+   traffic right before the failure — so it leaves [on_access] unset and
+   the interpreter reports it none. *)
 let sync_window = 16
 
 let sync_observer () =
@@ -49,7 +50,6 @@ let sync_observer () =
   in
   let feed ev =
     match ev with
-    | Sim.Hooks.Obs_access _ -> ()
     | Sim.Hooks.Obs_lock_attempt { tid; iid; _ } -> note 1 tid iid
     | Sim.Hooks.Obs_lock_acquired { tid; iid; _ } -> note 2 tid iid
     | Sim.Hooks.Obs_lock_released { tid; iid; _ } -> note 3 tid iid

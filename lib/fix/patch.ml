@@ -2,9 +2,9 @@ module Core = Snorlax_core
 
 (* Pattern-directed patch templates, in the spirit of the SHB-based
    context-extractor fixer (PAPERS.md): each bug class maps to a small
-   IR transformation applied to a *fresh* build of the bug program
-   (builds are deterministic, so the diagnosis' iids resolve in the new
-   module), leaving every original instruction and iid intact.
+   IR transformation applied to a copy of the diagnosed module (the copy
+   keeps every iid, so the diagnosis' iids resolve in it), leaving every
+   original instruction and iid intact.
 
    - Atomicity: a new mutex held across the local..anchor window, with
      the remote access bracketed by the same mutex, so the remote can no

@@ -1,6 +1,6 @@
 (** Pattern-directed patch synthesis: each diagnosed bug class maps to a
-    small menu of IR transformations ({!template}s) applied to a fresh
-    build of the bug program.  Synthesis is purely structural — it
+    small menu of IR transformations ({!template}s) applied to a
+    {!Lir.Irmod.copy} of the diagnosed module.  Synthesis is purely structural — it
     guarantees the patched module still verifies and that every original
     instruction keeps its iid — while {!Validate} is the semantic referee
     (failing-seed replay plus an HB-oracle sweep). *)
@@ -41,5 +41,5 @@ val synthesize :
     does not fit the pattern's shape (window spans functions, side
     entries into the lock region, overlapping deadlock windows, ...);
     the module may be partially edited on error, so callers patch a
-    throwaway build per attempt.  On [Ok] the module has been re-verified
+    throwaway copy per attempt.  On [Ok] the module has been re-verified
     and re-laid-out. *)

@@ -361,16 +361,16 @@ let fix_bug ?jobs ?cache ?(seeds = default_sweep_seeds) (bug : Corpus.Bug.t) =
       let rec ladder = function
         | [] -> None
         | template :: rest ->
-          let fresh = bug.Corpus.Bug.build () in
+          (* Each attempt patches its own copy of the module the
+             diagnosis ran on: same iids, no rebuild or re-verify of the
+             pristine program. *)
+          let m = Lir.Irmod.copy c.Corpus.Runner.built.Corpus.Bug.m in
           let outcome =
-            match
-              Patch.synthesize ~m:fresh.Corpus.Bug.m ~pattern template
-            with
+            match Patch.synthesize ~m ~pattern template with
             | Error e -> Error e
             | Ok p ->
               let j =
-                judge_patch ~bug ~collected:c ~pattern ~baseline ~sweep_seeds
-                  fresh.Corpus.Bug.m
+                judge_patch ~bug ~collected:c ~pattern ~baseline ~sweep_seeds m
               in
               runs := !runs + j.runs;
               Ok (p, j)

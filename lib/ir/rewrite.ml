@@ -2,18 +2,37 @@
    lock/signal scaffolding around existing instructions without rebuilding
    the program, so every untouched instruction keeps its iid (diagnoses,
    ground truth and failure signatures all key on iids).  Every mutator
-   invalidates the module layout; pcs and lookup tables rebuild lazily. *)
+   {!Irmod.place}s each instruction it adds, moves or replaces, so the iid
+   tables stay current and [locate] never lays the module out again
+   mid-synthesis; only the pcs go stale, until the next layout. *)
 
-let locate m ~iid =
-  let f, b = Irmod.location_of_iid m iid in
+(* Differential checks observe every edit; [None] on the hot path. *)
+let observer : (Irmod.t -> unit) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let with_edit_observer f k =
+  let prev = Domain.DLS.get observer in
+  Domain.DLS.set observer (Some f);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set observer prev) k
+
+let edited m =
+  match Domain.DLS.get observer with None -> () | Some f -> f m
+
+let index_in (b : Block.t) iid =
   let rec idx n = function
     | [] -> invalid_arg "Rewrite.locate: iid not in its located block"
     | (i : Instr.t) :: rest -> if i.Instr.iid = iid then n else idx (n + 1) rest
   in
-  (f, b, idx 0 b.Block.instrs)
+  idx 0 b.Block.instrs
+
+let locate m ~iid =
+  let f, b = Irmod.location_of_iid m iid in
+  (f, b, index_in b iid)
 
 let mint m kinds =
   List.map (fun k -> Instr.make ~iid:(Irmod.fresh_iid m) k) kinds
+
+let place_all m loc instrs = List.iter (Irmod.place m loc) instrs
 
 let splice_at (b : Block.t) at instrs =
   let rec go n = function
@@ -23,22 +42,23 @@ let splice_at (b : Block.t) at instrs =
   in
   b.Block.instrs <- go at b.Block.instrs
 
-let insert_before m ~iid kinds =
-  let _, b, at = locate m ~iid in
+(* Mint [kinds] and splice them into the block holding [iid], [offset]
+   slots after it. *)
+let splice_near m ~iid ~offset kinds =
+  let ((_, b) as loc) = Irmod.location_of_iid m iid in
+  let at = index_in b iid + offset in
   let instrs = mint m kinds in
   splice_at b at instrs;
-  Irmod.invalidate_layout m;
+  place_all m loc instrs;
+  edited m;
   instrs
 
+let insert_before m ~iid kinds = splice_near m ~iid ~offset:0 kinds
+
 let insert_after m ~iid kinds =
-  let _, b, at = locate m ~iid in
-  let target = List.nth b.Block.instrs at in
-  if Instr.is_terminator target then
+  if Instr.is_terminator (Irmod.instr_by_iid m iid) then
     invalid_arg "Rewrite.insert_after: cannot insert after a terminator";
-  let instrs = mint m kinds in
-  splice_at b (at + 1) instrs;
-  Irmod.invalidate_layout m;
-  instrs
+  splice_near m ~iid ~offset:1 kinds
 
 let append_block m (f : Func.t) ~label kinds =
   if List.exists (fun b -> String.equal b.Block.label label) f.Func.blocks then
@@ -49,7 +69,8 @@ let append_block m (f : Func.t) ~label kinds =
   | last :: _ when Instr.is_terminator last -> ()
   | _ -> invalid_arg "Rewrite.append_block: block must end in a terminator");
   f.Func.blocks <- f.Func.blocks @ [ b ];
-  Irmod.invalidate_layout m;
+  place_all m (f, b) b.Block.instrs;
+  edited m;
   b
 
 let split_before m ~iid ~label =
@@ -75,9 +96,11 @@ let split_before m ~iid ~label =
       if x == b then x :: cont :: rest else x :: place rest
   in
   f.Func.blocks <- place f.Func.blocks;
-  b.Block.instrs <-
-    prefix @ mint m [ Instr.Br label ];
-  Irmod.invalidate_layout m;
+  let br = mint m [ Instr.Br label ] in
+  b.Block.instrs <- prefix @ br;
+  place_all m (f, cont) suffix;
+  place_all m (f, b) br;
+  edited m;
   (b, cont)
 
 let retarget m (b : Block.t) ~from_ ~to_ =
@@ -92,11 +115,13 @@ let retarget m (b : Block.t) ~from_ ~to_ =
         Instr.Cond_br { cond; then_ = sub then_; else_ = sub else_ }
       | _ -> invalid_arg "Rewrite.retarget: terminator has no label targets"
     in
+    let loc = Irmod.location_of_iid m last.Instr.iid in
     (* Same iid: the branch is the same program point, only its target
        moved; failure signatures and ground truth stay comparable. *)
-    b.Block.instrs <-
-      List.rev (Instr.make ~iid:last.Instr.iid kind :: rev_prefix);
-    Irmod.invalidate_layout m
+    let br = Instr.make ~iid:last.Instr.iid kind in
+    b.Block.instrs <- List.rev (br :: rev_prefix);
+    Irmod.place m loc br;
+    edited m
 
 let fresh_label (f : Func.t) ~base =
   let taken l =

@@ -1,12 +1,14 @@
 (** In-place rewrites of built modules, for patch synthesis.
 
     The fix pipeline diagnoses one build of a bug program and then patches
-    a {e fresh} build of the same program (builds are deterministic, so
-    iids line up).  These helpers splice new instructions around existing
-    ones while leaving every original instruction — and hence every iid a
-    diagnosis or failure signature refers to — intact.  Each mutator calls
-    {!Irmod.invalidate_layout}; pcs and lookup tables rebuild on the next
-    use. *)
+    a {!Irmod.copy} of that same module per template attempt (the copy
+    keeps every iid, register id and next iid of the original).  These
+    helpers splice new instructions around existing ones while leaving
+    every original instruction — and hence every iid a diagnosis or
+    failure signature refers to — intact.  Each mutator {!Irmod.place}s
+    every instruction it adds, moves or replaces, so iid lookups (and
+    {!locate}) stay current without a relayout; only the pcs go stale,
+    and they rebuild on the next pc lookup or {!Irmod.layout}. *)
 
 val locate : Irmod.t -> iid:int -> Func.t * Block.t * int
 (** Enclosing function, block and in-block index of an instruction. *)
@@ -34,6 +36,12 @@ val split_before : Irmod.t -> iid:int -> label:Instr.label -> Block.t * Block.t
 val retarget : Irmod.t -> Block.t -> from_:Instr.label -> to_:Instr.label -> unit
 (** Rewrite the block's terminator, substituting one target label for
     another (the terminator keeps its iid). *)
+
+val with_edit_observer : (Irmod.t -> unit) -> (unit -> 'a) -> 'a
+(** [with_edit_observer f k] runs [k], calling [f] with the edited module
+    after every mutator above completes on this domain — the hook a
+    differential check of the incrementally kept tables needs.  The
+    previous observer is restored when [k] returns or raises. *)
 
 val fresh_label : Func.t -> base:string -> Instr.label
 (** [base], or [base<k>] when taken. *)

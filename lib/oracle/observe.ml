@@ -2,14 +2,7 @@ module Hb = Analysis.Hb
 
 let feed engine (e : Sim.Hooks.obs_event) =
   match e with
-  | Sim.Hooks.Obs_access { tid; iid; addr; size; kind; _ } -> (
-    match kind with
-    | Sim.Hooks.Read ->
-      Hb.feed engine (Hb.Access { tid; iid; addr; size; kind = Hb.Read })
-    | Sim.Hooks.Write ->
-      Hb.feed engine (Hb.Access { tid; iid; addr; size; kind = Hb.Write })
-    | Sim.Hooks.Free -> Hb.feed engine (Hb.Free { tid; iid; addr; size }))
-  | Obs_lock_attempt { tid; iid; addr; _ } ->
+  | Sim.Hooks.Obs_lock_attempt { tid; iid; addr; _ } ->
     Hb.feed engine (Hb.Lock_attempt { tid; iid; lock = addr })
   | Obs_lock_acquired { tid; iid; addr; _ } ->
     Hb.feed engine (Hb.Acquire { tid; iid; lock = addr })
@@ -28,4 +21,15 @@ let feed engine (e : Sim.Hooks.obs_event) =
     Hb.feed engine (Hb.Join { tid; target = target_tid; iid })
 
 let hooks engine =
-  { Sim.Hooks.none with Sim.Hooks.on_obs = Some (feed engine) }
+  {
+    Sim.Hooks.none with
+    Sim.Hooks.on_obs = Some (feed engine);
+    on_access =
+      Some
+        (fun ~tid ~iid ~addr ~size ~kind ->
+          match kind with
+          | Sim.Hooks.Read -> Hb.access engine ~tid ~iid ~addr ~size ~kind:Hb.Read
+          | Sim.Hooks.Write ->
+            Hb.access engine ~tid ~iid ~addr ~size ~kind:Hb.Write
+          | Sim.Hooks.Free -> Hb.free engine ~tid ~iid ~addr ~size);
+  }

@@ -64,6 +64,45 @@ let encode buf p =
     byte buf hdr_cyc;
     Varint.write_unsigned buf delta
 
+(* --- direct ring writers ---------------------------------------------- *)
+
+module Ringbuf = Snorlax_util.Ringbuf
+
+let rec put_varint ring v =
+  if v land lnot 0x7f = 0 then Ringbuf.write_byte ring v
+  else begin
+    Ringbuf.write_byte ring (v land 0x7f lor 0x80);
+    put_varint ring (v lsr 7)
+  end
+
+let[@inline] put_header_varint ring hdr v =
+  if v < 0 then invalid_arg "Packet: negative payload";
+  Ringbuf.write_byte ring hdr;
+  put_varint ring v
+
+let put_psb ring ~tsc =
+  if tsc < 0 then invalid_arg "Packet: negative payload";
+  Ringbuf.write_byte ring hdr_psb;
+  Ringbuf.write_byte ring psb_magic;
+  put_varint ring tsc
+
+let put_fup ring ~pc = put_header_varint ring hdr_fup pc
+let put_tip ring ~pc = put_header_varint ring hdr_tip pc
+let put_tip_end ring = Ringbuf.write_byte ring hdr_tip_end
+
+let put_tnt_packed ring ~bits ~count =
+  if count < 1 || count > tnt_max_bits then
+    invalid_arg "Packet.put_tnt_packed: TNT count out of range";
+  let bits = bits land ((1 lsl count) - 1) in
+  put_header_varint ring hdr_tnt_packed ((bits lsl 6) lor (count - 1))
+
+let put_mtc ring ~ctc =
+  Ringbuf.write_byte ring hdr_mtc;
+  Ringbuf.write_byte ring ctc
+
+let put_tma ring ~tsc = put_header_varint ring hdr_tma tsc
+let put_cyc ring ~delta = put_header_varint ring hdr_cyc delta
+
 let scan_psb_from b pos =
   let len = Bytes.length b in
   let rec go p =

@@ -32,6 +32,24 @@ val encode : Buffer.t -> t -> unit
 (** Raises [Invalid_argument] for a {!Tnt_packed} whose [count] is
     outside [1, tnt_max_bits]; bits above [count] are masked off. *)
 
+(** {2 Direct ring writers}
+
+    The tracer's emit path: each writes one packet straight into a ring,
+    byte for byte what {!encode} writes for the same packet, without
+    building a {!t} or staging a buffer.  They raise [Invalid_argument]
+    where {!encode} does, and on a negative varint payload. *)
+
+val put_psb : Snorlax_util.Ringbuf.t -> tsc:int -> unit
+val put_fup : Snorlax_util.Ringbuf.t -> pc:int -> unit
+val put_tip : Snorlax_util.Ringbuf.t -> pc:int -> unit
+val put_tip_end : Snorlax_util.Ringbuf.t -> unit
+val put_tnt_packed : Snorlax_util.Ringbuf.t -> bits:int -> count:int -> unit
+val put_mtc : Snorlax_util.Ringbuf.t -> ctc:int -> unit
+(** Writes the low 8 bits of [ctc]. *)
+
+val put_tma : Snorlax_util.Ringbuf.t -> tsc:int -> unit
+val put_cyc : Snorlax_util.Ringbuf.t -> delta:int -> unit
+
 val scan_psb : bytes -> pos:int -> int option
 (** Offset of the first PSB at or after [pos], or [None]. *)
 

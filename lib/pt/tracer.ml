@@ -15,8 +15,6 @@ type t = {
   config : Config.t;
   mutable threads : thread_state option array;  (** indexed by tid *)
   mutable thread_count : int;
-  scratch : Buffer.t;
-  timing_scratch : Buffer.t;
   mutable bytes_written : int;
   mutable events_seen : int;
   mutable timing_packets : int;
@@ -27,8 +25,6 @@ let create ~config =
     config;
     threads = Array.make 8 None;
     thread_count = 0;
-    scratch = Buffer.create 64;
-    timing_scratch = Buffer.create 16;
     bytes_written = 0;
     events_seen = 0;
     timing_packets = 0;
@@ -69,11 +65,12 @@ let thread_state t tid =
    paces PSBs) charges each TNT bit the 2 wire bytes of the v1 per-bit
    packet at the event that took the branch.  Charged bytes are therefore
    bit-identical to v1 — same clock evolution, same interleavings, same
-   PSB cadence — while the ring holds the (smaller) packed encoding. *)
-let flush_pending t ts =
+   PSB cadence — while the ring holds the (smaller) packed encoding.
+   Every packet goes straight into the thread's ring; a charge is the
+   ring's [total_written] delta across the packets it covers. *)
+let flush_pending ts =
   if ts.pend_count > 0 then begin
-    Packet.encode t.scratch
-      (Packet.Tnt_packed { bits = ts.pend_bits; count = ts.pend_count });
+    Packet.put_tnt_packed ts.ring ~bits:ts.pend_bits ~count:ts.pend_count;
     ts.pend_bits <- 0;
     ts.pend_count <- 0
   end
@@ -82,29 +79,40 @@ let flush_pending t ts =
    its 8-bit payload to be unambiguous. *)
 let mtc_wrap_guard = 200
 
-let emit_timing_packet t into p =
-  Packet.encode into p;
-  t.timing_packets <- t.timing_packets + 1
+(* Whether [emit_timing] would write anything at [now_ns]: decided
+   before any byte is written, so a due timing packet can flush the
+   pending TNT run first and the run's bytes land physically before the
+   timing bytes.  A due MTC boundary is due timing whatever CYC does
+   after it; without one, CYC is due iff time moved past the decoder's
+   clock. *)
+let timing_due t ts ~now_ns =
+  match t.config.Config.timing with
+  | Config.No_timing -> false
+  | Config.Mtc_only { mtc_period_ns } -> now_ns / mtc_period_ns > ts.last_ctc
+  | Config.Cyc_and_mtc { mtc_period_ns } ->
+    now_ns / mtc_period_ns > ts.last_ctc || now_ns > ts.last_timing_ns
 
 (* The decoder clock value after the emitted MTC/TMA, or -1 when no
    boundary passed.  The hardware clock ticks MTC through quiet periods
    too; we model the first boundary after the previous activity
    explicitly (it is what bounds the preceding event's upper timestamp to
    one period) and compress the rest of a long gap into a TMA re-sync. *)
-let mtc_like t ts ~into ~now_ns ~period =
+let mtc_like t ts ~now_ns ~period =
   let ctc = now_ns / period in
   if ctc > ts.last_ctc then begin
     let jumped = ctc - ts.last_ctc in
-    if jumped > 1 then
-      emit_timing_packet t into
-        (Packet.Mtc { ctc = (ts.last_ctc + 1) land 0xff });
+    if jumped > 1 then begin
+      Packet.put_mtc ts.ring ~ctc:((ts.last_ctc + 1) land 0xff);
+      t.timing_packets <- t.timing_packets + 1
+    end;
     ts.last_ctc <- ctc;
+    t.timing_packets <- t.timing_packets + 1;
     if jumped > mtc_wrap_guard then begin
-      emit_timing_packet t into (Packet.Tma { tsc = now_ns });
+      Packet.put_tma ts.ring ~tsc:now_ns;
       now_ns
     end
     else begin
-      emit_timing_packet t into (Packet.Mtc { ctc = ctc land 0xff });
+      Packet.put_mtc ts.ring ~ctc:(ctc land 0xff);
       ctc * period
     end
   end
@@ -113,104 +121,84 @@ let mtc_like t ts ~into ~now_ns ~period =
 (* [last_timing_ns] mirrors the clock a decoder reconstructs, so CYC
    deltas are relative to the decoder's state, not the raw event times —
    otherwise an MTC followed by a CYC would double-count the gap. *)
-let emit_timing t ts ~into ~now_ns =
+let emit_timing t ts ~now_ns =
   match t.config.Config.timing with
   | Config.No_timing -> ()
   | Config.Mtc_only { mtc_period_ns } ->
-    let decoder_time = mtc_like t ts ~into ~now_ns ~period:mtc_period_ns in
+    let decoder_time = mtc_like t ts ~now_ns ~period:mtc_period_ns in
     if decoder_time >= 0 then ts.last_timing_ns <- decoder_time
   | Config.Cyc_and_mtc { mtc_period_ns } ->
-    let decoder_time = mtc_like t ts ~into ~now_ns ~period:mtc_period_ns in
+    let decoder_time = mtc_like t ts ~now_ns ~period:mtc_period_ns in
     if decoder_time >= 0 then ts.last_timing_ns <- decoder_time;
     if now_ns > ts.last_timing_ns then begin
-      emit_timing_packet t into
-        (Packet.Cyc { delta = now_ns - ts.last_timing_ns });
+      Packet.put_cyc ts.ring ~delta:(now_ns - ts.last_timing_ns);
+      t.timing_packets <- t.timing_packets + 1;
       ts.last_timing_ns <- now_ns
     end
 
+(* PSB + FUP; returns their byte count. *)
 let emit_psb t ts ~now_ns ~pc =
-  Packet.encode t.scratch (Packet.Psb { tsc = now_ns });
-  Packet.encode t.scratch (Packet.Fup { pc });
+  let w0 = Ringbuf.total_written ts.ring in
+  Packet.put_psb ts.ring ~tsc:now_ns;
+  Packet.put_fup ts.ring ~pc;
   ts.bytes_since_psb <- 0;
   ts.last_timing_ns <- now_ns;
   (match t.config.Config.timing with
   | Config.Cyc_and_mtc { mtc_period_ns } | Config.Mtc_only { mtc_period_ns } ->
     ts.last_ctc <- now_ns / mtc_period_ns
   | Config.No_timing -> ());
-  ts.started <- true
+  ts.started <- true;
+  Ringbuf.total_written ts.ring - w0
 
-(* The bytes a PSB+FUP adds to [scratch]. *)
-let psb_bytes t ts ~now_ns ~pc =
-  let len0 = Buffer.length t.scratch in
-  emit_psb t ts ~now_ns ~pc;
-  Buffer.length t.scratch - len0
-
-(* Stage the event's timing packets in a side buffer: whether any are
-   due decides whether the pending TNT run must flush first (a packed
-   run cannot span a timing packet), and staging keeps the flush bytes
-   physically before the timing bytes in the ring. *)
-let stage_timing t ts ~now_ns =
-  Buffer.clear t.timing_scratch;
-  emit_timing t ts ~into:t.timing_scratch ~now_ns;
-  Buffer.length t.timing_scratch > 0
-
-(* Append the staged timing packets; returns their byte count. *)
-let commit_timing t =
-  Buffer.add_buffer t.scratch t.timing_scratch;
-  Buffer.length t.timing_scratch
+(* The pending run flushes first (its bits were charged at their own
+   events); returns the timing bytes written after it. *)
+let flush_then_timing t ts ~now_ns =
+  flush_pending ts;
+  let w0 = Ringbuf.total_written ts.ring in
+  emit_timing t ts ~now_ns;
+  Ringbuf.total_written ts.ring - w0
 
 let on_control t ~time event =
   t.events_seen <- t.events_seen + 1;
   let now_ns = int_of_float time in
   let tid = Sim.Hooks.control_event_tid event in
   let ts = thread_state t tid in
-  Buffer.clear t.scratch;
+  let written0 = Ringbuf.total_written ts.ring in
   (* v1-equivalent bytes for this event: drives the cost model and the
      PSB pacing.  Flushed packed packets are excluded — their bits were
      charged at their own events. *)
   let charged =
     match event with
-    | Sim.Hooks.Thread_start { entry_pc; _ } ->
-      psb_bytes t ts ~now_ns ~pc:entry_pc
+    | Sim.Hooks.Thread_start { entry_pc; _ } -> emit_psb t ts ~now_ns ~pc:entry_pc
     | Sim.Hooks.Cond_branch { pc; taken; _ } ->
       let psb =
         if ts.started && ts.bytes_since_psb >= t.config.Config.psb_period_bytes
         then begin
-          flush_pending t ts;
-          psb_bytes t ts ~now_ns ~pc
+          flush_pending ts;
+          emit_psb t ts ~now_ns ~pc
         end
         else 0
       in
       let timing =
-        if stage_timing t ts ~now_ns then begin
-          flush_pending t ts;
-          commit_timing t
-        end
-        else 0
+        if timing_due t ts ~now_ns then flush_then_timing t ts ~now_ns else 0
       in
-      if ts.pend_count = Packet.tnt_max_bits then flush_pending t ts;
+      if ts.pend_count = Packet.tnt_max_bits then flush_pending ts;
       ts.pend_bits <-
         ts.pend_bits lor ((if taken then 1 else 0) lsl ts.pend_count);
       ts.pend_count <- ts.pend_count + 1;
       (* The v1 per-bit TNT is header + payload: 2 wire bytes. *)
       psb + timing + 2
     | Sim.Hooks.Ret_branch { target_pc; _ } ->
-      let (_ : bool) = stage_timing t ts ~now_ns in
       (* A TIP is not a TNT bit: the pending run always flushes here. *)
-      flush_pending t ts;
-      let timing = commit_timing t in
-      let len0 = Buffer.length t.scratch in
+      let timing = flush_then_timing t ts ~now_ns in
+      let w0 = Ringbuf.total_written ts.ring in
       (match target_pc with
-      | Some pc -> Packet.encode t.scratch (Packet.Tip { pc })
-      | None -> Packet.encode t.scratch Packet.Tip_end);
-      timing + (Buffer.length t.scratch - len0)
+      | Some pc -> Packet.put_tip ts.ring ~pc
+      | None -> Packet.put_tip_end ts.ring);
+      timing + (Ringbuf.total_written ts.ring - w0)
     | Sim.Hooks.Thread_exit _ -> 0
   in
-  let produced = Buffer.length t.scratch in
-  if produced > 0 then begin
-    Ringbuf.write_buffer ts.ring t.scratch;
-    t.bytes_written <- t.bytes_written + produced
-  end;
+  t.bytes_written <- t.bytes_written + (Ringbuf.total_written ts.ring - written0);
   ts.bytes_since_psb <- ts.bytes_since_psb + charged;
   let c = t.config.Config.costs in
   c.Config.per_event_ns
@@ -223,10 +211,9 @@ let snapshot t =
   Array.iter
     (function
       | Some ts when ts.pend_count > 0 ->
-        Buffer.clear t.scratch;
-        flush_pending t ts;
-        Ringbuf.write_buffer ts.ring t.scratch;
-        t.bytes_written <- t.bytes_written + Buffer.length t.scratch
+        let w0 = Ringbuf.total_written ts.ring in
+        flush_pending ts;
+        t.bytes_written <- t.bytes_written + (Ringbuf.total_written ts.ring - w0)
       | Some _ | None -> ())
     t.threads;
   (* Snapshot is the reconciliation point, so the hot per-event path never

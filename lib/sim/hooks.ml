@@ -12,9 +12,6 @@ type sched_event =
 type access_kind = Read | Write | Free
 
 type obs_event =
-  | Obs_access of
-      { tid : int; iid : int; addr : int; size : int; kind : access_kind;
-        time : float }
   | Obs_lock_attempt of { tid : int; iid : int; addr : int; time : float }
   | Obs_lock_acquired of { tid : int; iid : int; addr : int; time : float }
   | Obs_lock_released of { tid : int; iid : int; addr : int; time : float }
@@ -36,12 +33,15 @@ type t = {
   gate : (tid:int -> time:float -> Lir.Instr.t -> float) option;
   on_sched : (sched_event -> unit) option;
   on_obs : (obs_event -> unit) option;
+  on_access :
+    (tid:int -> iid:int -> addr:int -> size:int -> kind:access_kind -> unit)
+    option;
   watch : watch list;
 }
 
 let none =
   { on_control = None; on_instr = None; gate = None; on_sched = None;
-    on_obs = None; watch = [] }
+    on_obs = None; on_access = None; watch = [] }
 
 let combine a b =
   let on_control =
@@ -71,7 +71,17 @@ let combine a b =
     | None, f | f, None -> f
     | Some f, Some g -> Some (fun e -> f e; g e)
   in
-  { on_control; on_instr; gate; on_sched; on_obs; watch = a.watch @ b.watch }
+  let on_access =
+    match a.on_access, b.on_access with
+    | None, f | f, None -> f
+    | Some f, Some g ->
+      Some
+        (fun ~tid ~iid ~addr ~size ~kind ->
+          f ~tid ~iid ~addr ~size ~kind;
+          g ~tid ~iid ~addr ~size ~kind)
+  in
+  { on_control; on_instr; gate; on_sched; on_obs; on_access;
+    watch = a.watch @ b.watch }
 
 let control_event_tid = function
   | Thread_start { tid; _ } -> tid

@@ -32,17 +32,12 @@ type sched_event =
 
 type access_kind = Read | Write | Free
 
-(** Ground-truth observation stream for happens-before analysis.  Every
-    event names the dynamic instruction ([iid]) it stems from, so a
+(** Ground-truth synchronization stream for happens-before analysis.
+    Every event names the dynamic instruction ([iid]) it stems from, so a
     consumer can relate the stream back to static code.  Lock/condvar
-    events carry the synchronization object's address; accesses carry the
-    byte range they touch ([size] is the pointee size for loads/stores and
-    the whole block extent for [free], which acts as a write to the
-    entire allocation). *)
+    events carry the synchronization object's address.  Memory accesses
+    arrive through their own callback, [on_access]. *)
 type obs_event =
-  | Obs_access of
-      { tid : int; iid : int; addr : int; size : int; kind : access_kind;
-        time : float }
   | Obs_lock_attempt of { tid : int; iid : int; addr : int; time : float }
       (** fires before the outcome is known, including for attempts that
           block or close a deadlock cycle — this is what exposes
@@ -87,11 +82,23 @@ type t = {
           returns no cost: telemetry must never perturb the virtual
           timeline it measures. *)
   on_obs : (obs_event -> unit) option;
-      (** Pure observation of memory accesses and synchronization, the
-          feed for the {!Analysis.Hb} happens-before oracle.  Like
-          [on_sched] it returns no cost, so attaching an observer cannot
-          change the interleaving being observed — replaying a failing
-          seed with an observer reproduces the identical execution. *)
+      (** Pure observation of synchronization, half the feed for the
+          {!Analysis.Hb} happens-before oracle.  Like [on_sched] it
+          returns no cost, so attaching an observer cannot change the
+          interleaving being observed — replaying a failing seed with an
+          observer reproduces the identical execution. *)
+  on_access :
+    (tid:int -> iid:int -> addr:int -> size:int -> kind:access_kind -> unit)
+    option;
+      (** Pure observation of memory accesses, the other half of the HB
+          feed: each load, store and free, with the byte range it touches
+          ([size] is the pointee size for loads/stores and the whole
+          block extent for [Free], which acts as a write to the entire
+          allocation).  Fired at the point the combined stream had it, so
+          a consumer of both callbacks sees one linearization.  Its
+          arguments are immediate, so a call allocates nothing; a
+          synchronization-only observer leaves it [None] and the
+          interpreter builds nothing per access. *)
   watch : watch list;
       (** Native pc watchpoints, checked in list order; a pc listed by
           two watches calls both.  [combine] concatenates the lists, and

@@ -223,13 +223,9 @@ let fire_obs st event =
   match st.hooks.Hooks.on_obs with None -> () | Some f -> f event
 
 let fire_access st th (i : Lir.Instr.t) ~addr ~size ~kind =
-  match st.hooks.Hooks.on_obs with
+  match st.hooks.Hooks.on_access with
   | None -> ()
-  | Some f ->
-    f
-      (Hooks.Obs_access
-         { tid = th.tid; iid = i.Lir.Instr.iid; addr; size; kind;
-           time = th.clock.ns })
+  | Some f -> f ~tid:th.tid ~iid:i.Lir.Instr.iid ~addr ~size ~kind
 
 (* A blocked thread just became runnable: report how long it was parked.
    [since] is when it blocked; its clock was already advanced to the wake
@@ -412,18 +408,15 @@ let exec_intrinsic st th frame (i : Lir.Instr.t) dst code args =
     let addr = arg st frame args 0 in
     (* Observed before the free so the block extent is still known: a free
        invalidates every byte of the allocation, i.e. writes the range. *)
-    (match st.hooks.Hooks.on_obs with
+    (match st.hooks.Hooks.on_access with
     | None -> ()
-    | Some f ->
+    | Some _ ->
       let size =
         match Memory.heap_block_size st.mem addr with
         | Some s -> max 1 s
         | None -> 1
       in
-      f
-        (Hooks.Obs_access
-           { tid = th.tid; iid = i.Lir.Instr.iid; addr; size;
-             kind = Hooks.Free; time = th.clock.ns }));
+      fire_access st th i ~addr ~size ~kind:Hooks.Free);
     match Memory.free_heap st.mem addr with
     | Ok () -> ()
     | Error err -> crash st th i err addr)

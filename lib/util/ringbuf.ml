@@ -54,12 +54,11 @@ let write_byte t b =
   if t.filled < t.cap then t.filled <- t.filled + 1;
   t.written <- t.written + 1
 
-(* Append [n] bytes of [src], copied by [blit src src_off dst dst_off
-   len]; [src] is passed separately so no partial application is
-   allocated per write.  Of a write longer than the capacity only the
-   last [cap] bytes survive; the skipped prefix still advances the write
-   position, as if written byte by byte. *)
-let write_with t n blit src =
+(* Of a write longer than the capacity only the last [cap] bytes
+   survive; the skipped prefix still advances the write position, as if
+   written byte by byte. *)
+let write_bytes t src =
+  let n = Bytes.length src in
   if n > 0 then begin
     let cap = t.cap in
     if Bytes.length t.data < cap then reserve t (min cap (t.written + n));
@@ -67,15 +66,12 @@ let write_with t n blit src =
     let m = n - skip in
     let head = (t.head + skip) mod cap in
     let first = min m (cap - head) in
-    blit src skip t.data head first;
-    if m > first then blit src (skip + first) t.data 0 (m - first);
+    Bytes.blit src skip t.data head first;
+    if m > first then Bytes.blit src (skip + first) t.data 0 (m - first);
     t.head <- (head + m) mod cap;
     t.filled <- min cap (t.filled + n);
     t.written <- t.written + n
   end
-
-let write_bytes t src = write_with t (Bytes.length src) Bytes.blit src
-let write_buffer t buf = write_with t (Buffer.length buf) Buffer.blit buf
 
 let snapshot t =
   let n = t.filled in

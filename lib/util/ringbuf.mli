@@ -38,9 +38,6 @@ val write_byte : t -> int -> unit
 val write_bytes : t -> bytes -> unit
 (** Append all bytes of the argument. *)
 
-val write_buffer : t -> Buffer.t -> unit
-(** Append the buffer's contents, without an intermediate copy. *)
-
 val snapshot : t -> bytes
 (** Surviving bytes, oldest first.  Does not modify the buffer; allocates
     only the result. *)

@@ -241,12 +241,10 @@ let golden_text () =
           let note =
             {
               Sim.Hooks.none with
-              Sim.Hooks.on_obs =
+              Sim.Hooks.on_access =
                 Some
-                  (function
-                  | Sim.Hooks.Obs_access { iid; _ } ->
-                    accessed := iid :: !accessed
-                  | _ -> ());
+                  (fun ~tid:_ ~iid ~addr:_ ~size:_ ~kind:_ ->
+                    accessed := iid :: !accessed);
             }
           in
           let config =

@@ -54,6 +54,71 @@ let test_patches_verify_and_localize () =
     Corpus.Registry.all;
   Alcotest.(check bool) "patched something" true (!patched_total > 0)
 
+(* The iid tables a synthesis keeps current edit by edit must answer,
+   after every single [Rewrite] mutation of every template on every bug,
+   what a from-scratch layout of the same functions answers.  The
+   reference module shares the edited functions but is laid out on its
+   own, so the check never relays out the module under edit. *)
+let check_index_fresh what m =
+  let fresh = Lir.Irmod.create "fresh" in
+  List.iter (Lir.Irmod.add_func fresh) (Lir.Irmod.funcs m);
+  Lir.Irmod.invalidate_layout fresh;
+  Lir.Irmod.layout fresh;
+  let hi = ref 0 in
+  Lir.Irmod.iter_instrs fresh (fun _ _ i -> hi := max !hi i.Lir.Instr.iid);
+  let find f iid = match f iid with v -> Some v | exception Not_found -> None in
+  for iid = -1 to !hi + 2 do
+    let same =
+      (match
+         (find (Lir.Irmod.instr_by_iid m) iid, find (Lir.Irmod.instr_by_iid fresh) iid)
+       with
+      | Some a, Some b -> a == b
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+      &&
+      match
+        (find (Lir.Irmod.location_of_iid m) iid, find (Lir.Irmod.location_of_iid fresh) iid)
+      with
+      | Some (f, b), Some (f', b') -> f == f' && b == b'
+      | None, None -> true
+      | Some _, None | None, Some _ -> false
+    in
+    if not same then Alcotest.failf "%s: iid %d differs from a fresh layout" what iid
+  done
+
+let test_index_after_every_edit () =
+  let edits = ref 0 in
+  List.iter
+    (fun (bug : Corpus.Bug.t) ->
+      match Experiments.Eval_runs.get_result bug with
+      | Error msg -> Alcotest.failf "%s did not reproduce: %s" bug.id msg
+      | Ok entry -> (
+        match entry.Experiments.Eval_runs.diagnosis.Core.Diagnosis.top with
+        | None -> Alcotest.failf "%s diagnosed no pattern" bug.id
+        | Some top ->
+          let pristine = (bug.build ()).Corpus.Bug.m in
+          Lir.Irmod.layout pristine;
+          List.iter
+            (fun template ->
+              let m = Lir.Irmod.copy pristine in
+              let gen = ref (-1) in
+              let what = bug.id ^ "/" ^ Fix.Patch.template_name template in
+              let check m =
+                incr edits;
+                (* The edit must not have laid the module out again. *)
+                if !gen >= 0 && Lir.Irmod.generation m <> !gen then
+                  Alcotest.failf "%s: an edit relaid out the module" what;
+                gen := Lir.Irmod.generation m;
+                check_index_fresh what m
+              in
+              ignore
+                (Lir.Rewrite.with_edit_observer check (fun () ->
+                     Fix.Patch.synthesize ~m ~pattern:top.Core.Statistics.pattern
+                       template)))
+            (Fix.Patch.candidates top.Core.Statistics.pattern)))
+    Corpus.Registry.all;
+  Alcotest.(check bool) "edits observed" true (!edits > 100)
+
 (* A deliberately wrong patch — the new mutex bracketing only the remote
    side of a diagnosed atomicity pair — must not earn [Fixed]: the
    HB-oracle sweep still sees the diagnosed pair racy (or the failure
@@ -231,6 +296,8 @@ let tests =
       [
         Alcotest.test_case "patches verify and localize" `Slow
           test_patches_verify_and_localize;
+        Alcotest.test_case "iid tables current after every edit" `Slow
+          test_index_after_every_edit;
         Alcotest.test_case "patch invalidates the decode key" `Quick
           test_patch_invalidates_key;
       ] );

@@ -488,6 +488,135 @@ let test_layout_unknown_iids () =
         (fun () -> ignore (Lir.Irmod.location_of_iid m iid)))
     [ -1; min_int; Lir.Irmod.instr_count m; Lir.Irmod.fresh_iid m; max_int ]
 
+(* --- copies of corpus modules ----------------------------------------- *)
+
+let corpus_modules () =
+  List.map
+    (fun (bug : Corpus.Bug.t) -> (bug, (bug.build ()).Corpus.Bug.m))
+    Corpus.Registry.all
+
+let pcs_of m =
+  Lir.Irmod.layout m;
+  let acc = ref [] in
+  Lir.Irmod.iter_instrs m (fun _ _ i -> acc := (i.Lir.Instr.iid, i.Lir.Instr.pc) :: !acc);
+  List.rev !acc
+
+(* A copy is indistinguishable from a fresh build: the same text, the
+   same pcs once laid out, and the same next iid and register — whether
+   the original was laid out (as the fix loop's collected module is) or
+   not. *)
+let test_copy_matches_fresh_build () =
+  List.iter
+    (fun ((bug : Corpus.Bug.t), m) ->
+      List.iter
+        (fun laid_out ->
+          if laid_out then Lir.Irmod.layout m;
+          let c = Lir.Irmod.copy m in
+          let fresh = (bug.build ()).Corpus.Bug.m in
+          let what l = Printf.sprintf "%s (laid out %b): %s" bug.id laid_out l in
+          Alcotest.(check string) (what "text")
+            (Lir.Printer.module_to_string fresh)
+            (Lir.Printer.module_to_string c);
+          Alcotest.(check bool) (what "pcs") true (pcs_of fresh = pcs_of c);
+          Alcotest.(check int) (what "instr count")
+            (Lir.Irmod.instr_count fresh) (Lir.Irmod.instr_count c);
+          Alcotest.(check int) (what "next iid") (Lir.Irmod.fresh_iid fresh)
+            (Lir.Irmod.fresh_iid c);
+          let reg m = (Lir.Irmod.fresh_reg m ~name:"r" ~ty:T.I64).V.rname in
+          Alcotest.(check string) (what "next register") (reg fresh) (reg c))
+        [ false; true ])
+    (corpus_modules ())
+
+(* Edits to a copy — spliced instructions, split blocks, appended
+   blocks, retargeted branches, new globals — never reach the original:
+   its text, pcs and lookups are what they were. *)
+let test_copy_edits_stay_in_copy () =
+  List.iter
+    (fun ((bug : Corpus.Bug.t), m) ->
+      Lir.Irmod.layout m;
+      let text = Lir.Printer.module_to_string m and pcs = pcs_of m in
+      let gen = Lir.Irmod.generation m in
+      let c = Lir.Irmod.copy m in
+      let g = Lir.Rewrite.fresh_global c ~base:"__copy_only" T.I64 in
+      let work = Lir.Instr.Call { dst = None; callee = Lir.Intrinsics.work; args = [ V.i64 1 ] } in
+      List.iter
+        (fun (f : Lir.Func.t) ->
+          let first = List.hd (Lir.Func.entry f).Lir.Block.instrs in
+          ignore (Lir.Rewrite.insert_before c ~iid:first.Lir.Instr.iid [ work ]);
+          let label = Lir.Rewrite.fresh_label f ~base:"__copy_cont" in
+          ignore (Lir.Rewrite.split_before c ~iid:first.Lir.Instr.iid ~label);
+          let extra = Lir.Rewrite.fresh_label f ~base:"__copy_extra" in
+          ignore
+            (Lir.Rewrite.append_block c f ~label:extra [ work; Lir.Instr.Br label ]);
+          Lir.Rewrite.retarget c (Lir.Func.entry f) ~from_:label ~to_:extra)
+        (Lir.Irmod.funcs c);
+      Lir.Verify.check_exn c;
+      Lir.Irmod.layout c;
+      Alcotest.(check bool) (bug.id ^ ": copy changed") true
+        (Lir.Printer.module_to_string c <> text);
+      Alcotest.(check string) (bug.id ^ ": original text") text
+        (Lir.Printer.module_to_string m);
+      Alcotest.(check bool) (bug.id ^ ": original pcs") true (pcs_of m = pcs);
+      Alcotest.(check int) (bug.id ^ ": original not relaid out") gen
+        (Lir.Irmod.generation m);
+      Alcotest.check_raises (bug.id ^ ": global stays in the copy") Not_found
+        (fun () -> ignore (Lir.Irmod.global_ty m g));
+      Lir.Irmod.iter_instrs m (fun f b i ->
+          let f', b' = Lir.Irmod.location_of_iid m i.Lir.Instr.iid in
+          Alcotest.(check bool) (bug.id ^ ": original lookups") true
+            (Lir.Irmod.instr_by_iid m i.Lir.Instr.iid == i && f' == f && b' == b)))
+    (corpus_modules ())
+
+(* --- block lookups against a reference walk ------------------------- *)
+
+(* Every block-start query on every corpus module, for every pc from 0
+   to a page past the end — below 0x1000, unaligned, inter-function
+   padding and past the end included — answers what a walk over the
+   laid-out blocks answers. *)
+let test_block_lookups_match_walk () =
+  List.iter
+    (fun ((bug : Corpus.Bug.t), m) ->
+      Lir.Irmod.layout m;
+      let starts = Hashtbl.create 256 and hi = ref 0 in
+      List.iter
+        (fun (f : Lir.Func.t) ->
+          List.iter
+            (fun (b : Lir.Block.t) ->
+              match b.Lir.Block.instrs with
+              | [] -> ()
+              | i :: _ ->
+                Hashtbl.replace starts i.Lir.Instr.pc (f, b);
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: block_start_pc %s/%s" bug.id f.fname
+                     b.Lir.Block.label)
+                  i.Lir.Instr.pc
+                  (Lir.Irmod.block_start_pc m ~fname:f.fname ~label:b.Lir.Block.label))
+            f.Lir.Func.blocks)
+        (Lir.Irmod.funcs m);
+      Lir.Irmod.iter_instrs m (fun _ _ i -> hi := max !hi i.Lir.Instr.pc);
+      for pc = 0 to !hi + 0x1000 do
+        let expect = Hashtbl.find_opt starts pc in
+        if Lir.Irmod.is_block_start m pc <> Option.is_some expect then
+          Alcotest.failf "%s: is_block_start 0x%x" bug.id pc;
+        match (expect, Lir.Irmod.block_at_pc m pc) with
+        | Some (f, b), (f', b') ->
+          if not (f == f' && b == b') then
+            Alcotest.failf "%s: block_at_pc 0x%x" bug.id pc
+        | None, _ -> Alcotest.failf "%s: block_at_pc 0x%x resolved" bug.id pc
+        | exception Not_found ->
+          if expect <> None then Alcotest.failf "%s: block_at_pc 0x%x missed" bug.id pc
+      done;
+      List.iter
+        (fun pc ->
+          Alcotest.(check bool) (Printf.sprintf "%s: pc %d" bug.id pc) false
+            (Lir.Irmod.is_block_start m pc))
+        [ -4; -1; min_int; max_int; max_int - 3 ];
+      Alcotest.check_raises (bug.id ^ ": unknown label") Not_found (fun () ->
+          ignore (Lir.Irmod.block_start_pc m ~fname:bug.entry ~label:"__none"));
+      Alcotest.check_raises (bug.id ^ ": unknown function") Not_found (fun () ->
+          ignore (Lir.Irmod.block_start_pc m ~fname:"__none" ~label:"entry")))
+    (corpus_modules ())
+
 let tests =
   [
     ( "ir.types",
@@ -516,6 +645,15 @@ let tests =
           test_rewrite_tables_match_fresh_layout;
         Alcotest.test_case "unknown iids raise Not_found" `Quick
           test_layout_unknown_iids;
+        Alcotest.test_case "block lookups match a walk" `Quick
+          test_block_lookups_match_walk;
+      ] );
+    ( "ir.copy",
+      [
+        Alcotest.test_case "copy matches a fresh build" `Quick
+          test_copy_matches_fresh_build;
+        Alcotest.test_case "edits stay in the copy" `Quick
+          test_copy_edits_stay_in_copy;
       ] );
     ( "ir.verify",
       [

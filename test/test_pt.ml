@@ -1220,6 +1220,63 @@ let prop_cache_multidomain_accounting =
 
 let qtest = QCheck_alcotest.to_alcotest
 
+(* --- tracer encoding identity ----------------------------------------- *)
+
+(* The tracer writes packets straight into its rings; [Packet.encode] stays
+   the reference encoding.  Every ring of every corpus bug on seeds 1-20,
+   read back packet by packet and re-encoded, must give its own bytes. *)
+let reencode ring =
+  let buf = Buffer.create (Bytes.length ring) in
+  let c = Packet.Cursor.make ring ~pos:0 in
+  let rec go () =
+    Packet.Cursor.advance c;
+    let v = c.Packet.Cursor.value in
+    let p =
+      match c.Packet.Cursor.kind with
+      | Packet.Cursor.Eof -> None
+      | Packet.Cursor.Psb -> Some (Packet.Psb { tsc = v })
+      | Packet.Cursor.Fup -> Some (Packet.Fup { pc = v })
+      | Packet.Cursor.Tip -> Some (Packet.Tip { pc = v })
+      | Packet.Cursor.Tip_end -> Some Packet.Tip_end
+      | Packet.Cursor.Tnt ->
+        Some (Packet.Tnt_packed { bits = v; count = c.Packet.Cursor.count })
+      | Packet.Cursor.Mtc -> Some (Packet.Mtc { ctc = v })
+      | Packet.Cursor.Tma -> Some (Packet.Tma { tsc = v })
+      | Packet.Cursor.Cyc -> Some (Packet.Cyc { delta = v })
+    in
+    match p with
+    | None -> ()
+    | Some p ->
+      Packet.encode buf p;
+      go ()
+  in
+  go ();
+  Buffer.to_bytes buf
+
+let test_tracer_rings_reencode () =
+  let rings = ref 0 in
+  List.iter
+    (fun (bug : Corpus.Bug.t) ->
+      let built = bug.build () in
+      for seed = 1 to 20 do
+        match Corpus.Runner.run_traced ~built ~entry:bug.entry ~seed () with
+        | exception Failure _ -> ()
+        | run ->
+          List.iter
+            (fun (tid, ring) ->
+              incr rings;
+              (* Unwrapped at the default 64 KB: the ring starts at its PSB. *)
+              if Bytes.length ring > 0 && Packet.scan_psb ring ~pos:0 <> Some 0 then
+                Alcotest.failf "%s seed %d tid %d: ring does not start at a PSB"
+                  bug.id seed tid;
+              if not (Bytes.equal (reencode ring) ring) then
+                Alcotest.failf "%s seed %d tid %d: re-encoded ring differs" bug.id
+                  seed tid)
+            (Pt.Tracer.snapshot (Pt.Driver.tracer run.Corpus.Runner.driver))
+      done)
+    Corpus.Registry.all;
+  Alcotest.(check bool) "rings checked" true (!rings > 1000)
+
 let tests =
   [
     ( "pt.packets",
@@ -1230,6 +1287,7 @@ let tests =
         qtest prop_packed_tnt_equals_per_bit;
         Alcotest.test_case "psb after garbage" `Quick test_psb_found_after_garbage;
         Alcotest.test_case "truncated dropped" `Quick test_truncated_packet_dropped;
+        Alcotest.test_case "tracer rings re-encode" `Quick test_tracer_rings_reencode;
       ] );
     ( "pt.decoder",
       [

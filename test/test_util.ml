@@ -182,23 +182,19 @@ let prop_ringbuf_suffix =
    growth steps and the wrap point; capacities include 1, non-powers of
    two and sizes above the initial storage; a clear can land after the
    storage has grown. *)
-type ring_op = Chunk of string * int | Byte of int | Clear
+type ring_op = Chunk of string | Byte of int | Clear
 
 let ring_op_gen =
   QCheck.Gen.(
     frequency
       [
-        ( 8,
-          map2
-            (fun s via -> Chunk (s, via))
-            (string_size ~gen:char (int_range 0 700))
-            (int_range 0 1) );
+        (8, map (fun s -> Chunk s) (string_size ~gen:char (int_range 0 700)));
         (3, map (fun b -> Byte b) (int_range (-300) 300));
         (1, return Clear);
       ])
 
 let show_ring_op = function
-  | Chunk (s, via) -> Printf.sprintf "chunk(%d,%d)" (String.length s) via
+  | Chunk s -> Printf.sprintf "chunk(%d)" (String.length s)
   | Byte b -> Printf.sprintf "byte(%d)" b
   | Clear -> "clear"
 
@@ -235,13 +231,8 @@ let prop_ringbuf_model =
       List.iter
         (fun op ->
           (match op with
-          | Chunk (s, 0) ->
+          | Chunk s ->
             Ringbuf.write_bytes rb (Bytes.of_string s);
-            Buffer.add_string model s
-          | Chunk (s, _) ->
-            let b = Buffer.create 8 in
-            Buffer.add_string b s;
-            Ringbuf.write_buffer rb b;
             Buffer.add_string model s
           | Byte v ->
             Ringbuf.write_byte rb v;
