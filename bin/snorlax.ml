@@ -207,16 +207,10 @@ let diagnose_bug id verbose decode_jobs decode_cache obs =
       end;
       if emit_obs obs then 0 else 1)
 
-let watch_tick (p : Fleet.Deploy.progress) =
-  Printf.printf "%s\n%!" (Fleet.Deploy.watch_line p)
-
 let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
   apply_decode_opts decode_jobs decode_cache;
   if not (setup_obs obs) then 1
   else begin
-  (* --watch reads stage percentiles out of the ambient registry, so it
-     needs the scope even when no export flag asked for one. *)
-  if watch && not (Obs.Scope.enabled ()) then ignore (Obs.Scope.enable ());
   let bugs = select_bugs ~corpus:Corpus.Registry.eval_set bug_id all in
   match bugs with
   | Error msg ->
@@ -227,8 +221,12 @@ let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
       "Deploying %d endpoints x %d scenario%s; collecting wire reports...\n%!"
       n_endpoints (List.length bugs)
       (if List.length bugs = 1 then "" else "s");
-    let tick = if watch then Some watch_tick else None in
-    let s = Fleet.Deploy.run ?tick ~endpoints:n_endpoints bugs in
+    let tick =
+      if watch then
+        Some (fun p -> Printf.printf "%s\n%!" (Stream.Deploy.watch_line p))
+      else None
+    in
+    let s = Stream.Deploy.once ?tick ~endpoints:n_endpoints bugs in
     let t =
       Snorlax_util.Tablefmt.create
         ~headers:
@@ -238,61 +236,70 @@ let fleet_run n_endpoints bug_id all watch decode_jobs decode_cache obs =
           ]
     in
     List.iter
-      (fun (r : Fleet.Deploy.bucket_row) ->
+      (fun (r : Stream.Deploy.bucket_row) ->
         Snorlax_util.Tablefmt.add_row t
           [
-            r.Fleet.Deploy.bug_id;
-            r.Fleet.Deploy.signature;
-            string_of_int r.Fleet.Deploy.endpoints_hit;
-            Printf.sprintf "%d/%d" r.Fleet.Deploy.failing_kept
-              r.Fleet.Deploy.failing_dropped;
-            Printf.sprintf "%d/%d" r.Fleet.Deploy.success_kept
-              r.Fleet.Deploy.success_dropped;
-            string_of_int r.Fleet.Deploy.wire_bytes;
-            Option.value ~default:"-" r.Fleet.Deploy.top_pattern;
-            Printf.sprintf "%.2f" r.Fleet.Deploy.f1;
-            (if r.Fleet.Deploy.top_pattern = None then "-"
-             else if r.Fleet.Deploy.root_cause_match then
-               Printf.sprintf "match (A_O %.0f%%)" r.Fleet.Deploy.ordering_accuracy
+            r.Stream.Deploy.bug_id;
+            r.Stream.Deploy.signature;
+            string_of_int r.Stream.Deploy.endpoints_hit;
+            Printf.sprintf "%d/%d" r.Stream.Deploy.failing_kept
+              r.Stream.Deploy.failing_dropped;
+            Printf.sprintf "%d/%d" r.Stream.Deploy.success_kept
+              r.Stream.Deploy.success_dropped;
+            string_of_int r.Stream.Deploy.wire_bytes;
+            Option.value ~default:"-" r.Stream.Deploy.top_pattern;
+            Printf.sprintf "%.2f" r.Stream.Deploy.f1;
+            (if r.Stream.Deploy.top_pattern = None then "-"
+             else if r.Stream.Deploy.root_cause_match then
+               Printf.sprintf "match (A_O %.0f%%)"
+                 r.Stream.Deploy.ordering_accuracy
              else "MISMATCH");
           ])
-      s.Fleet.Deploy.rows;
+      s.Stream.Deploy.rows;
     Snorlax_util.Tablefmt.print t;
     List.iter
-      (fun (r : Fleet.Deploy.bucket_row) ->
-        (match r.Fleet.Deploy.top_describe with
+      (fun (r : Stream.Deploy.bucket_row) ->
+        (match r.Stream.Deploy.top_describe with
         | Some d ->
-          Printf.printf "\n%s (%s):\n%s\n" r.Fleet.Deploy.bug_id
-            r.Fleet.Deploy.signature d
+          Printf.printf "\n%s (%s):\n%s\n" r.Stream.Deploy.bug_id
+            r.Stream.Deploy.signature d
         | None ->
           Printf.printf "\n%s (%s): no pattern diagnosed\n"
-            r.Fleet.Deploy.bug_id r.Fleet.Deploy.signature);
+            r.Stream.Deploy.bug_id r.Stream.Deploy.signature);
         List.iter
           (fun q -> Printf.printf "  qualifier: %s\n" q)
-          r.Fleet.Deploy.qualifiers)
-      s.Fleet.Deploy.rows;
+          r.Stream.Deploy.qualifiers)
+      s.Stream.Deploy.rows;
     Printf.printf
       "\n%d packets (%d wire bytes) from %d endpoint(s); %d bucket(s), dedup \
        %.1f:1, %d decode error(s), %d unrouted; diagnosis %.1f ms of %.1f ms \
        total.\n"
-      s.Fleet.Deploy.shipped s.Fleet.Deploy.wire_bytes s.Fleet.Deploy.endpoints
-      s.Fleet.Deploy.bucket_count s.Fleet.Deploy.dedup_ratio
-      s.Fleet.Deploy.decode_errors s.Fleet.Deploy.unrouted
-      (s.Fleet.Deploy.diagnosis_ns /. 1e6)
-      (s.Fleet.Deploy.total_ns /. 1e6);
+      s.Stream.Deploy.offered s.Stream.Deploy.wire_bytes n_endpoints
+      s.Stream.Deploy.bucket_count s.Stream.Deploy.dedup_ratio
+      s.Stream.Deploy.ingest_errors s.Stream.Deploy.unrouted
+      (s.Stream.Deploy.diagnosis_ns /. 1e6)
+      (s.Stream.Deploy.total_ns /. 1e6);
     Printf.printf "Report->diagnosis latency p50 %.1f ms, p99 %.1f ms.\n"
-      (s.Fleet.Deploy.latency_p50_ns /. 1e6)
-      (s.Fleet.Deploy.latency_p99_ns /. 1e6);
+      (s.Stream.Deploy.latency_p50_ns /. 1e6)
+      (s.Stream.Deploy.latency_p99_ns /. 1e6);
     let obs_ok = emit_obs obs in
     let diagnosed =
-      s.Fleet.Deploy.rows <> []
+      s.Stream.Deploy.rows <> []
       && List.for_all
-           (fun (r : Fleet.Deploy.bucket_row) ->
-             r.Fleet.Deploy.top_pattern <> None)
-           s.Fleet.Deploy.rows
+           (fun (r : Stream.Deploy.bucket_row) ->
+             r.Stream.Deploy.top_pattern <> None)
+           s.Stream.Deploy.rows
     in
     if not diagnosed then Printf.eprintf "fleet: some bucket had no diagnosis\n";
-    if diagnosed && obs_ok then 0 else 1
+    (* The stream plane's gates hold for the one-shot fleet too. *)
+    let gates =
+      s.Stream.Deploy.agree && s.Stream.Deploy.accounted
+      && s.Stream.Deploy.leftover_queue = 0
+    in
+    if not gates then
+      Printf.eprintf
+        "fleet: incremental != batch, accounting broken or queues not empty\n";
+    if diagnosed && gates && obs_ok then 0 else 1
   end
 
 let chaos_run seeds n_endpoints bug_id all fault_name out obs =
@@ -1001,17 +1008,17 @@ let fleet_cmd =
       value & flag
       & info [ "watch" ]
           ~doc:
-            "Print a snapshot line after every endpoint finishes: packets \
-             shipped, throughput, dedup ratio and the ingest/decode stage \
-             p50/p99 so far.")
+            "Print a snapshot line after every endpoint's shipment is \
+             routed and serviced: packets offered, shed and drained, \
+             throughput, queue depth and buckets so far.")
   in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
          "Simulate an in-production deployment: N endpoints run a corpus \
-          scenario under the PT driver, ship wire-format failure/success \
-          reports to the collector, which dedups them by crash signature \
-          and runs the statistical diagnosis per bucket across endpoints")
+          scenario under the PT driver and ship wire-format failure/success \
+          reports through the sharded stream service, which dedups them by \
+          crash signature and diagnoses each bucket across endpoints")
     Term.(
       const fleet_run $ endpoints $ bug $ all $ watch $ decode_jobs_arg
       $ decode_cache_arg $ obs_term)

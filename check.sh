@@ -59,6 +59,19 @@ if [ -n "$own" ]; then
   exit 1
 fi
 
+echo "== one fleet driver =="
+# Stream.Deploy is the one fleet loop: the one-shot fleet and the
+# continuous stream both reach the collectors through the router and the
+# shard service plane.  Only a shard's drain and the chaos harness (whose
+# trials check the collector itself) feed a collector directly.
+feeds=$(grep -rn "Collector\.ingest" lib bin bench \
+  | grep -vE "^lib/(fleet/collector|stream/shard|chaos/harness)\.ml:" || true)
+if [ -n "$feeds" ]; then
+  echo "$feeds"
+  echo "one fleet driver: a collector fed outside Stream.Deploy's shards"
+  exit 1
+fi
+
 echo "== one build per fix =="
 # The fix ladder patches Lir.Irmod.copy of the module the diagnosis ran
 # on; nothing under lib/fix builds (and verifies) the bug program again.

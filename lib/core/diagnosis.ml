@@ -9,14 +9,11 @@ type stage_counts = {
   after_statistics : int;
 }
 
-type timings = { hybrid_analysis_s : float; pipeline_s : float }
-
 type result = {
   scored : Statistics.scored list;
   top : Statistics.scored option;
   unique_top : bool;
   stage_counts : stage_counts;
-  timings : timings;
   anchor_iid : int;
   executed_count : int;
   desynced : bool;
@@ -146,13 +143,7 @@ let derive_in stage m ~executed ~(first : Report.failing_report) ~first_tp =
   (* Stage 5: candidates ranked by type. *)
   let candidates =
     stage.run "diagnosis/type_ranking" (fun () ->
-        let prefer_free =
-          match first.Report.info with
-          | Report.Crash_info { crash_kind = Report.Use_after_free; _ } -> true
-          | Report.Crash_info _ | Report.Deadlock_info _ -> false
-        in
-        Type_ranking.candidates m ~points_to ~executed ~anchor_iid ~prefer_free
-          ())
+        Type_ranking.candidates m ~points_to ~executed ~anchor_iid)
   in
   (* Stage 6: bug patterns from the first failing trace. *)
   let patterns =
@@ -207,7 +198,7 @@ let diagnose ?jobs ?cache m ~config ~failing ~successful =
         f sp)
   in
   let set_count sp n = Obs.Span.set_arg sp "candidates" (Obs.Span.Int n) in
-  stage "diagnosis" @@ fun root ->
+  stage "diagnosis" @@ fun _ ->
   (* Stage 1: code layout (pc assignment; a no-op when already laid out). *)
   stage "diagnosis/layout" (fun sp ->
       Lir.Irmod.layout m;
@@ -279,20 +270,11 @@ let diagnose ?jobs ?cache m ~config ~failing ~successful =
   set_count (span "diagnosis/type_ranking") stage_counts.after_type_ranking;
   set_count (span "diagnosis/patterns") stage_counts.after_patterns;
   set_count (span "diagnosis/statistics") stage_counts.after_statistics;
-  (* The legacy timing shim, derived from the spans (wall-clock seconds). *)
-  let timings =
-    {
-      hybrid_analysis_s =
-        Obs.Span.duration_ns (span "diagnosis/points_to") /. 1e9;
-      pipeline_s = Obs.Span.elapsed_ns trace root /. 1e9;
-    }
-  in
   {
     scored;
     top;
     unique_top = Statistics.is_unique_top scored;
     stage_counts;
-    timings;
     anchor_iid = d.anchor_iid;
     executed_count = Tp.Iset.cardinal executed;
     desynced =

@@ -3,7 +3,8 @@
     ranking, bug-pattern computation, and statistical diagnosis.
 
     The per-stage candidate counts feed Figure 7 (stage contributions);
-    the timings feed Table 4 (hybrid vs whole-program analysis time). *)
+    the root span's duration feeds Table 4 (hybrid vs whole-program
+    analysis time). *)
 
 type stage_counts = {
   total_instrs : int;  (** static instructions in the module *)
@@ -13,13 +14,6 @@ type stage_counts = {
   after_patterns : int;  (** distinct instructions in patterns (step 6) *)
   after_statistics : int;  (** instructions in the top pattern (step 7) *)
 }
-
-type timings = {
-  hybrid_analysis_s : float;  (** points-to over the executed scope *)
-  pipeline_s : float;  (** full steps 2–7 *)
-}
-(** Compatibility shim: both fields are now derived from the telemetry
-    spans (wall-clock), not [Sys.time] CPU sampling. *)
 
 val stage_names : string list
 (** The seven pipeline stage span names, in execution order:
@@ -33,7 +27,6 @@ type result = {
   top : Statistics.scored option;
   unique_top : bool;
   stage_counts : stage_counts;
-  timings : timings;
   anchor_iid : int;  (** the resolved memory-access anchor *)
   executed_count : int;
   desynced : bool;
@@ -81,9 +74,9 @@ val derive :
   first_tp:Trace_processing.t ->
   derived
 (** Stages 3–6: points-to over [executed], the anchor resolved in
-    [first_tp], type-ranked candidates (frees first for a use-after-free)
-    and the first failing trace's patterns around the resolved anchor.
-    Valid until some report executes code outside [executed]. *)
+    [first_tp], type-ranked candidates and the first failing trace's
+    patterns around the resolved anchor.  Valid until some report
+    executes code outside [executed]. *)
 
 val tally : Lir.Irmod.t -> derived -> int array -> Trace_processing.t -> unit
 (** Stage 7's counting: add one to [counts.(i)] for every pattern [i] of

@@ -48,6 +48,11 @@ val norm_pair : int * int -> int * int
 
 val describe : Lir.Irmod.t -> t -> string
 
+val kind_rank : t -> int
+(** The simpler-explanation order of pattern kinds: order violation (0),
+    deadlock cycle (1), atomicity violation (2).  {!generate}'s output
+    and {!Statistics.rank}'s equal-F1 ties both follow it. *)
+
 val generate :
   Lir.Irmod.t ->
   points_to:Analysis.Pointsto.t ->
@@ -56,7 +61,8 @@ val generate :
   failing_tid:int ->
   candidates:Type_ranking.candidate list ->
   t list
-(** Patterns consistent with the failing trace.  [anchor_iid] inside
+(** Patterns consistent with the failing trace, in canonical order:
+    {!kind_rank}, then target iids, then {!id}.  [anchor_iid] inside
     [info] must refer to a memory access (the caller resolves assert-style
     failures to their feeding access first). *)
 

@@ -24,20 +24,16 @@ let of_counts pattern ~present_in_failing ~present_in_successful ~n_failing =
     present_in_successful;
   }
 
-(* Equal F1 scores are broken toward the structurally simpler pattern
-   (order/deadlock before atomicity): an order violation whose failing
-   thread also read the variable earlier always induces a tying
-   atomicity candidate, and the fix developers apply targets the order. *)
-let class_rank = function
-  | Patterns.Order _ | Patterns.Deadlock_cycle _ -> 0
-  | Patterns.Atomicity _ -> 1
-
 let rank ~proximity_tp scored =
-  (* Same-class ties are broken by proximate cause: among remote accesses
-     that all perfectly separate failing from successful runs, the one
-     that executed *last* before the failure is the one the failing read
-     actually observed (e.g. the free racing a reader outranks the store
-     that preceded that free). *)
+  (* Equal F1 scores are broken toward the structurally simpler pattern
+     ([Patterns.kind_rank], the canonical order): an order violation
+     whose failing thread also read the variable earlier always induces
+     a tying atomicity candidate, and the fix developers apply targets
+     the order.  Same-kind ties are broken by proximate cause: among
+     remote accesses that all perfectly separate failing from successful
+     runs, the one that executed *last* before the failure is the one
+     the failing read actually observed (e.g. the free racing a reader
+     outranks the store that preceded that free). *)
   let proximity = function
     | Patterns.Order { remote_iid; _ } | Patterns.Atomicity { remote_iid; _ } ->
       List.fold_left
@@ -49,7 +45,9 @@ let rank ~proximity_tp scored =
   let cmp a b =
     match compare b.f1 a.f1 with
     | 0 -> (
-      match compare (class_rank a.pattern) (class_rank b.pattern) with
+      match
+        compare (Patterns.kind_rank a.pattern) (Patterns.kind_rank b.pattern)
+      with
       | 0 -> compare (proximity b.pattern) (proximity a.pattern)
       | c -> c)
     | c -> c

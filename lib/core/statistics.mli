@@ -25,10 +25,11 @@ val of_counts :
 
 val rank : proximity_tp:Trace_processing.t -> scored list -> scored list
 (** The diagnosis order ({!Diagnosis.rank} applies it): descending F1,
-    ties prefer order/deadlock over atomicity (the simpler explanation),
-    same-class ties prefer the remote access whose last instance in
-    [proximity_tp] (the first failing trace) executed latest; stable
-    beyond that, i.e. {!Patterns.generate}'s canonical order. *)
+    ties prefer the simpler kind ({!Patterns.kind_rank}: order, then
+    deadlock, then atomicity), same-kind ties prefer the remote access
+    whose last instance in [proximity_tp] (the first failing trace)
+    executed latest; stable beyond that, i.e. {!Patterns.generate}'s
+    canonical order. *)
 
 val top : scored list -> scored option
 (** Highest-F1 pattern, if any. *)

@@ -25,12 +25,7 @@ let access_kind (i : Lir.Instr.t) =
     Some `Write
   | _ -> None
 
-let is_free_call (i : Lir.Instr.t) =
-  match i.Lir.Instr.kind with
-  | Lir.Instr.Call { callee; _ } -> String.equal callee Lir.Intrinsics.free
-  | _ -> false
-
-let candidates m ~points_to ~executed ~anchor_iid ?(prefer_free = false) () =
+let candidates m ~points_to ~executed ~anchor_iid =
   let anchor = Lir.Irmod.instr_by_iid m anchor_iid in
   let anchor_objs = Analysis.Pointsto.accessed_objects points_to anchor in
   let anchor_ty = moved_type m anchor in
@@ -43,12 +38,10 @@ let candidates m ~points_to ~executed ~anchor_iid ?(prefer_free = false) () =
           let objs = Analysis.Pointsto.accessed_objects points_to i in
           if Analysis.Memobj.sets_overlap objs anchor_objs then begin
             let rank =
-              if prefer_free && is_free_call i then 0
-              else
-                match anchor_ty, moved_type m i with
-                | Some a, Some b when Lir.Ty.equal a b -> 1
-                | Some _, Some _ -> 2
-                | None, _ | _, None -> 2
+              match anchor_ty, moved_type m i with
+              | Some a, Some b when Lir.Ty.equal a b -> 1
+              | Some _, Some _ -> 2
+              | None, _ | _, None -> 2
             in
             out := { iid = i.Lir.Instr.iid; rank; access } :: !out
           end);

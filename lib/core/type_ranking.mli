@@ -20,13 +20,10 @@ val candidates :
   points_to:Analysis.Pointsto.t ->
   executed:Trace_processing.Iset.t ->
   anchor_iid:int ->
-  ?prefer_free:bool ->
-  unit ->
   candidate list
-(** Executed memory accesses (and lock calls) whose accessed objects
-    intersect the anchor's, rank-1 first, excluding nothing (§4.3).  The
-    anchor itself is included.  [prefer_free] ranks free calls highest
-    (rank 0) — used for use-after-free crashes, where the release of the
-    object is the semantically tied racing write. *)
+(** Executed memory accesses (and lock calls, and frees — the racing
+    write of a use-after-free) whose accessed objects intersect the
+    anchor's, rank-1 first, excluding nothing (§4.3).  The anchor itself
+    is included. *)
 
 val rank1_count : candidate list -> int

@@ -17,11 +17,6 @@ type prov_sample = {
 
 let prov_cap = 512
 
-(* Arrival stamps (wall-clock ns) of every report routed to the bucket,
-   capped; the report->diagnosis latency histogram reads these when the
-   bucket is finally diagnosed. *)
-let arrival_cap = 1024
-
 type bucket = {
   signature : Signature.t;
   config : Pt.Config.t;
@@ -35,7 +30,6 @@ type bucket = {
   mutable wire_bytes : int;
   mutable failing_prov_rev : prov_sample list;
   mutable success_prov_rev : prov_sample list;
-  mutable arrivals_rev : float list;
 }
 
 let failing b = List.rev b.failing_rev
@@ -44,7 +38,6 @@ let failing_kept b = List.length b.failing_rev
 let success_kept b = List.length b.successful_rev
 let failing_dropped b = b.failing_seen - failing_kept b
 let success_dropped b = b.success_seen - success_kept b
-let arrivals b = List.rev b.arrivals_rev
 
 type totals = {
   received : int;
@@ -119,16 +112,14 @@ let create ?(policy = default_policy) ?(modules = Hashtbl.create 8) () =
 let policy t = t.policy
 
 (* What every report routed to [b] adds, once its seen count is bumped. *)
-let note (b : bucket) endpoint nbytes arrival =
+let note (b : bucket) endpoint nbytes =
   b.wire_bytes <- b.wire_bytes + nbytes;
   if not (List.mem endpoint b.endpoints) then
-    b.endpoints <- endpoint :: b.endpoints;
-  if b.failing_seen + b.success_seen <= arrival_cap then
-    b.arrivals_rev <- arrival :: b.arrivals_rev
+    b.endpoints <- endpoint :: b.endpoints
 
-let keep_success t b endpoint (r : Report.success_report) nbytes prov arrival =
+let keep_success t b endpoint (r : Report.success_report) nbytes prov =
   b.success_seen <- b.success_seen + 1;
-  note b endpoint nbytes arrival;
+  note b endpoint nbytes;
   if b.success_seen <= prov_cap then
     b.success_prov_rev <- prov :: b.success_prov_rev;
   if success_kept b < t.policy.max_success then begin
@@ -150,7 +141,6 @@ let new_bucket t ~bug_id ~config (f : Routes.failing) =
       wire_bytes = 0;
       failing_prov_rev = [];
       success_prov_rev = [];
-      arrivals_rev = [];
     }
   in
   t.bucket_list <- b :: t.bucket_list;
@@ -163,9 +153,9 @@ let new_bucket t ~bug_id ~config (f : Routes.failing) =
       ];
   b
 
-let keep_failing t b endpoint (r : Report.failing_report) nbytes prov arrival =
+let keep_failing t b endpoint (r : Report.failing_report) nbytes prov =
   b.failing_seen <- b.failing_seen + 1;
-  note b endpoint nbytes arrival;
+  note b endpoint nbytes;
   if b.failing_seen <= prov_cap then
     b.failing_prov_rev <- prov :: b.failing_prov_rev;
   if failing_kept b < t.policy.max_failing then begin
@@ -189,7 +179,6 @@ let ingest t packet =
         [ ("reason", Obs.Log.Str msg); ("bytes", Obs.Log.Int nbytes) ];
     Error msg
   in
-  let arrival = Obs.Span.wall_clock_ns () in
   match Wire.decode packet with
   | Error msg -> reject msg
   | Ok env -> (
@@ -208,14 +197,14 @@ let ingest t packet =
         in
         (* Successes that beat the bucket's first failing report. *)
         List.iter (fun (b, deliver) -> deliver b) released;
-        keep_failing t b endpoint r nbytes prov arrival;
+        keep_failing t b endpoint r nbytes prov;
         Ok ())
     | Wire.Success r -> (
       t.success_received <- t.success_received + 1;
       match Routes.server_build t.modules bug_id with
       | Error msg -> reject msg
       | Ok _ ->
-        let deliver b = keep_success t b endpoint r nbytes prov arrival in
+        let deliver b = keep_success t b endpoint r nbytes prov in
         Option.iter deliver
           (Routes.route t.routes ~bug_id ~pc:r.Report.trigger_pc deliver);
         Ok ()))

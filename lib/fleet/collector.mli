@@ -28,7 +28,7 @@ type prov_sample = {
           sync_ops_log2 — mined by exact-value coverage *)
   s_nums : (string * int) list;
       (** numeric features: sync_ops, runs — mined by threshold split;
-          empty for v1 packets, which carry no provenance *)
+          empty for envelopes that carry no provenance *)
 }
 (** One report's provenance feature vector, kept per *seen* report (up
     to a cap) even when the report's payload is sampled away — feature
@@ -49,11 +49,6 @@ type bucket = {
   mutable wire_bytes : int;  (** encoded size of every packet routed here *)
   mutable failing_prov_rev : prov_sample list;  (** newest first, capped *)
   mutable success_prov_rev : prov_sample list;
-  mutable arrivals_rev : float list;
-      (** wall-clock arrival stamp (ns) of every report routed here,
-          newest first, capped — read through {!arrivals}; the
-          report->diagnosis latency histogram subtracts these from the
-          diagnosis completion time *)
 }
 
 val failing : bucket -> Snorlax_core.Report.failing_report list
@@ -66,9 +61,6 @@ val failing_kept : bucket -> int
 val success_kept : bucket -> int
 val failing_dropped : bucket -> int
 val success_dropped : bucket -> int
-
-val arrivals : bucket -> float list
-(** Arrival stamps in arrival order (capped). *)
 
 (** {2 Provenance mining}
 

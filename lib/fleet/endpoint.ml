@@ -101,7 +101,7 @@ type shipment = {
   reproduced : bool;
 }
 
-let run ~bug ~endpoint ?(config = Pt.Config.default) () =
+let run ~bug ~endpoint =
   Obs.Scope.with_span
     ("fleet/endpoint-" ^ string_of_int endpoint)
     ~args:[ ("bug", Obs.Span.Str bug.Corpus.Bug.id) ]
@@ -112,7 +112,8 @@ let run ~bug ~endpoint ?(config = Pt.Config.default) () =
      attached sinks — when a sim failure actually fired here. *)
   let recorder = Obs.Log.Recorder.create ~capacity:64 () in
   match
-    Obs.Log.with_recorder recorder (fun () -> reproduce ~config ~endpoint bug)
+    Obs.Log.with_recorder recorder (fun () ->
+        reproduce ~config:Pt.Config.default ~endpoint bug)
   with
   | Error _ ->
     Obs.Scope.count "fleet/endpoints_quiet" 1;

@@ -1,10 +1,11 @@
 (** The endpoint model: how a simulated user endpoint turns a reproduced
     corpus scenario into the wire packets it ships (Figure 2, steps 6–7).
-    Every fleet path builds its packets here — the batch fleet
-    ({!run}), the streaming traffic generator and the chaos injector —
-    so the envelope, the seed scheme, failing-first order, the
-    endpoint-death prefix cut and round-robin arrival exist once.  The
-    bytes this module returns are exactly what would cross the network. *)
+    Every fleet path builds its packets here — the one-shot fleet's
+    endpoints ({!run}), the streaming traffic generator and the chaos
+    injector — so the envelope, the seed scheme, failing-first order,
+    the endpoint-death prefix cut and round-robin arrival exist once.
+    The bytes this module returns are exactly what would cross the
+    network. *)
 
 type baseline = {
   bug : Corpus.Bug.t;
@@ -82,15 +83,15 @@ type shipment = {
   endpoint : int;
   packets : bytes list;
       (** encoded {!Wire.envelope}s, failing reports first — the order
-          the driver would ship them in *)
+          the endpoint ships them in *)
   runs : int;  (** executions this endpoint performed *)
   reproduced : bool;  (** false when the bug never manifested here *)
 }
 
-val run :
-  bug:Corpus.Bug.t -> endpoint:int -> ?config:Pt.Config.t -> unit -> shipment
-(** Simulate one batch-fleet endpoint: {!reproduce} in its own seed
-    range under its flight recorder, then {!ship} the reproduction as
-    incident 0.  A shipment with [reproduced = false] carries no
-    packets: an endpoint that never failed has nothing to report (its
-    successes were never requested by a watchpoint). *)
+val run : bug:Corpus.Bug.t -> endpoint:int -> shipment
+(** Simulate one endpoint of the one-shot fleet
+    ([Stream.Deploy.once]): {!reproduce} in its own seed range under the
+    default tracer config and its flight recorder, then {!ship} the
+    reproduction as incident 0.  A shipment with [reproduced = false]
+    carries no packets: an endpoint that never failed has nothing to
+    report (its successes were never requested by a watchpoint). *)

@@ -50,9 +50,9 @@ let crash_kind_tag = function
   | Report.Use_after_free -> 1
   | Report.Assertion -> 2
 
-let encode_with ~version:v e =
+let encode e =
   let buf = Buffer.create 256 in
-  u8 buf v;
+  u8 buf version;
   uw buf e.endpoint;
   sw buf e.seed;
   strw buf e.bug_id;
@@ -61,17 +61,15 @@ let encode_with ~version:v e =
   uw buf tag;
   uw buf period;
   uw buf e.config.Pt.Config.psb_period_bytes;
-  (* The provenance block is what version 2 added; a v1 packet simply
-     does not carry one.  Values are zig-zag signed like every other
-     report field, so encoding stays total. *)
-  if v >= 2 then (
-    match e.prov with
-    | None -> u8 buf 0
-    | Some p ->
-      u8 buf 1;
-      sw buf p.runs;
-      sw buf p.sync_ops;
-      sw buf p.sync_digest);
+  (* Provenance values are zig-zag signed like every other report field,
+     so encoding stays total. *)
+  (match e.prov with
+  | None -> u8 buf 0
+  | Some p ->
+    u8 buf 1;
+    sw buf p.runs;
+    sw buf p.sync_ops;
+    sw buf p.sync_digest);
   (match e.payload with
   | Failing r ->
     u8 buf 0;
@@ -98,10 +96,6 @@ let encode_with ~version:v e =
     sw buf r.Report.trigger_pc;
     tracesw buf r.Report.s_traces);
   Buffer.to_bytes buf
-
-let encode e = encode_with ~version e
-
-let encode_v1 e = encode_with ~version:1 e
 
 (* --- decoding ----------------------------------------------------------- *)
 
@@ -220,14 +214,13 @@ let decode b =
   let c = { buf = b; pos = 0 } in
   match
     let v = read_u8 c in
-    if v <> 1 && v <> version then
-      corrupt (Printf.sprintf "version %d (expected 1..%d)" v version);
+    if v <> version then
+      corrupt (Printf.sprintf "version %d (expected %d)" v version);
     let endpoint = read_uint c in
     let seed = read_sint c in
     let bug_id = read_str c in
     let config = read_config c in
-    (* v1 predates provenance: such packets decode with [prov = None]. *)
-    let prov = if v >= 2 then read_prov c else None in
+    let prov = read_prov c in
     let payload = read_payload c in
     if c.pos <> Bytes.length b then corrupt "trailing garbage";
     { endpoint; seed; bug_id; config; prov; payload }

@@ -28,7 +28,7 @@ type provenance = {
           sync-op history (kind, tid, static iid of the last operations
           before the report fired), non-negative *)
 }
-(** Version-2 provenance tags: causal metadata about the reported run
+(** Provenance tags: causal metadata about the reported run
     that the collector mines for features discriminating failing from
     successful reports.  Endpoint id and tracer config knobs already
     travel in the envelope proper. *)
@@ -42,7 +42,8 @@ type envelope = {
           reconstructs the cost model as {!Pt.Config.default_costs} (costs
           only matter client-side and are not shipped) *)
   prov : provenance option;
-      (** [None] for packets from v1 endpoints, which predate provenance *)
+      (** [None] when the endpoint attached no provenance; such a report
+          still routes but adds no provenance sample *)
   payload : payload;
 }
 
@@ -51,12 +52,7 @@ val version : int
 
 val encode : envelope -> bytes
 
-val encode_v1 : envelope -> bytes
-(** The previous (version-1) format, which has no provenance block —
-    what a not-yet-upgraded endpoint puts on the wire.  Kept so the
-    back-compat decode path stays exercised. *)
-
 val decode : bytes -> (envelope, string) result
-(** Round-trips [encode]; also accepts version-1 packets, which decode
-    with [prov = None].  [Error] (with a reason) on any malformed
-    input.  A packet with bytes beyond the envelope is malformed. *)
+(** Round-trips [encode].  [Error] (with a reason) on any malformed
+    input, including any version byte but {!version}.  A packet with
+    bytes beyond the envelope is malformed. *)

@@ -56,11 +56,16 @@ type bucket_row = {
   signature : string;
   endpoints_hit : int;
   failing_kept : int;
+  failing_dropped : int;
   success_kept : int;
+  success_dropped : int;
+  wire_bytes : int;
+  qualifiers : string list;
   top_pattern : string option;
   top_describe : string option;
   f1 : float;
   root_cause_match : bool;
+  ordering_accuracy : float;
   batch_agrees : bool;
       (** incremental top pattern == from-scratch batch top pattern *)
   rederives : int;
@@ -78,9 +83,12 @@ type summary = {
   ingest_errors : int;
   tracker_held : int;
   tracker_dropped : int;
+  unrouted : int;  (** held at the tracker or in a shard's collector *)
   leftover_queue : int;  (** should be 0 after the final drain *)
   bucket_count : int;
   rows : bucket_row list;
+  wire_bytes : int;
+  dedup_ratio : float;  (** failing reports received per bucket *)
   incidents : int;
   joins : int;
   leaves : int;
@@ -102,12 +110,14 @@ type summary = {
   agree : bool;  (** every bucket's [batch_agrees] *)
   accounted : bool;  (** offered = shed + drained + leftover, per shard *)
   stream_ns : float;  (** the streaming phase (generator setup excluded) *)
+  diagnosis_ns : float;  (** the end-of-run bucket diagnoses *)
   total_ns : float;
 }
 
 let now = Obs.Span.wall_clock_ns
 
-let diagnose_bucket shards shard_idx shard (b : Collector.bucket) =
+let diagnose_bucket shards shard_idx (b : Collector.bucket) =
+  let shard = shards.(shard_idx) in
   let collector = Shard.collector shard in
   let snap =
     match Shard.engine shard b with
@@ -137,7 +147,7 @@ let diagnose_bucket shards shard_idx shard (b : Collector.bucket) =
           ( "incremental",
             Obs.Log.Str (Option.value ~default:"-" top_pattern) );
           ("batch", Obs.Log.Str (Option.value ~default:"-" batch_top));
-          ("recorder", Obs.Log.Str (Obs.Log.Recorder.dump (Shard.recorder shards.(shard_idx))));
+          ("recorder", Obs.Log.Str (Obs.Log.Recorder.dump (Shard.recorder shard)));
         ];
   {
     shard = shard_idx;
@@ -145,47 +155,41 @@ let diagnose_bucket shards shard_idx shard (b : Collector.bucket) =
     signature = Signature.to_string b.Collector.signature;
     endpoints_hit = List.length b.Collector.endpoints;
     failing_kept = Collector.failing_kept b;
+    failing_dropped = Collector.failing_dropped b;
     success_kept = Collector.success_kept b;
+    success_dropped = Collector.success_dropped b;
+    wire_bytes = b.Collector.wire_bytes;
+    qualifiers =
+      List.map Collector.qualifier_to_string (Collector.qualifiers b);
     top_pattern;
     top_describe = v.Collector.top_describe;
     f1 = v.Collector.f1;
     root_cause_match = v.Collector.root_cause_match;
+    ordering_accuracy = v.Collector.ordering_accuracy;
     batch_agrees;
     rederives = (match snap with Some s -> s.Incremental.rederives | None -> 0);
     fast_updates =
       (match snap with Some s -> s.Incremental.fast_updates | None -> 0);
   }
 
-let run ?tick ?baselines cfg bugs =
-  if cfg.shards < 1 then invalid_arg "Stream.Deploy.run: shards < 1";
-  if cfg.shard_domains < 1 then
-    invalid_arg "Stream.Deploy.run: shard_domains < 1";
-  if cfg.duration_ticks < 1 then
-    invalid_arg "Stream.Deploy.run: duration_ticks < 1";
-  Obs.Scope.with_span "stream"
-    ~args:
-      [
-        ("endpoints", Obs.Span.Int cfg.endpoints);
-        ("shards", Obs.Span.Int cfg.shards);
-        ("domains", Obs.Span.Int cfg.shard_domains);
-        ("ticks", Obs.Span.Int cfg.duration_ticks);
-      ]
-  @@ fun () ->
-  let t0 = now () in
-  let traffic =
-    Traffic.create ~seed:cfg.seed ~endpoints:cfg.endpoints ~churn:cfg.churn
-      ?fault:cfg.fault ?baselines bugs
-  in
+(* The one fleet loop behind [run] and [once]: route each batch [next]
+   yields, service every shard, drain when the fleet goes quiet, then
+   judge every bucket.  [t0] is when the caller started (generator set-up
+   included); [alive] and [faults] read the generator's endpoint count
+   and fault tally.  Rows list shards in order, each shard's buckets in
+   creation order; with [created_order] they follow the order the fleet
+   created the buckets in instead, as one collector would list them. *)
+let drive ?tick ~created_order ~t0 ~alive ~faults cfg next =
   let modules = Hashtbl.create 8 in
   let shards =
     Array.init cfg.shards (fun id ->
         Shard.create ~id ~capacity:cfg.queue_capacity ~shed:cfg.shed ~modules
           ())
   in
-  (* Same private-registry trick as the batch fleet: the summary's
-     latency percentiles exist with telemetry off.  One registry per
-     shard so each service lane writes only its own histogram; the
-     fleet-wide percentiles come from a merge at the end. *)
+  (* A private registry makes the summary's latency percentiles exist
+     with telemetry off.  One registry per shard so each service lane
+     writes only its own histogram; the fleet-wide percentiles come from
+     a merge at the end. *)
   let latency_regs = Array.init cfg.shards (fun _ -> Obs.Metrics.create ()) in
   let latency_hists =
     Array.map (fun r -> Obs.Metrics.histogram r "latency_ns") latency_regs
@@ -200,46 +204,59 @@ let run ?tick ?baselines cfg bugs =
   let offered = ref 0 in
   let incidents = ref 0 in
   let joins = ref 0 and leaves = ref 0 and crashes = ref 0 in
-  let depth_total () =
-    Array.fold_left (fun acc s -> acc + Shard.depth s) 0 shards
-  in
-  let bucket_total () =
-    Array.fold_left
-      (fun acc s -> acc + List.length (Collector.buckets (Shard.collector s)))
-      0 shards
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 shards in
+  let depth_total () = sum Shard.depth in
+  let created = Hashtbl.create 16 in
+  let service budget =
+    Service.service_all svc ~budget;
+    if created_order then
+      Array.iter
+        (fun s ->
+          List.iter
+            (fun (b : Collector.bucket) ->
+              let key = Signature.key b.Collector.signature in
+              if not (Hashtbl.mem created key) then
+                Hashtbl.add created key (Hashtbl.length created))
+            (Collector.buckets (Shard.collector s)))
+        shards
   in
   (* The streaming phase proper: generate, route, service — per tick. *)
   let t_stream0 = now () in
-  for _ = 1 to cfg.duration_ticks do
-    let batch = Traffic.tick traffic in
-    offered := !offered + batch.Traffic.offered;
-    incidents := !incidents + batch.Traffic.incidents;
-    joins := !joins + batch.Traffic.joins;
-    leaves := !leaves + batch.Traffic.leaves;
-    crashes := !crashes + batch.Traffic.crashes;
-    List.iter (Router.route router) batch.Traffic.packets;
-    Service.service_all svc ~budget:cfg.drain_per_tick;
-    match tick with
-    | Some f ->
-      f
-        {
-          p_tick = batch.Traffic.tick;
-          p_load = batch.Traffic.load;
-          p_alive = Traffic.alive traffic;
-          p_offered = !offered;
-          p_shed = Array.fold_left (fun a s -> a + Shard.shed_count s) 0 shards;
-          p_drained = Array.fold_left (fun a s -> a + Shard.drained s) 0 shards;
-          p_depth = depth_total ();
-          p_buckets = bucket_total ();
-          p_elapsed_ns = now () -. t_stream0;
-        }
+  let rec loop () =
+    match next () with
     | None -> ()
-  done;
+    | Some (batch : Traffic.batch) ->
+      offered := !offered + batch.Traffic.offered;
+      incidents := !incidents + batch.Traffic.incidents;
+      joins := !joins + batch.Traffic.joins;
+      leaves := !leaves + batch.Traffic.leaves;
+      crashes := !crashes + batch.Traffic.crashes;
+      List.iter (Router.route router) batch.Traffic.packets;
+      service cfg.drain_per_tick;
+      (match tick with
+      | Some f ->
+        f
+          {
+            p_tick = batch.Traffic.tick;
+            p_load = batch.Traffic.load;
+            p_alive = alive ();
+            p_offered = !offered;
+            p_shed = sum Shard.shed_count;
+            p_drained = sum Shard.drained;
+            p_depth = depth_total ();
+            p_buckets =
+              sum (fun s -> List.length (Collector.buckets (Shard.collector s)));
+            p_elapsed_ns = now () -. t_stream0;
+          }
+      | None -> ());
+      loop ()
+  in
+  loop ();
   (* Fleet gone quiet: drain the backlog (bounded — every pass shrinks
      the queues, but guard against a zero-budget misconfiguration). *)
   let guard = ref (cfg.queue_capacity * cfg.shards + 1) in
   while depth_total () > 0 && !guard > 0 do
-    Service.service_all svc ~budget:(max 1 cfg.drain_per_tick);
+    service (max 1 cfg.drain_per_tick);
     decr guard
   done;
   (* Join the pool before timing ends: the join is part of the service's
@@ -247,18 +264,29 @@ let run ?tick ?baselines cfg bugs =
   let domains_used = Service.domains svc in
   Service.stop svc;
   let t_streamed = now () in
-  let rows =
+  let buckets =
     List.concat
       (Array.to_list
          (Array.mapi
             (fun idx s ->
               List.map
-                (diagnose_bucket shards idx s)
+                (fun b -> (idx, b))
                 (Collector.buckets (Shard.collector s)))
             shards))
   in
+  let buckets =
+    if not created_order then buckets
+    else
+      let seq (_, (b : Collector.bucket)) =
+        Hashtbl.find created (Signature.key b.Collector.signature)
+      in
+      List.sort (fun a b -> compare (seq a) (seq b)) buckets
+  in
+  let rows =
+    List.map (fun (idx, b) -> diagnose_bucket shards idx b) buckets
+  in
   let t_done = now () in
-  let sum f = Array.fold_left (fun a s -> a + f s) 0 shards in
+  let totals f = sum (fun s -> f (Collector.totals (Shard.collector s))) in
   let shard_offered = sum Shard.offered in
   let shed = sum Shard.shed_count in
   let drained = sum Shard.drained in
@@ -270,6 +298,7 @@ let run ?tick ?baselines cfg bugs =
         = Shard.shed_count s + Shard.drained s + Shard.depth s)
       shards
   in
+  let bucket_count = List.length rows in
   let stream_ns = t_streamed -. t_stream0 in
   let secs = stream_ns /. 1e9 in
   let shed_ratio =
@@ -298,15 +327,23 @@ let run ?tick ?baselines cfg bugs =
     ingest_errors = sum Shard.ingest_err;
     tracker_held = Router.pending_held router;
     tracker_dropped = Router.pending_dropped router;
+    unrouted =
+      Router.pending_held router + totals (fun t -> t.Collector.unrouted);
     leftover_queue = leftover;
-    bucket_count = List.length rows;
+    bucket_count;
     rows;
+    wire_bytes = totals (fun t -> t.Collector.wire_bytes);
+    dedup_ratio =
+      (if bucket_count = 0 then 0.0
+       else
+         float_of_int (totals (fun t -> t.Collector.failing_received))
+         /. float_of_int bucket_count);
     incidents = !incidents;
     joins = !joins;
     leaves = !leaves;
     crashes = !crashes;
-    final_endpoints = Traffic.alive traffic;
-    inject_faults = Traffic.faults traffic;
+    final_endpoints = alive ();
+    inject_faults = faults ();
     peak_queue_depth =
       Array.fold_left (fun a s -> max a (Shard.peak_depth s)) 0 shards;
     watermark_highs = sum Shard.high_crossings;
@@ -324,8 +361,77 @@ let run ?tick ?baselines cfg bugs =
     agree = List.for_all (fun r -> r.batch_agrees) rows;
     accounted;
     stream_ns;
+    diagnosis_ns = t_done -. t_streamed;
     total_ns = t_done -. t0;
   }
+
+let run ?tick ?baselines cfg bugs =
+  if cfg.shards < 1 then invalid_arg "Stream.Deploy.run: shards < 1";
+  if cfg.shard_domains < 1 then
+    invalid_arg "Stream.Deploy.run: shard_domains < 1";
+  if cfg.duration_ticks < 1 then
+    invalid_arg "Stream.Deploy.run: duration_ticks < 1";
+  Obs.Scope.with_span "stream"
+    ~args:
+      [
+        ("endpoints", Obs.Span.Int cfg.endpoints);
+        ("shards", Obs.Span.Int cfg.shards);
+        ("domains", Obs.Span.Int cfg.shard_domains);
+        ("ticks", Obs.Span.Int cfg.duration_ticks);
+      ]
+  @@ fun () ->
+  let t0 = now () in
+  let traffic =
+    Traffic.create ~seed:cfg.seed ~endpoints:cfg.endpoints ~churn:cfg.churn
+      ?fault:cfg.fault ?baselines bugs
+  in
+  let remaining = ref cfg.duration_ticks in
+  drive ?tick ~created_order:false ~t0
+    ~alive:(fun () -> Traffic.alive traffic)
+    ~faults:(fun () -> Traffic.faults traffic)
+    cfg
+    (fun () ->
+      if !remaining = 0 then None
+      else begin
+        decr remaining;
+        Some (Traffic.tick traffic)
+      end)
+
+let once ?tick ~endpoints bugs =
+  if endpoints < 1 then invalid_arg "Stream.Deploy.once: endpoints < 1";
+  Obs.Scope.with_span "fleet" ~args:[ ("endpoints", Obs.Span.Int endpoints) ]
+  @@ fun () ->
+  let t0 = now () in
+  let shipments =
+    List.concat_map (fun bug -> List.init endpoints (fun e -> (bug, e))) bugs
+  in
+  let cfg =
+    { default_config with endpoints; duration_ticks = List.length shipments }
+  in
+  let pending = ref shipments in
+  drive ?tick ~created_order:true ~t0
+    ~alive:(fun () -> endpoints)
+    ~faults:(fun () -> 0)
+    cfg
+    (fun () ->
+      match !pending with
+      | [] -> None
+      | (bug, endpoint) :: rest ->
+        pending := rest;
+        let s = Fleet.Endpoint.run ~bug ~endpoint in
+        let n = List.length s.Fleet.Endpoint.packets in
+        Some
+          {
+            Traffic.tick = cfg.duration_ticks - List.length rest;
+            packets = s.Fleet.Endpoint.packets;
+            offered = n;
+            incidents = (if s.Fleet.Endpoint.reproduced then 1 else 0);
+            load = 1.0;
+            burst = false;
+            joins = 0;
+            leaves = 0;
+            crashes = 0;
+          })
 
 let to_json s =
   let open Obs.Json in

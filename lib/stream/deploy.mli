@@ -1,7 +1,10 @@
-(** The continuous deployment loop: {!Traffic} generates, {!Router}
-    shards, {!Shard}s drain and incrementally diagnose — tick after
-    tick, with an explicit final drain when the fleet goes quiet.  This
-    is the long-lived form of {!Fleet.Deploy.run}'s one-shot batch. *)
+(** The fleet driver (Figure 2, steps 7–8 at fleet scale): batches of
+    wire packets go to the {!Router}, which shards them; {!Shard}s drain
+    and incrementally diagnose — tick after tick, with an explicit final
+    drain when the fleet goes quiet — and every bucket is then judged
+    against a from-scratch batch diagnosis.  {!run} feeds the loop from
+    the continuous {!Traffic} generator, {!once} from one shipment per
+    endpoint of each scenario. *)
 
 type config = {
   endpoints : int;  (** initial fleet size *)
@@ -36,7 +39,8 @@ type progress = {
   p_elapsed_ns : float;
 }
 (** What [?tick] sees after every tick's route+service round — the hook
-    behind [snorlax stream --watch]. *)
+    behind [snorlax stream --watch] and [snorlax fleet --watch].  A tick
+    of {!once} is one endpoint's shipment. *)
 
 val watch_line : progress -> string
 (** The [--watch] snapshot line (no trailing newline). *)
@@ -47,11 +51,21 @@ type bucket_row = {
   signature : string;
   endpoints_hit : int;
   failing_kept : int;
+  failing_dropped : int;
   success_kept : int;
+  success_dropped : int;
+  wire_bytes : int;  (** encoded size of every packet routed here *)
+  qualifiers : string list;
+      (** rendered {!Fleet.Collector.qualifier}s — provenance features
+          that discriminate this bucket's failing reports from its
+          successes *)
   top_pattern : string option;
-  top_describe : string option;
-  f1 : float;
+      (** {!Snorlax_core.Patterns.id} of the incremental engine's top
+          scorer *)
+  top_describe : string option;  (** its human description *)
+  f1 : float;  (** 0 when no pattern scored *)
   root_cause_match : bool;
+  ordering_accuracy : float;  (** A_O; 0 when no pattern scored *)
   batch_agrees : bool;
       (** the incremental engine's top pattern equals a from-scratch
           batch diagnosis over the same kept reports — checked per
@@ -63,17 +77,29 @@ type bucket_row = {
 type summary = {
   cfg : config;
   ticks : int;
-  offered : int;
+  offered : int;  (** packets the generator emitted *)
   tracker_malformed : int;
   shed : int;
   drained : int;
   ingested_ok : int;
   ingest_errors : int;
+      (** packets the shard collectors rejected: bad bytes, unknown bug
+          id, a report the server build cannot resolve *)
   tracker_held : int;
   tracker_dropped : int;
+  unrouted : int;
+      (** success reports no bucket claimed: held at the tracker or in a
+          shard's collector (whose bucket's failing report was shed) *)
   leftover_queue : int;
   bucket_count : int;
   rows : bucket_row list;
+      (** shard by shard for {!run}; for {!once}, in the order the fleet
+          created the buckets *)
+  wire_bytes : int;  (** encoded bytes of every packet the shards drained *)
+  dedup_ratio : float;
+      (** failing reports received per bucket; 1.0 means no dedup
+          happened, N means N endpoints collapsed into one bucket; 0
+          with no bucket *)
   incidents : int;
   joins : int;
   leaves : int;
@@ -105,6 +131,11 @@ type summary = {
       (** offered = shed + drained + depth held per shard — the
           backpressure accounting invariant *)
   stream_ns : float;
+      (** the streaming phase: generating (for {!once}, simulating the
+          endpoints), routing, servicing and the final drain *)
+  diagnosis_ns : float;
+      (** the end-of-run judgement of every bucket: a from-scratch batch
+          diagnosis and a verdict each *)
   total_ns : float;
 }
 
@@ -119,6 +150,16 @@ val run :
     [baselines] (from {!Traffic.prepare}) skips the per-bug reproduction
     step — share one reproduction across runs when benchmarking the same
     scenario at several domain counts. *)
+
+val once :
+  ?tick:(progress -> unit) -> endpoints:int -> Corpus.Bug.t list -> summary
+(** The one-shot fleet ([snorlax fleet]): every scenario on [endpoints]
+    endpoints, each simulated by {!Fleet.Endpoint.run} and shipped as one
+    tick, bug by bug and endpoint by endpoint, through
+    {!default_config}'s shards; the summary's [cfg] is that config with
+    [endpoints] and one tick per shipment.  An endpoint whose bug never
+    manifested ships an empty tick.  Raises [Invalid_argument] when
+    [endpoints < 1]. *)
 
 val to_json : summary -> Obs.Json.t
 (** The stream summary document ([snorlax stream --out], and the body of

@@ -191,6 +191,84 @@ let test_watch_pcs_start_with_failure_pc () =
     Alcotest.(check int) "head is failing pc"
       (Lir.Irmod.instr_by_iid m anchor).Lir.Instr.pc (List.hd pcs)
 
+(* A reader that fails only when it sees the slot already cleared: the
+   failing assertion sits in a branch no successful run takes, so a
+   watchpoint on the failing pc alone never fires on a success.  The
+   runner's predecessor-block fallback (the branching block's entry,
+   which every run executes) is what collects the paper's 10 successes. *)
+let branch_only_failure_bug =
+  let module B = Lir.Builder in
+  let module V = Lir.Value in
+  let module T = Lir.Ty in
+  let build () =
+    let m = Lir.Irmod.create "branchy" in
+    ignore (Lir.Irmod.declare_struct m "Cell" [ T.I64 ]);
+    let cell = T.Ptr (T.Struct "Cell") in
+    Lir.Irmod.declare_global m "slot" cell;
+    B.define m "reader" ~params:[ ("arg", T.I64) ] ~ret:T.Void (fun b ->
+        let late = B.icmp b Lir.Instr.Eq (B.rand b ~bound:2) (V.i64 0) in
+        B.if_ b late
+          ~then_:(fun () -> Corpus.Dsl.io_pause b ~ns:300_000)
+          ~else_:(fun () -> Corpus.Dsl.io_pause b ~ns:50_000);
+        let p = B.load b ~name:"p" (V.Global "slot") in
+        let cleared = B.icmp b Lir.Instr.Eq p (V.Null cell) in
+        B.if_ b cleared
+          ~then_:(fun () ->
+            B.assert_true b (B.icmp b Lir.Instr.Ne p (V.Null cell)))
+          ~else_:(fun () ->
+            B.call_void b Lir.Intrinsics.print_i64 [ B.load b (B.gep b p 0) ]);
+        B.ret_void b);
+    B.define m "clearer" ~params:[ ("arg", T.I64) ] ~ret:T.Void (fun b ->
+        Corpus.Dsl.io_pause b ~ns:150_000;
+        B.store b ~value:(V.Null cell) ~ptr:(V.Global "slot");
+        B.ret_void b);
+    B.define m "main" ~params:[] ~ret:T.Void (fun b ->
+        let c = B.malloc b (T.Struct "Cell") in
+        B.store b ~value:(V.i64 7) ~ptr:(B.gep b c 0);
+        B.store b ~value:c ~ptr:(V.Global "slot");
+        let t1 = B.spawn b "reader" (V.i64 0) in
+        let t2 = B.spawn b "clearer" (V.i64 0) in
+        B.join b t1;
+        B.join b t2;
+        B.ret_void b);
+    Lir.Verify.check_exn m;
+    { Corpus.Bug.m; ground_truth = []; delta_pairs = [] }
+  in
+  {
+    Corpus.Bug.id = "branchy-1";
+    system = "test";
+    tracker_id = "N/A";
+    kind = Corpus.Bug.Order_violation;
+    description = "assertion reached only on failing runs";
+    java = false;
+    expected_delta_us = 100.0;
+    build;
+    entry = "main";
+  }
+
+let test_watch_predecessor_fallback () =
+  match Corpus.Runner.collect branch_only_failure_bug ~max_tries:200 () with
+  | Error msg -> Alcotest.fail msg
+  | Ok c ->
+    let m = c.Corpus.Runner.built.Corpus.Bug.m in
+    let failing = List.hd c.Corpus.Runner.failing in
+    let fail_pc =
+      (Lir.Irmod.instr_by_iid m
+         (Snorlax_core.Report.failing_anchor_iid failing))
+        .Lir.Instr.pc
+    in
+    let pred_pcs = List.tl (Corpus.Runner.watch_pcs_for m failing) in
+    Alcotest.(check int) "the paper's 10 successes" 10
+      (List.length c.Corpus.Runner.successful);
+    List.iter
+      (fun (s : Snorlax_core.Report.success_report) ->
+        let pc = s.Snorlax_core.Report.trigger_pc in
+        Alcotest.(check bool)
+          (Printf.sprintf "trigger 0x%x is a predecessor-block entry" pc)
+          true
+          (pc <> fail_pc && List.mem pc pred_pcs))
+      c.Corpus.Runner.successful
+
 (* --- golden determinism --------------------------------------------------- *)
 
 (* Everything observable about a traced run and an HB-observed run of every
@@ -422,8 +500,10 @@ let test_golden_decode_digest () =
    scored list cannot show (patterns are generated in canonical order, so
    candidate ranks never reach it).  Refactors of stages 3-7 (points-to,
    anchor, type ranking, patterns, statistics) must leave it
-   bit-identical. *)
-let golden_diagnosis_digest = "a3ac738e77d1d723031f00e8fd67fea0"
+   bit-identical.  Re-pinned once when the use-after-free rule that put
+   free calls at rank 0 was deleted: only those free-call candidates'
+   ranks moved (0 to 2, in 7 bugs); nothing above the "cand" lines did. *)
+let golden_diagnosis_digest = "1863073a5e5948399798ae22da60f9a1"
 
 let diagnosis_text () =
   let module D = Snorlax_core.Diagnosis in
@@ -518,5 +598,7 @@ let tests =
         Alcotest.test_case "golden decode digest" `Quick test_golden_decode_digest;
         Alcotest.test_case "golden diagnosis digest" `Quick
           test_golden_diagnosis_digest;
+        Alcotest.test_case "successes via predecessor-block watch" `Quick
+          test_watch_predecessor_fallback;
       ] );
   ]

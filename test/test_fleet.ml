@@ -88,20 +88,20 @@ let test_wire_roundtrip_provenance () =
   check_roundtrip "provenance"
     (envelope ~prov:sample_prov (Wire.Failing crash_report))
 
-let test_wire_v1_back_compat () =
-  (* A not-yet-upgraded endpoint ships the version-1 layout (no
-     provenance block); the v2 decoder must accept it with prov=None. *)
-  let env = envelope ~prov:sample_prov (Wire.Success success_report) in
-  match Wire.decode (Wire.encode_v1 env) with
-  | Error msg -> Alcotest.failf "v1 decode error: %s" msg
-  | Ok got ->
-    Alcotest.(check bool) "v1 has no provenance" true (got.Wire.prov = None);
-    Alcotest.(check string) "v1 bug id survives" env.Wire.bug_id got.Wire.bug_id;
-    Alcotest.(check bool)
-      "v1 payload survives" true
-      (match got.Wire.payload with
-      | Wire.Success s -> s = success_report
-      | Wire.Failing _ -> false)
+let test_wire_v1_rejected () =
+  (* Version 1 (no provenance block) is retired: a packet with its header
+     is malformed, and the collector counts it as a decode error. *)
+  let packet = Wire.encode (envelope (Wire.Success success_report)) in
+  Bytes.set packet 0 '\x01';
+  Alcotest.(check bool) "v1 header is Error" true
+    (Result.is_error (Wire.decode packet));
+  let t = Collector.create () in
+  Alcotest.(check bool) "ingest rejects it" true
+    (Result.is_error (Collector.ingest t packet));
+  let totals = Collector.totals t in
+  Alcotest.(check int) "counted as a decode error" 1
+    totals.Collector.decode_errors;
+  Alcotest.(check int) "received" 1 totals.Collector.received
 
 let test_wire_roundtrip_timing_modes () =
   List.iter
@@ -615,20 +615,26 @@ let test_collector_qualifiers_need_both_sides () =
   Alcotest.(check int) "no qualifiers from one report" 0
     (List.length (Collector.qualifiers b))
 
-let test_collector_accepts_v1_packets () =
-  (* Mixed-version fleet: v1 packets (no provenance) route normally and
-     simply contribute no provenance samples. *)
+let test_collector_routes_without_provenance () =
+  (* An envelope with [prov = None] still routes: its reports are kept,
+     and with every feature shared by both sides nothing discriminates,
+     so no qualifier is mined. *)
   let _, c = Lazy.force collected_fixture in
   let failing = List.hd c.Corpus.Runner.failing in
   let t = Collector.create () in
-  (match
-     Collector.ingest t
-       (Wire.encode_v1 (real_envelope ~endpoint:0 (Wire.Failing failing)))
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "v1 ingest: %s" msg);
+  for _ = 1 to 2 do
+    ship t (real_envelope (Wire.Failing failing))
+  done;
+  List.iter
+    (fun s -> ship t (real_envelope (Wire.Success s)))
+    c.Corpus.Runner.successful;
   let b = List.hd (Collector.buckets t) in
-  Alcotest.(check int) "v1 failing kept" 1 (Collector.failing_kept b);
+  Alcotest.(check int) "failing kept" 2 (Collector.failing_kept b);
+  Alcotest.(check int) "successes routed"
+    (List.length c.Corpus.Runner.successful)
+    (Collector.success_kept b);
+  Alcotest.(check int) "nothing unrouted" 0
+    (Collector.totals t).Collector.unrouted;
   Alcotest.(check int) "no qualifiers" 0 (List.length (Collector.qualifiers b))
 
 (* The reason the decode cache exists: the collector re-diagnoses a bucket
@@ -665,77 +671,152 @@ let test_rediagnosis_reuses_decodes () =
 
 (* --- end to end ---------------------------------------------------------- *)
 
+module Deploy = Stream.Deploy
+
 let test_fleet_end_to_end () =
   let bug = Corpus.Registry.find_exn "pbzip2-1" in
-  let s = Fleet.Deploy.run ~endpoints:3 [ bug ] in
-  Alcotest.(check int) "no decode errors" 0 s.Fleet.Deploy.decode_errors;
-  Alcotest.(check int) "no unrouted successes" 0 s.Fleet.Deploy.unrouted;
+  let s = Deploy.once ~endpoints:3 [ bug ] in
+  Alcotest.(check int) "no decode errors" 0 s.Deploy.ingest_errors;
+  Alcotest.(check int) "no unrouted successes" 0 s.Deploy.unrouted;
   Alcotest.(check bool) "some bytes crossed the wire" true
-    (s.Fleet.Deploy.wire_bytes > 0);
-  match s.Fleet.Deploy.rows with
+    (s.Deploy.wire_bytes > 0);
+  Alcotest.(check bool) "stream gates hold" true
+    (s.Deploy.agree && s.Deploy.accounted && s.Deploy.leftover_queue = 0);
+  match s.Deploy.rows with
   | [ r ] ->
-    Alcotest.(check int) "all endpoints in one bucket" 3
-      r.Fleet.Deploy.endpoints_hit;
+    Alcotest.(check int) "all endpoints in one bucket" 3 r.Deploy.endpoints_hit;
     Alcotest.(check bool) "dedup collapsed the fleet" true
-      (s.Fleet.Deploy.dedup_ratio >= 3.0);
-    Alcotest.(check bool) "diagnosed" true (r.Fleet.Deploy.top_pattern <> None);
+      (s.Deploy.dedup_ratio >= 3.0);
+    Alcotest.(check bool) "diagnosed" true (r.Deploy.top_pattern <> None);
     Alcotest.(check bool) "root cause matches ground truth" true
-      r.Fleet.Deploy.root_cause_match;
+      r.Deploy.root_cause_match;
     Alcotest.(check bool) "report->diagnosis p50 measured" true
-      (s.Fleet.Deploy.latency_p50_ns > 0.0);
+      (s.Deploy.latency_p50_ns > 0.0);
     Alcotest.(check bool) "p99 >= p50" true
-      (s.Fleet.Deploy.latency_p99_ns >= s.Fleet.Deploy.latency_p50_ns)
+      (s.Deploy.latency_p99_ns >= s.Deploy.latency_p50_ns)
   | rows -> Alcotest.failf "expected 1 bucket, got %d" (List.length rows)
 
 let test_deploy_rejects_zero_endpoints () =
   Alcotest.check_raises "endpoints < 1"
-    (Invalid_argument "Deploy.run: endpoints < 1") (fun () ->
-      ignore (Fleet.Deploy.run ~endpoints:0 []))
+    (Invalid_argument "Stream.Deploy.once: endpoints < 1") (fun () ->
+      ignore (Deploy.once ~endpoints:0 []))
 
 let test_deploy_zero_buckets () =
   (* An empty scenario list is a legal (if pointless) deployment: every
      per-bucket average must come back 0.0, not a 0/0 NaN. *)
-  let s = Fleet.Deploy.run ~endpoints:2 [] in
-  Alcotest.(check int) "no buckets" 0 s.Fleet.Deploy.bucket_count;
-  Alcotest.(check (float 0.0)) "dedup ratio guarded" 0.0
-    s.Fleet.Deploy.dedup_ratio;
+  let s = Deploy.once ~endpoints:2 [] in
+  Alcotest.(check int) "no buckets" 0 s.Deploy.bucket_count;
+  Alcotest.(check (float 0.0)) "dedup ratio guarded" 0.0 s.Deploy.dedup_ratio;
   List.iter
     (fun (name, v) ->
       Alcotest.(check bool) (name ^ " is a number") false (Float.is_nan v))
     [
-      ("dedup_ratio", s.Fleet.Deploy.dedup_ratio);
-      ("latency_p50_ns", s.Fleet.Deploy.latency_p50_ns);
-      ("latency_p99_ns", s.Fleet.Deploy.latency_p99_ns);
-      ("diagnosis_ns", s.Fleet.Deploy.diagnosis_ns);
+      ("dedup_ratio", s.Deploy.dedup_ratio);
+      ("latency_p50_ns", s.Deploy.latency_p50_ns);
+      ("latency_p99_ns", s.Deploy.latency_p99_ns);
+      ("diagnosis_ns", s.Deploy.diagnosis_ns);
+      ("reports_per_sec", s.Deploy.reports_per_sec);
     ]
 
 let test_deploy_tick_hook () =
-  (* The ?tick hook behind --watch: once per endpoint, cumulative
-     shipped count monotone, and the rendered line well-formed. *)
+  (* The ?tick hook behind --watch: once per shipment, in shipment
+     order, cumulative counts monotone, and the rendered line
+     well-formed. *)
   let bug = Corpus.Registry.find_exn "pbzip2-1" in
   let seen = ref [] in
   let s =
-    Fleet.Deploy.run ~endpoints:3 ~tick:(fun p -> seen := p :: !seen) [ bug ]
+    Deploy.once ~endpoints:3 ~tick:(fun p -> seen := p :: !seen) [ bug ]
   in
   let ticks = List.rev !seen in
-  Alcotest.(check int) "fired once per endpoint" 3 (List.length ticks);
   Alcotest.(check (list int))
-    "endpoints reported in order" [ 0; 1; 2 ]
-    (List.map (fun p -> p.Fleet.Deploy.tick_endpoint) ticks);
-  let shipped = List.map (fun p -> p.Fleet.Deploy.tick_shipped) ticks in
-  Alcotest.(check bool) "shipped counts monotone" true
-    (List.sort compare shipped = shipped);
+    "one tick per shipment, in order" [ 1; 2; 3 ]
+    (List.map (fun p -> p.Deploy.p_tick) ticks);
+  let offered = List.map (fun p -> p.Deploy.p_offered) ticks in
+  let drained = List.map (fun p -> p.Deploy.p_drained) ticks in
+  Alcotest.(check bool) "counts monotone" true
+    (List.sort compare offered = offered
+    && List.sort compare drained = drained);
   Alcotest.(check int) "last tick saw the whole fleet's packets"
-    s.Fleet.Deploy.shipped
-    (List.nth shipped (List.length shipped - 1));
+    s.Deploy.offered
+    (List.nth offered (List.length offered - 1));
   List.iter
     (fun p ->
-      let line = Fleet.Deploy.watch_line p in
+      let line = Deploy.watch_line p in
       Alcotest.(check bool)
         (Printf.sprintf "watch line renders (%s)" line)
         true
-        (String.length line > 0 && String.sub line 0 7 = "[watch]"))
+        (String.length line > 8 && String.sub line 0 8 = "[stream]"))
     ticks
+
+(* The reference for the one-shot fleet on the stream plane: one
+   collector fed the same [Endpoint.run] shipments in the same order,
+   each bucket diagnosed from scratch, must give every bucket the same
+   row — sharding, the tracker's routing and the incremental engine
+   change nothing a row reports. *)
+let test_once_matches_one_collector () =
+  let bugs = Corpus.Registry.eval_set in
+  let endpoints = 6 in
+  let s = Deploy.once ~endpoints bugs in
+  let c = Collector.create () in
+  List.iter
+    (fun bug ->
+      for endpoint = 0 to endpoints - 1 do
+        List.iter
+          (fun p -> ignore (Collector.ingest c p))
+          (Fleet.Endpoint.run ~bug ~endpoint).Fleet.Endpoint.packets
+      done)
+    bugs;
+  let reference =
+    List.map
+      (fun (b : Collector.bucket) ->
+        let top = (Collector.diagnose c b).Snorlax_core.Diagnosis.top in
+        let v = Collector.verdict c b top in
+        ( b.Collector.signature.Fleet.Signature.bug_id,
+          Fleet.Signature.to_string b.Collector.signature,
+          List.length b.Collector.endpoints,
+          ( Collector.failing_kept b,
+            Collector.failing_dropped b,
+            Collector.success_kept b,
+            Collector.success_dropped b ),
+          b.Collector.wire_bytes,
+          List.map Collector.qualifier_to_string (Collector.qualifiers b),
+          ( v.Collector.top_pattern,
+            v.Collector.f1,
+            v.Collector.root_cause_match,
+            v.Collector.ordering_accuracy ) ))
+      (Collector.buckets c)
+  in
+  let rows =
+    List.map
+      (fun (r : Deploy.bucket_row) ->
+        ( r.Deploy.bug_id,
+          r.Deploy.signature,
+          r.Deploy.endpoints_hit,
+          ( r.Deploy.failing_kept,
+            r.Deploy.failing_dropped,
+            r.Deploy.success_kept,
+            r.Deploy.success_dropped ),
+          r.Deploy.wire_bytes,
+          r.Deploy.qualifiers,
+          ( r.Deploy.top_pattern,
+            r.Deploy.f1,
+            r.Deploy.root_cause_match,
+            r.Deploy.ordering_accuracy ) ))
+      s.Deploy.rows
+  in
+  Alcotest.(check int) "bucket count" (List.length reference)
+    (List.length rows);
+  Alcotest.(check bool) "every row, in creation order" true (rows = reference);
+  let totals = Collector.totals c in
+  Alcotest.(check int) "packets" totals.Collector.received s.Deploy.offered;
+  Alcotest.(check int) "wire bytes" totals.Collector.wire_bytes
+    s.Deploy.wire_bytes;
+  Alcotest.(check int) "decode errors" totals.Collector.decode_errors
+    s.Deploy.ingest_errors;
+  Alcotest.(check int) "unrouted" totals.Collector.unrouted s.Deploy.unrouted;
+  Alcotest.(check bool) "incremental == batch, accounted, drained" true
+    (s.Deploy.agree && s.Deploy.accounted && s.Deploy.leftover_queue = 0);
+  Alcotest.(check int) "nothing shed" 0 s.Deploy.shed
 
 (* The satellite property for the v2 wire format: provenance survives
    the packet stream treatment a real fleet gives it — packets get
@@ -920,8 +1001,8 @@ let tests =
           test_wire_roundtrip_timing_modes;
         Alcotest.test_case "provenance round-trip" `Quick
           test_wire_roundtrip_provenance;
-        Alcotest.test_case "v1 packets decode with prov=None" `Quick
-          test_wire_v1_back_compat;
+        Alcotest.test_case "v1 header rejected and counted" `Quick
+          test_wire_v1_rejected;
         Alcotest.test_case "every truncation is Error" `Quick
           test_wire_truncations;
         Alcotest.test_case "bad version" `Quick test_wire_bad_version;
@@ -953,8 +1034,8 @@ let tests =
           test_collector_qualifiers;
         Alcotest.test_case "no qualifiers below 2 samples a side" `Quick
           test_collector_qualifiers_need_both_sides;
-        Alcotest.test_case "mixed-version fleet (v1 packets)" `Quick
-          test_collector_accepts_v1_packets;
+        Alcotest.test_case "prov=None routes, no qualifiers" `Quick
+          test_collector_routes_without_provenance;
         Alcotest.test_case "re-diagnosis reuses decodes" `Quick
           test_rediagnosis_reuses_decodes;
         Alcotest.test_case "counters reconcile on a mixed stream" `Quick
@@ -981,6 +1062,8 @@ let tests =
           test_deploy_zero_buckets;
         Alcotest.test_case "?tick hook: once per endpoint, monotone" `Quick
           test_deploy_tick_hook;
+        Alcotest.test_case "once == one collector over the eval set" `Quick
+          test_once_matches_one_collector;
         qtest prop_wire_stream_preserves_provenance;
       ] );
     ( "fleet.signature",

@@ -1,5 +1,5 @@
 (* The endpoint model: how a reproduced scenario becomes wire packets.
-   The batch fleet's endpoints ([Fleet.Endpoint.run]) and the streaming
+   The one-shot fleet's endpoints ([Fleet.Endpoint.run]) and the streaming
    traffic generator ([Stream.Traffic.tick]) both ship packets built by
    it, so their exact bytes are pinned here by digest — any change to
    the envelope, the seed scheme, failing-first order, the endpoint-death
@@ -19,7 +19,7 @@ let endpoint_text () =
   let bug = Corpus.Registry.find_exn "pbzip2-1" in
   let buf = Buffer.create 4096 in
   for endpoint = 0 to 2 do
-    let s = Fleet.Endpoint.run ~bug ~endpoint () in
+    let s = Fleet.Endpoint.run ~bug ~endpoint in
     Printf.bprintf buf "endpoint %d runs=%d reproduced=%b packets=%d\n"
       s.Fleet.Endpoint.endpoint s.Fleet.Endpoint.runs
       s.Fleet.Endpoint.reproduced
